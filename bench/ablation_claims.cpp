@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "dramcache/redcache.hpp"
 #include "workloads/profiler.hpp"
 
 namespace {
@@ -28,7 +27,7 @@ void LastWriteAndUniformity() {
   // Profiling runs are independent per workload; fan out, print in order.
   ParallelFor(workloads.size(), 0, [&](std::size_t i) {
     RunSpec spec;
-    spec.arch = Arch::kNoHbm;
+    spec.policy = "No-HBM";
     spec.workload = workloads[i];
     spec.preset = EvalPreset();
     auto system = BuildSystem(spec);
@@ -67,10 +66,10 @@ void RcuStatistics() {
   TextTable table({"workload", "parked updates", "merged (cond.1)",
                    "idle (cond.2)", "capacity (cond.3)",
                    "deferred past insert"});
-  RunCellsAhead(GridCells({Arch::kRedCache}, SelectedWorkloads()),
+  RunCellsAhead(GridCells({"RedCache"}, SelectedWorkloads()),
                 "ablation-rcu");
   for (const std::string& wl : SelectedWorkloads()) {
-    const CellResult r = RunCell(Arch::kRedCache, wl);
+    const CellResult r = RunCell("RedCache", wl);
     const double inserts =
         static_cast<double>(r.stats.GetCounter("ctrl.rcu_inserts"));
     if (inserts == 0) {
@@ -103,29 +102,21 @@ void StaticAlphaSweep() {
                    "RDX exec (Mcycles)"});
   const std::vector<std::string> wls = {"FT", "LU", "RDX"};
   constexpr std::uint32_t kMaxAlpha = 3;
-  std::vector<Cycle> execs(kMaxAlpha * wls.size());
-  // One custom-controller simulation per (alpha, workload) pair.
-  ParallelFor(execs.size(), 0, [&](std::size_t i) {
-    const std::uint32_t alpha = static_cast<std::uint32_t>(i / wls.size()) + 1;
-    const std::string& wl = wls[i % wls.size()];
-    RedCacheOptions opt = RedCacheOptions::Full();
-    opt.alpha.initial_alpha = alpha;
-    opt.alpha.adaptive = false;
-    const SimPreset preset = EvalPreset();
-    WorkloadBuildParams wp;
-    wp.num_cores = preset.hierarchy.num_cores;
-    wp.scale = EffectiveScale(1.0);
-    auto trace = MakeWorkload(wl, wp);
-    auto ctrl =
-        std::make_unique<RedCacheController>(preset.mem, opt, "static-alpha");
-    System system(preset.hierarchy, preset.core, std::move(ctrl),
-                  std::move(trace));
-    execs[i] = system.Run().exec_cycles;
-  });
+  // One pinned-alpha RedCache cell per (alpha, workload) pair.
+  std::vector<CellSpec> cells;
+  for (std::uint32_t alpha = 1; alpha <= kMaxAlpha; ++alpha) {
+    for (const std::string& wl : wls) {
+      cells.push_back(MakeCell("RedCache", wl));
+      cells.back().spec.alpha_pin = alpha;
+    }
+  }
+  BatchOptions opts;
+  opts.label = "static-alpha";
+  const std::vector<RunResult> results = RunCells(cells, opts);
   for (std::uint32_t alpha = 1; alpha <= kMaxAlpha; ++alpha) {
     std::vector<std::string> row = {std::to_string(alpha)};
     for (std::size_t w = 0; w < wls.size(); ++w) {
-      const Cycle exec = execs[(alpha - 1) * wls.size() + w];
+      const Cycle exec = results[(alpha - 1) * wls.size() + w].exec_cycles;
       row.push_back(TextTable::Num(static_cast<double>(exec) / 1e6, 1));
     }
     table.AddRow(std::move(row));

@@ -1,79 +1,40 @@
 // Organization ablation (extension): how RedCache's mechanisms interact
 // with cache organization — direct-mapped (the paper's design) vs 2-/4-way
 // set-associative, and against the coarse-grained footprint cache that the
-// paper's introduction argues fails for these workloads.
+// paper's introduction argues fails for these workloads. Every
+// organization is a registry policy, so cells go through the batch engine.
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hpp"
-#include "dramcache/assoc_redcache.hpp"
-#include "dramcache/footprint.hpp"
-
-namespace {
-
-using namespace redcache;
-using namespace redcache::bench;
-
-RunResult RunCustom(const std::string& wl,
-                    std::unique_ptr<MemController> ctrl) {
-  const SimPreset preset = EvalPreset();
-  WorkloadBuildParams wp;
-  wp.num_cores = preset.hierarchy.num_cores;
-  wp.scale = EffectiveScale(1.0);
-  auto trace = MakeWorkload(wl, wp);
-  System system(preset.hierarchy, preset.core, std::move(ctrl),
-                std::move(trace));
-  return system.Run();
-}
-
-}  // namespace
 
 int main() {
+  using namespace redcache;
+  using namespace redcache::bench;
+
   std::printf("Organization ablation — RedCache mechanisms across cache\n");
   std::printf("organizations (not a paper figure; extension study)\n\n");
 
   const std::vector<std::string> workloads = {"FT", "LU"};
+  const std::vector<std::string> organizations = {
+      "RedCache", "RedCache-2way", "RedCache-4way", "Footprint-2KB"};
   TextTable table({"workload", "direct-mapped", "2-way", "4-way",
                    "footprint 2KB", "(exec cycles normalized to DM)"});
 
-  // 4 organizations x workloads, all independent custom-controller sims.
-  constexpr std::size_t kOrgs = 4;
-  std::vector<RunResult> results(kOrgs * workloads.size());
-  ParallelFor(results.size(), 0, [&](std::size_t i) {
-    const std::string& wl = workloads[i / kOrgs];
-    const SimPreset preset = EvalPreset();
-    std::unique_ptr<MemController> ctrl;
-    switch (i % kOrgs) {
-      case 0:
-        ctrl = MakeController(Arch::kRedCache, preset.mem);
-        break;
-      case 1:
-        ctrl = std::make_unique<AssocRedCacheController>(
-            preset.mem, RedCacheOptions::Full(), 2, "rc2");
-        break;
-      case 2:
-        ctrl = std::make_unique<AssocRedCacheController>(
-            preset.mem, RedCacheOptions::Full(), 4, "rc4");
-        break;
-      default:
-        ctrl = std::make_unique<FootprintCacheController>(preset.mem);
-        break;
-    }
-    results[i] = RunCustom(wl, std::move(ctrl));
-  });
+  BatchOptions opts;
+  opts.label = "organizations";
+  const std::vector<RunResult> results =
+      RunCells(GridCells(organizations, workloads), opts);
 
   for (std::size_t w = 0; w < workloads.size(); ++w) {
-    const std::string& wl = workloads[w];
-    const RunResult& dm = results[w * kOrgs + 0];
-    const RunResult& w2 = results[w * kOrgs + 1];
-    const RunResult& w4 = results[w * kOrgs + 2];
-    const RunResult& fp = results[w * kOrgs + 3];
-    const double base = static_cast<double>(dm.exec_cycles);
-    table.AddRow({wl, "1.000",
-                  TextTable::Num(static_cast<double>(w2.exec_cycles) / base, 3),
-                  TextTable::Num(static_cast<double>(w4.exec_cycles) / base, 3),
-                  TextTable::Num(static_cast<double>(fp.exec_cycles) / base, 3),
-                  ""});
+    const RunResult* row = &results[w * organizations.size()];
+    const double base = static_cast<double>(row[0].exec_cycles);
+    std::vector<std::string> cells = {workloads[w]};
+    for (std::size_t o = 0; o < organizations.size(); ++o) {
+      cells.push_back(
+          TextTable::Num(static_cast<double>(row[o].exec_cycles) / base, 3));
+    }
+    cells.push_back("");
+    table.AddRow(std::move(cells));
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf(

@@ -8,16 +8,20 @@
 // wrong numbers.
 //
 // Typical figure structure:
-//   RunCellsAhead(GridCells(archs, workloads), "fig9");  // parallel sweep
+//   RunCellsAhead(GridCells(policies, workloads), "fig9");  // parallel sweep
 //   ... per-cell RunCell(...) calls then hit the in-process memo.
 #pragma once
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
+#include "dramcache/policy_registry.hpp"
 #include "sim/batch.hpp"
 
 namespace redcache::bench {
@@ -35,12 +39,12 @@ struct CellResult {
 /// Build the CellSpec for one figure cell. `variant` distinguishes
 /// non-default configurations (e.g. fill granularity) in the cache key;
 /// `custom_preset` may be customized to match.
-inline CellSpec MakeCell(Arch arch, const std::string& workload,
+inline CellSpec MakeCell(const std::string& policy, const std::string& workload,
                          double scale = DefaultScale(),
                          const std::string& variant = "",
                          const SimPreset* custom_preset = nullptr) {
   CellSpec cell;
-  cell.spec.arch = arch;
+  cell.spec.policy = policy;
   cell.spec.workload = workload;
   cell.spec.scale = scale;
   cell.spec.preset = custom_preset != nullptr ? *custom_preset : EvalPreset();
@@ -49,12 +53,13 @@ inline CellSpec MakeCell(Arch arch, const std::string& workload,
 }
 
 /// Run one cell (memoized in-process; disk-cached under REDCACHE_CACHE_DIR).
-inline CellResult RunCell(Arch arch, const std::string& workload,
+inline CellResult RunCell(const std::string& policy,
+                          const std::string& workload,
                           double scale = DefaultScale(),
                           const std::string& variant = "",
                           const SimPreset* custom_preset = nullptr) {
   const RunResult r =
-      RunCellCached(MakeCell(arch, workload, scale, variant, custom_preset));
+      RunCellCached(MakeCell(policy, workload, scale, variant, custom_preset));
   CellResult out;
   out.exec_cycles = r.exec_cycles;
   out.stats = r.stats;
@@ -62,15 +67,16 @@ inline CellResult RunCell(Arch arch, const std::string& workload,
   return out;
 }
 
-/// Every (arch x workload) cell of a figure grid.
-inline std::vector<CellSpec> GridCells(const std::vector<Arch>& archs,
-                                       const std::vector<std::string>& workloads,
-                                       double scale = DefaultScale()) {
+/// Every (policy x workload) cell of a figure grid.
+inline std::vector<CellSpec> GridCells(
+    const std::vector<std::string>& policies,
+    const std::vector<std::string>& workloads,
+    double scale = DefaultScale()) {
   std::vector<CellSpec> cells;
-  cells.reserve(archs.size() * workloads.size());
+  cells.reserve(policies.size() * workloads.size());
   for (const std::string& wl : workloads) {
-    for (const Arch a : archs) {
-      cells.push_back(MakeCell(a, wl, scale));
+    for (const std::string& p : policies) {
+      cells.push_back(MakeCell(p, wl, scale));
     }
   }
   return cells;
@@ -109,6 +115,40 @@ inline double GeoMean(const std::vector<double>& values) {
   double log_sum = 0.0;
   for (const double v : values) log_sum += std::log(v);
   return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+/// The Fig. 9-11 comparison: `metric` of every evaluation policy on every
+/// selected workload, normalized to Alloy, printed as a table with a
+/// geomean row. Returns each policy's geomean ratio.
+inline std::map<std::string, double> PrintNormalizedToAlloy(
+    const std::string& label,
+    const std::function<double(const CellResult&)>& metric) {
+  const auto workloads = SelectedWorkloads();
+  const auto& policies = EvaluationPolicies();
+  RunCellsAhead(GridCells(policies, workloads), label);
+
+  std::vector<std::string> header = {"workload"};
+  header.insert(header.end(), policies.begin(), policies.end());
+  TextTable table(header);
+  std::map<std::string, std::vector<double>> ratios;
+  for (const std::string& wl : workloads) {
+    const double alloy = metric(RunCell("Alloy", wl));
+    std::vector<std::string> row = {wl};
+    for (const std::string& p : policies) {
+      ratios[p].push_back(metric(RunCell(p, wl)) / alloy);
+      row.push_back(TextTable::Num(ratios[p].back(), 3));
+    }
+    table.AddRow(std::move(row));
+  }
+  std::map<std::string, double> means;
+  std::vector<std::string> mean_row = {"geomean"};
+  for (const std::string& p : policies) {
+    means[p] = GeoMean(ratios[p]);
+    mean_row.push_back(TextTable::Num(means[p], 3));
+  }
+  table.AddRow(std::move(mean_row));
+  std::printf("%s\n", table.Render().c_str());
+  return means;
 }
 
 }  // namespace redcache::bench

@@ -149,7 +149,7 @@ CellPass FullSystemPass(bool no_skip) {
     ::unsetenv("REDCACHE_NO_SKIP");
   }
   RunSpec spec;
-  spec.arch = Arch::kRedCache;
+  spec.policy = "RedCache";
   spec.workload = "LU";
   spec.scale = EffectiveScale(0.25 * DefaultScale());
   spec.ignore_env_scale = true;

@@ -5,7 +5,6 @@
 // Alloy and 37% over Bear; RedCache even beats Red-InSitu slightly because
 // it performs no computation inside the HBM dies.
 #include <cstdio>
-#include <map>
 
 #include "bench_util.hpp"
 
@@ -13,40 +12,15 @@ int main() {
   using namespace redcache;
   using namespace redcache::bench;
 
-  const auto workloads = SelectedWorkloads();
-  const auto& archs = EvaluationArchs();
-  RunCellsAhead(GridCells(archs, workloads), "fig10");
-
   std::printf("Figure 10 — HBM cache energy normalized to Alloy Cache\n");
   std::printf("(lower is better; paper means: RedCache 0.58 vs Alloy,\n");
   std::printf(" 0.63 vs Bear)\n\n");
 
-  std::vector<std::string> header = {"workload"};
-  for (const Arch a : archs) header.push_back(ToString(a));
-  TextTable table(header);
-
-  std::map<Arch, std::vector<double>> ratios;
-  for (const std::string& wl : workloads) {
-    const CellResult alloy = RunCell(Arch::kAlloy, wl);
-    std::vector<std::string> row = {wl};
-    for (const Arch a : archs) {
-      const CellResult r = a == Arch::kAlloy ? alloy : RunCell(a, wl);
-      const double ratio = r.energy.HbmCacheNj() / alloy.energy.HbmCacheNj();
-      ratios[a].push_back(ratio);
-      row.push_back(TextTable::Num(ratio, 3));
-    }
-    table.AddRow(std::move(row));
-  }
-  std::vector<std::string> mean_row = {"geomean"};
-  for (const Arch a : archs) {
-    mean_row.push_back(TextTable::Num(GeoMean(ratios[a]), 3));
-  }
-  table.AddRow(std::move(mean_row));
-  std::printf("%s\n", table.Render().c_str());
-
-  const double red = GeoMean(ratios[Arch::kRedCache]);
-  const double bear = GeoMean(ratios[Arch::kBear]);
-  const double insitu = GeoMean(ratios[Arch::kRedInSitu]);
+  const auto means = PrintNormalizedToAlloy(
+      "fig10", [](const CellResult& r) { return r.energy.HbmCacheNj(); });
+  const double red = means.at("RedCache");
+  const double bear = means.at("Bear");
+  const double insitu = means.at("Red-InSitu");
   std::printf("summary (measured vs paper):\n");
   std::printf("  RedCache HBM energy vs Alloy: -%.1f%% (paper -42%%)\n",
               (1.0 - red) * 100.0);

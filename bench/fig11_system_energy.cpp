@@ -4,7 +4,6 @@
 // Paper reference points: RedCache improves system energy by 29% over
 // Alloy and 18% over Bear; Red-InSitu reaches 33% over Alloy.
 #include <cstdio>
-#include <map>
 
 #include "bench_util.hpp"
 
@@ -12,40 +11,15 @@ int main() {
   using namespace redcache;
   using namespace redcache::bench;
 
-  const auto workloads = SelectedWorkloads();
-  const auto& archs = EvaluationArchs();
-  RunCellsAhead(GridCells(archs, workloads), "fig11");
-
   std::printf("Figure 11 — system energy normalized to Alloy Cache\n");
   std::printf("(lower is better; paper means: RedCache 0.71 vs Alloy,\n");
   std::printf(" 0.82 vs Bear; Red-InSitu 0.67 vs Alloy)\n\n");
 
-  std::vector<std::string> header = {"workload"};
-  for (const Arch a : archs) header.push_back(ToString(a));
-  TextTable table(header);
-
-  std::map<Arch, std::vector<double>> ratios;
-  for (const std::string& wl : workloads) {
-    const CellResult alloy = RunCell(Arch::kAlloy, wl);
-    std::vector<std::string> row = {wl};
-    for (const Arch a : archs) {
-      const CellResult r = a == Arch::kAlloy ? alloy : RunCell(a, wl);
-      const double ratio = r.energy.SystemNj() / alloy.energy.SystemNj();
-      ratios[a].push_back(ratio);
-      row.push_back(TextTable::Num(ratio, 3));
-    }
-    table.AddRow(std::move(row));
-  }
-  std::vector<std::string> mean_row = {"geomean"};
-  for (const Arch a : archs) {
-    mean_row.push_back(TextTable::Num(GeoMean(ratios[a]), 3));
-  }
-  table.AddRow(std::move(mean_row));
-  std::printf("%s\n", table.Render().c_str());
-
-  const double red = GeoMean(ratios[Arch::kRedCache]);
-  const double bear = GeoMean(ratios[Arch::kBear]);
-  const double insitu = GeoMean(ratios[Arch::kRedInSitu]);
+  const auto means = PrintNormalizedToAlloy(
+      "fig11", [](const CellResult& r) { return r.energy.SystemNj(); });
+  const double red = means.at("RedCache");
+  const double bear = means.at("Bear");
+  const double insitu = means.at("Red-InSitu");
   std::printf("summary (measured vs paper):\n");
   std::printf("  RedCache system energy vs Alloy: -%.1f%% (paper -29%%)\n",
               (1.0 - red) * 100.0);

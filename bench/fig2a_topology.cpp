@@ -17,9 +17,9 @@ int main() {
   using namespace redcache::bench;
 
   const auto workloads = SelectedWorkloads();
-  const Arch topologies[] = {Arch::kNoHbm, Arch::kIdeal, Arch::kAlloy};
+  const std::vector<std::string> topologies = {"No-HBM", "IDEAL", "Alloy"};
   RunCellsAhead(
-      GridCells({Arch::kNoHbm, Arch::kIdeal, Arch::kAlloy}, workloads),
+      GridCells(topologies, workloads),
       "fig2a");
 
   std::printf("Figure 2(a) — system-topology bandwidth efficiency\n");
@@ -29,17 +29,17 @@ int main() {
   struct Point {
     std::vector<double> bandwidth, data, speed;
   };
-  std::map<Arch, Point> points;
+  std::map<std::string, Point> points;
 
   for (const std::string& wl : workloads) {
-    const CellResult base = RunCell(Arch::kNoHbm, wl);
+    const CellResult base = RunCell("No-HBM", wl);
     const double base_bw = static_cast<double>(base.stats.GetCounter(
                                "ddr4.bytes_transferred")) /
                            static_cast<double>(base.exec_cycles);
     const double base_bytes = static_cast<double>(
         base.stats.GetCounter("ddr4.bytes_transferred"));
-    for (const Arch a : topologies) {
-      const CellResult r = a == Arch::kNoHbm ? base : RunCell(a, wl);
+    for (const std::string& a : topologies) {
+      const CellResult r = a == "No-HBM" ? base : RunCell(a, wl);
       const double bytes =
           static_cast<double>(r.stats.GetCounter("hbm.bytes_transferred") +
                               r.stats.GetCounter("ddr4.bytes_transferred"));
@@ -57,15 +57,15 @@ int main() {
   const char* paper[] = {"1.00 / 1.00 / 1.0", "~6 / ~1.33 / ~4.5",
                          "~6+ / ~2 / ~2.7"};
   int i = 0;
-  for (const Arch a : topologies) {
-    table.AddRow({ToString(a), TextTable::Num(GeoMean(points[a].bandwidth), 2),
+  for (const std::string& a : topologies) {
+    table.AddRow({a, TextTable::Num(GeoMean(points[a].bandwidth), 2),
                   TextTable::Num(GeoMean(points[a].data), 2),
                   TextTable::Num(GeoMean(points[a].speed), 2), paper[i++]});
   }
   std::printf("%s\n", table.Render().c_str());
 
-  const double ideal_speed = GeoMean(points[Arch::kIdeal].speed);
-  const double hbm_speed = GeoMean(points[Arch::kAlloy].speed);
+  const double ideal_speed = GeoMean(points["IDEAL"].speed);
+  const double hbm_speed = GeoMean(points["Alloy"].speed);
   std::printf("HBM cache loses %.1f%% performance vs IDEAL (paper ~40%%)\n",
               (1.0 - hbm_speed / ideal_speed) * 100.0);
   return 0;

@@ -26,7 +26,7 @@ struct GranResult {
 CellSpec GranularityCell(const std::string& wl, std::uint32_t line_blocks) {
   SimPreset preset = EvalPreset();
   preset.mem.line_blocks = line_blocks;
-  return MakeCell(Arch::kAlloy, wl, DefaultScale(),
+  return MakeCell("Alloy", wl, DefaultScale(),
                   "gran" + std::to_string(line_blocks), &preset);
 }
 

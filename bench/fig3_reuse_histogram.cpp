@@ -25,7 +25,7 @@ struct ProfileData {
 
 ProfileData RunProfile(const std::string& wl) {
   RunSpec spec;
-  spec.arch = Arch::kNoHbm;
+  spec.policy = "No-HBM";
   spec.workload = wl;
   spec.preset = EvalPreset();
   auto system = BuildSystem(spec);

@@ -4,9 +4,7 @@
 // Paper reference points (averages): RedCache 31% faster than Alloy and
 // 24% faster than Bear; Red-InSitu 33%/26%; alpha alone contributes ~27%
 // and gamma alone ~14%; RedCache reaches ~98% of Red-InSitu.
-#include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "bench_util.hpp"
 
@@ -14,44 +12,19 @@ int main() {
   using namespace redcache;
   using namespace redcache::bench;
 
-  const auto workloads = SelectedWorkloads();
-  const auto& archs = EvaluationArchs();
-  RunCellsAhead(GridCells(archs, workloads), "fig9");
-
   std::printf("Figure 9 — execution time normalized to Alloy Cache\n");
   std::printf("(lower is better; paper means: RedCache 0.69, Bear ~0.92,\n");
   std::printf(" Red-InSitu 0.67, Red-Alpha ~0.73, Red-Gamma ~0.86)\n\n");
 
-  std::vector<std::string> header = {"workload"};
-  for (const Arch a : archs) header.push_back(ToString(a));
-  TextTable table(header);
-
-  std::map<Arch, std::vector<double>> ratios;
-  for (const std::string& wl : workloads) {
-    const CellResult alloy = RunCell(Arch::kAlloy, wl);
-    std::vector<std::string> row = {wl};
-    for (const Arch a : archs) {
-      const CellResult r = a == Arch::kAlloy ? alloy : RunCell(a, wl);
-      const double ratio = static_cast<double>(r.exec_cycles) /
-                           static_cast<double>(alloy.exec_cycles);
-      ratios[a].push_back(ratio);
-      row.push_back(TextTable::Num(ratio, 3));
-    }
-    table.AddRow(std::move(row));
-  }
-
-  std::vector<std::string> mean_row = {"geomean"};
-  for (const Arch a : archs) {
-    mean_row.push_back(TextTable::Num(GeoMean(ratios[a]), 3));
-  }
-  table.AddRow(std::move(mean_row));
-  std::printf("%s\n", table.Render().c_str());
-
-  const double red = GeoMean(ratios[Arch::kRedCache]);
-  const double bear = GeoMean(ratios[Arch::kBear]);
-  const double insitu = GeoMean(ratios[Arch::kRedInSitu]);
-  const double alpha = GeoMean(ratios[Arch::kRedAlpha]);
-  const double gamma = GeoMean(ratios[Arch::kRedGamma]);
+  const auto means =
+      PrintNormalizedToAlloy("fig9", [](const CellResult& r) {
+        return static_cast<double>(r.exec_cycles);
+      });
+  const double red = means.at("RedCache");
+  const double bear = means.at("Bear");
+  const double insitu = means.at("Red-InSitu");
+  const double alpha = means.at("Red-Alpha");
+  const double gamma = means.at("Red-Gamma");
   std::printf("summary (measured vs paper):\n");
   std::printf("  RedCache vs Alloy: %.1f%% faster (paper 31%%)\n",
               (1.0 - red) * 100.0);

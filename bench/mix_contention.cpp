@@ -13,7 +13,6 @@
 #include <fstream>
 
 #include "bench_util.hpp"
-#include "dramcache/policy_registry.hpp"
 
 namespace {
 
@@ -40,18 +39,6 @@ CellSpec MixCell(const std::string& policy,
   // progress lines readable.
   cell.spec.workload = joined;
   return cell;
-}
-
-/// The paper's evaluation archs plus every registry policy with sweep=true.
-std::vector<std::string> SweepPolicies() {
-  std::vector<std::string> out;
-  for (const Arch a : EvaluationArchs()) out.push_back(ToString(a));
-  for (const std::string& name : PolicyRegistry::Instance().SweepNames()) {
-    if (std::find(out.begin(), out.end(), name) == out.end()) {
-      out.push_back(name);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -131,7 +118,7 @@ int main() {
 
   // Phase 2: one heterogeneous 4-tenant mix across every sweep policy.
   const std::vector<std::string> four = {"FT", "RDX", "LU", "HIST"};
-  const std::vector<std::string> policies = SweepPolicies();
+  const std::vector<std::string> policies = DefaultSweepPolicies();
   std::vector<CellSpec> four_cells;
   for (const std::string& p : policies) {
     four_cells.push_back(MixCell(p, four, scale));

@@ -5,32 +5,11 @@
 //   ./build/examples/policy_tuning [workload] [scale]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "common/table.hpp"
-#include "dramcache/redcache.hpp"
 #include "sim/runner.hpp"
-
-namespace {
-
-using namespace redcache;
-
-RunResult RunWithOptions(const std::string& workload, double scale,
-                         const RedCacheOptions& opt) {
-  const SimPreset preset = EvalPreset();
-  WorkloadBuildParams wp;
-  wp.num_cores = preset.hierarchy.num_cores;
-  wp.scale = EffectiveScale(scale);
-  auto trace = MakeWorkload(workload, wp);
-  auto ctrl =
-      std::make_unique<RedCacheController>(preset.mem, opt, "tuned");
-  System system(preset.hierarchy, preset.core, std::move(ctrl),
-                std::move(trace));
-  return system.Run();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace redcache;
@@ -44,8 +23,18 @@ int main(int argc, char** argv) {
   TextTable table({"policy", "exec (Mcycles)", "HBM hit rate",
                    "alpha bypasses", "gamma invalidations", "final a/g"});
 
-  auto report = [&](const char* name, const RedCacheOptions& opt) {
-    const RunResult r = RunWithOptions(workload, scale, opt);
+  // Threshold pins (RunSpec::alpha_pin / gamma_pin) fix a threshold and
+  // turn its adaptation off; unpinned, the controller tunes both.
+  auto report = [&](const std::string& name,
+                    std::optional<std::uint32_t> alpha,
+                    std::optional<std::uint32_t> gamma) {
+    RunSpec spec;
+    spec.policy = "RedCache";
+    spec.workload = workload;
+    spec.scale = scale;
+    spec.alpha_pin = alpha;
+    spec.gamma_pin = gamma;
+    const RunResult r = RunOne(spec);
     const auto hits = r.stats.GetCounter("ctrl.cache_hits");
     const auto misses = r.stats.GetCounter("ctrl.cache_misses");
     table.AddRow({
@@ -63,23 +52,12 @@ int main(int argc, char** argv) {
   };
 
   for (std::uint32_t alpha = 1; alpha <= 3; ++alpha) {
-    RedCacheOptions opt = RedCacheOptions::Full();
-    opt.alpha.initial_alpha = alpha;
-    opt.alpha.adaptive = false;
-    char name[32];
-    std::snprintf(name, sizeof(name), "static alpha=%u", alpha);
-    report(name, opt);
+    report("static alpha=" + std::to_string(alpha), alpha, std::nullopt);
   }
   for (std::uint32_t gamma : {4u, 16u, 64u}) {
-    RedCacheOptions opt = RedCacheOptions::Full();
-    opt.gamma.initial_gamma = gamma;
-    opt.gamma.min_gamma = gamma;
-    opt.gamma.max_gamma = gamma;
-    char name[32];
-    std::snprintf(name, sizeof(name), "static gamma=%u", gamma);
-    report(name, opt);
+    report("static gamma=" + std::to_string(gamma), std::nullopt, gamma);
   }
-  report("adaptive (default)", RedCacheOptions::Full());
+  report("adaptive (default)", std::nullopt, std::nullopt);
 
   std::printf("%s\n", table.Render().c_str());
   std::printf(

@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
                    "system energy (mJ)"});
 
   double alloy_cycles = 0;
-  for (const Arch arch : {Arch::kAlloy, Arch::kBear, Arch::kRedCache}) {
+  for (const std::string policy : {"Alloy", "Bear", "RedCache"}) {
     RunSpec spec;
-    spec.arch = arch;
+    spec.policy = policy;
     spec.workload = workload;
     spec.scale = scale;
     const RunResult r = RunOne(spec);
@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
         hits + misses == 0
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
-    if (arch == Arch::kAlloy) {
+    if (policy == "Alloy") {
       alloy_cycles = static_cast<double>(r.exec_cycles);
     }
     table.AddRow({
-        ToString(arch),
+        policy,
         std::to_string(r.exec_cycles),
         TextTable::Num(alloy_cycles / static_cast<double>(r.exec_cycles), 2) +
             "x",

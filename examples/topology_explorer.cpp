@@ -24,15 +24,14 @@ int main(int argc, char** argv) {
                    "WideIO GB", "DDRx GB", "WideIO busy", "DDRx busy"});
 
   double base_exec = 0;
-  for (const Arch arch :
-       {Arch::kNoHbm, Arch::kIdeal, Arch::kAlloy, Arch::kBear,
-        Arch::kRedCache}) {
+  for (const std::string policy :
+       {"No-HBM", "IDEAL", "Alloy", "Bear", "RedCache"}) {
     RunSpec spec;
-    spec.arch = arch;
+    spec.policy = policy;
     spec.workload = workload;
     spec.scale = scale;
     const RunResult r = RunOne(spec);
-    if (arch == Arch::kNoHbm) base_exec = static_cast<double>(r.exec_cycles);
+    if (policy == "No-HBM") base_exec = static_cast<double>(r.exec_cycles);
 
     const double hbm_busy =
         static_cast<double>(r.stats.GetCounter("hbm.data_busy_cycles")) /
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
         (static_cast<double>(r.exec_cycles) *
          spec.preset.mem.mainmem.geometry.channels);
     table.AddRow({
-        ToString(arch),
+        policy,
         TextTable::Num(static_cast<double>(r.exec_cycles) / 1e6, 1),
         TextTable::Num(base_exec / static_cast<double>(r.exec_cycles), 2) +
             "x",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& wl : WorkloadLabels()) {
     RunSpec spec;
-    spec.arch = Arch::kNoHbm;
+    spec.policy = "No-HBM";
     spec.workload = wl;
     spec.scale = scale;
     auto system = BuildSystem(spec);

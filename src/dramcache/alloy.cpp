@@ -29,7 +29,7 @@ AlloyController::AlloyController(MemControllerConfig cfg)
 
 void AlloyController::Fill(Addr addr, bool dirty, Cycle now) {
   const std::uint64_t set = tags_.SetOf(addr);
-  DirectMappedTags::Line& line = tags_.line(set);
+  TagStore::Line& line = tags_.line(set);
   if (line.valid) {
     evictions_++;
     if (line.dirty) {
@@ -115,14 +115,6 @@ void AlloyController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
   }
 }
 
-std::uint64_t AlloyController::ResidentLines() const {
-  std::uint64_t resident = 0;
-  for (std::uint64_t s = 0; s < tags_.num_sets(); ++s) {
-    resident += tags_.line(s).valid ? 1 : 0;
-  }
-  return resident;
-}
-
 void AlloyController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.cache_hits") = hits_;
   stats.Counter("ctrl.cache_misses") = misses_;
@@ -131,7 +123,7 @@ void AlloyController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.fills") = fills_;
   stats.Counter("ctrl.victim_writebacks") = victim_writebacks_;
   stats.Counter("ctrl.evictions") = evictions_;
-  stats.Counter("ctrl.resident_lines") = ResidentLines();
+  stats.Counter("ctrl.resident_lines") = tags_.ValidLines();
 }
 
 void AlloyController::SnapshotPolicy(ser::Writer& w) const {

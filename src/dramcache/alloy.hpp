@@ -38,10 +38,7 @@ class AlloyController : public ControllerBase {
   /// current occupant if dirty. `dirty` marks the new line.
   void Fill(Addr addr, bool dirty, Cycle now);
 
-  /// Valid lines currently resident (fills == evictions + resident).
-  std::uint64_t ResidentLines() const;
-
-  DirectMappedTags tags_;
+  TagStore tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t read_hits_ = 0;

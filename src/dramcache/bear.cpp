@@ -105,7 +105,7 @@ void BearController::MaybeRetuneBypass() {
 
 void BearController::FillTracked(Addr addr, bool dirty, Cycle now) {
   const std::uint64_t set = tags_.SetOf(addr);
-  const DirectMappedTags::Line& line = tags_.line(set);
+  const TagStore::Line& line = tags_.line(set);
   if (line.valid) presence_.Remove(tags_.VictimAddr(set) / tags_.line_bytes());
   Fill(addr, dirty, now);
   presence_.Add(addr / tags_.line_bytes());

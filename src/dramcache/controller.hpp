@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -36,6 +37,11 @@ struct MemControllerConfig {
   /// DRAM-cache line size in 64 B blocks (1 => fine-grained; 2/4 model the
   /// Fig. 2(b) 128 B / 256 B granularity study).
   std::uint32_t line_blocks = 1;
+  /// RedCache-family threshold pins (RunSpec::alpha_pin / gamma_pin): fix
+  /// alpha / gamma and turn their adaptation off. Other policies ignore
+  /// them; BuildSystem refuses pins for those.
+  std::optional<std::uint32_t> alpha_pin;
+  std::optional<std::uint32_t> gamma_pin;
 };
 
 /// Abstract controller the System drives.

@@ -157,6 +157,24 @@ std::vector<std::string> PolicyRegistry::SweepNames() const {
   return FilterNames(*this, &PolicyInfo::sweep);
 }
 
+const std::vector<std::string>& EvaluationPolicies() {
+  static const std::vector<std::string> kPolicies = {
+      "Alloy",     "Bear",       "Red-Alpha", "Red-Gamma",
+      "Red-Basic", "Red-InSitu", "RedCache",
+  };
+  return kPolicies;
+}
+
+std::vector<std::string> DefaultSweepPolicies() {
+  std::vector<std::string> policies = EvaluationPolicies();
+  for (const std::string& name : PolicyRegistry::Instance().SweepNames()) {
+    if (std::find(policies.begin(), policies.end(), name) == policies.end()) {
+      policies.push_back(name);
+    }
+  }
+  return policies;
+}
+
 std::unique_ptr<MemController> MakePolicy(const std::string& name,
                                           const MemControllerConfig& cfg) {
   return PolicyRegistry::Instance().Get(name).make(cfg);

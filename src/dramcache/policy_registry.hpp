@@ -86,6 +86,16 @@ class PolicyRegistry {
   Impl& impl() const;
 };
 
+/// The paper's Fig. 9-11 comparison, in its order: Alloy (the baseline
+/// every figure normalizes against), Bear, the four RedCache ablations,
+/// then the full RedCache.
+const std::vector<std::string>& EvaluationPolicies();
+
+/// The default sweep columns: EvaluationPolicies() in the paper's order,
+/// then every other sweep-enabled policy (rivals like Banshee and TicToc)
+/// in registry order.
+std::vector<std::string> DefaultSweepPolicies();
+
 /// Construct the policy registered under `name`. Unknown names throw
 /// std::invalid_argument with the full list of registered policies.
 std::unique_ptr<MemController> MakePolicy(const std::string& name,

@@ -71,6 +71,33 @@ REDCACHE_REGISTER_POLICY(
                     }});
 
 namespace {
+PolicyInfo WaysInfo(const char* name, std::uint32_t ways,
+                    const char* display_name, bool differential) {
+  return {.name = name,
+          .summary = std::to_string(ways) +
+                     "-way LRU RedCache (R-Cache direction extension)",
+          .family = "redcache",
+          .differential = differential,
+          .golden = false,
+          .sweep = false,
+          .make = [ways, display_name](const MemControllerConfig& cfg) {
+            return std::make_unique<RedCacheController>(
+                cfg, RedCacheOptions::Full(), display_name, ways);
+          }};
+}
+}  // namespace
+
+REDCACHE_REGISTER_POLICY(redcache_2way,
+                         (WaysInfo("RedCache-2way", 2, "redcache-2way",
+                                   /*differential=*/false)));
+REDCACHE_REGISTER_POLICY(redcache_4way,
+                         (WaysInfo("RedCache-4way", 4, "redcache-4way",
+                                   /*differential=*/true)));
+REDCACHE_REGISTER_POLICY(redcache_8way,
+                         (WaysInfo("RedCache-8way", 8, "redcache-8way",
+                                   /*differential=*/false)));
+
+namespace {
 /// Policy-decision trace event (policy device renders on one track).
 obs::TraceEvent PolicyEvent(Cycle now, obs::TraceEventType type, Addr addr,
                             std::uint64_t arg = 0) {
@@ -84,26 +111,43 @@ obs::TraceEvent PolicyEvent(Cycle now, obs::TraceEventType type, Addr addr,
 
 namespace {
 enum State {
-  kProbe = 0,    ///< waiting for the TAD probe read
+  kProbe = 0,    ///< waiting for the TAD probe read (aux = probed way)
   kMissFetch,    ///< waiting for main memory after a probe miss
   kDirectFetch,  ///< bypassed read served by main memory
+  kWayFetch,     ///< hit off the probed way: its data burst in flight
 };
 
 /// Latency of a read served out of the RCU data RAM (SRAM on the
 /// controller die; a handful of CPU cycles).
 constexpr Cycle kRcuServeLatency = 6;
+
+/// `o` with the config's alpha / gamma pins applied.
+RedCacheOptions WithPins(RedCacheOptions o, const MemControllerConfig& cfg) {
+  if (cfg.alpha_pin) {
+    o.alpha.initial_alpha = o.alpha.min_alpha = o.alpha.max_alpha =
+        *cfg.alpha_pin;
+    o.alpha.adaptive = false;
+  }
+  if (cfg.gamma_pin) {
+    o.gamma.initial_gamma = o.gamma.min_gamma = o.gamma.max_gamma =
+        *cfg.gamma_pin;
+  }
+  return o;
+}
 }  // namespace
 
 RedCacheController::RedCacheController(MemControllerConfig cfg,
                                        RedCacheOptions options,
-                                       const char* display_name)
+                                       const char* display_name,
+                                       std::uint32_t ways)
     : ControllerBase((cfg.has_hbm = true, cfg)),
-      opt_(options),
+      opt_(WithPins(options, cfg)),
       display_name_(display_name),
-      tags_(cfg.hbm.geometry.capacity_bytes, /*line_blocks=*/1),
-      alpha_(options.alpha),
-      gamma_(options.gamma),
-      rcu_(options.rcu_entries),
+      tags_(cfg.hbm.geometry.capacity_bytes, /*line_blocks=*/1, ways,
+            cfg.hbm.geometry.channels),
+      alpha_(opt_.alpha),
+      gamma_(opt_.gamma),
+      rcu_(opt_.rcu_entries),
       recent_invalidations_(16384, ~Addr{0}) {
   assert(cfg.line_blocks == 1 && "RedCache is a fine-grained (64 B) cache");
 }
@@ -122,9 +166,9 @@ void RedCacheController::CheckPrematureInvalidation(Addr block) {
   }
 }
 
-void RedCacheController::InvalidateBlock(std::uint64_t set,
+void RedCacheController::InvalidateBlock(std::uint64_t set, std::uint32_t way,
                                          bool lifetime_sample) {
-  DirectMappedTags::Line& line = tags_.line(set);
+  TagStore::Line& line = tags_.line(set, way);
   if (!line.write_filled) {
     // Alpha's feedback judges demand admissions only; trailing write fills
     // would otherwise dominate the dead-fill statistic and push alpha up.
@@ -141,20 +185,28 @@ void RedCacheController::InvalidateBlock(std::uint64_t set,
 
 void RedCacheController::Fill(Addr addr, bool dirty, Cycle now) {
   const std::uint64_t set = tags_.SetOf(addr);
-  DirectMappedTags::Line& line = tags_.line(set);
+  const std::uint32_t way = tags_.VictimWay(set);
+  TagStore::Line& line = tags_.line(set, way);
   if (line.valid) {
-    rcu_.Remove(tags_.VictimAddr(set));
+    const Addr victim = tags_.VictimAddr(set, way);
+    rcu_.Remove(victim);
     if (line.dirty && !opt_.testing_drop_victim_writeback) {
-      // Victim data came back with the probe read; push it off-package.
-      NotifyVictimWriteback(tags_.VictimAddr(set));
-      REDCACHE_TRACE_EVENT(PolicyEvent(
-          now, obs::TraceEventType::kVictimWriteback, tags_.VictimAddr(set)));
-      SendMm(kPostedOp, tags_.VictimAddr(set), /*is_write=*/true, now);
+      // Direct-mapped, the victim's data came back with the probe read. With
+      // ways > 1 the probe returned the MRU way, never the LRU victim: read
+      // the victim out with one more burst.
+      if (tags_.ways() > 1) {
+        SendHbm(kPostedOp, tags_.HbmAddr(set, victim, way),
+                /*is_write=*/false, now);
+      }
+      NotifyVictimWriteback(victim);
+      REDCACHE_TRACE_EVENT(
+          PolicyEvent(now, obs::TraceEventType::kVictimWriteback, victim));
+      SendMm(kPostedOp, victim, /*is_write=*/true, now);
       victim_writebacks_++;
     } else {
-      NotifyInvalidate(tags_.VictimAddr(set));
+      NotifyInvalidate(victim);
     }
-    InvalidateBlock(set, /*lifetime_sample=*/true);
+    InvalidateBlock(set, way, /*lifetime_sample=*/true);
   }
   NotifyFill(addr, dirty);
   line.valid = true;
@@ -162,7 +214,8 @@ void RedCacheController::Fill(Addr addr, bool dirty, Cycle now) {
   line.write_filled = dirty;  // fills carrying store data arrive dirty
   line.tag = tags_.TagOf(addr);
   line.r_count = 0;
-  SendHbm(kPostedOp, tags_.HbmAddr(set, addr), /*is_write=*/true, now);
+  tags_.Touch(set, way);
+  SendHbm(kPostedOp, tags_.HbmAddr(set, addr, way), /*is_write=*/true, now);
   fills_++;
   REDCACHE_TRACE_EVENT(
       PolicyEvent(now, obs::TraceEventType::kFill, addr, dirty ? 1 : 0));
@@ -189,14 +242,13 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
     // Presence comes from the controller-side tag mirror, like the refresh
     // bypass below.
     const std::uint64_t cold_set = tags_.SetOf(txn.addr);
-    const DirectMappedTags::Line& cold_line = tags_.line(cold_set);
-    const bool present =
-        cold_line.valid && cold_line.tag == tags_.TagOf(txn.addr);
+    const std::uint32_t cold_way = tags_.FindWay(txn.addr);
+    const bool present = cold_way != tags_.ways();
     if (txn.is_writeback && present) {
       // Main memory receives the newest data; the cached copy is stale now.
       rcu_.Remove(txn.addr);
       NotifyMmWrite(txn.addr);
-      InvalidateBlock(cold_set, /*lifetime_sample=*/false);
+      InvalidateBlock(cold_set, cold_way, /*lifetime_sample=*/false);
       NotifyInvalidate(txn.addr);
       alpha_bypasses_++;
       REDCACHE_TRACE_EVENT(PolicyEvent(
@@ -205,7 +257,8 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
       FreeTxn(txn);
       return;
     }
-    if (txn.is_writeback || !present || !cold_line.dirty) {
+    if (txn.is_writeback || !present ||
+        !tags_.line(cold_set, cold_way).dirty) {
       alpha_bypasses_++;
       REDCACHE_TRACE_EVENT(PolicyEvent(
           now, obs::TraceEventType::kAlphaBypass, txn.addr, alpha_.alpha()));
@@ -221,12 +274,17 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
   // --- RCU block cache: recently read blocks are still on the die. -------
   if (opt_.update_mode == RedCacheOptions::UpdateMode::kRcu &&
       !txn.is_writeback && rcu_.Contains(txn.addr)) {
+    // Every departure removes the block's parked update, so it is resident.
+    const std::uint32_t way = tags_.FindWay(txn.addr);
+    assert(way != tags_.ways());
     rcu_served_reads_++;
     hits_++;
     read_hits_++;
-    const std::uint32_t r = tags_.BumpRcount(set);
+    const std::uint32_t r = tags_.BumpRcount(set, way);
+    tags_.Touch(set, way);
     if (opt_.gamma_enabled) gamma_.OnHit(r);
-    rcu_.Insert(txn.addr, hbm_->mapper().Map(tags_.HbmAddr(set, txn.addr)));
+    rcu_.Insert(txn.addr,
+                hbm_->mapper().Map(tags_.HbmAddr(set, txn.addr, way)));
     NotifyServeRead(txn, ServeSource::kRcuRam);
     REDCACHE_TRACE_EVENT(
         PolicyEvent(now, obs::TraceEventType::kRcuServe, txn.addr, r));
@@ -240,14 +298,14 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
   if (opt_.bypass_on_refresh &&
       hbm_->Refreshing(tags_.HbmAddr(set, txn.addr), now) &&
       mm_->ChannelCanAccept(mm_->ChannelOf(txn.addr))) {
-    const DirectMappedTags::Line& line = tags_.line(set);
-    const bool present = line.valid && line.tag == tags_.TagOf(txn.addr);
+    const std::uint32_t way = tags_.FindWay(txn.addr);
+    const bool present = way != tags_.ways();
     if (txn.is_writeback) {
       // Main memory receives the newest data; any cached copy is stale now.
       NotifyMmWrite(txn.addr);
       if (present) {
         rcu_.Remove(txn.addr);
-        InvalidateBlock(set, /*lifetime_sample=*/false);
+        InvalidateBlock(set, way, /*lifetime_sample=*/false);
         NotifyInvalidate(txn.addr);
       }
       refresh_bypasses_++;
@@ -257,7 +315,7 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
       FreeTxn(txn);
       return;
     }
-    if (!present || !line.dirty) {
+    if (!present || !tags_.line(set, way).dirty) {
       // Clean or absent: the main-memory copy is current.
       refresh_bypasses_++;
       REDCACHE_TRACE_EVENT(
@@ -270,23 +328,25 @@ void RedCacheController::StartTxn(Txn& txn, Cycle now) {
   }
 
   txn.state = kProbe;
-  SendHbm(TxnIndex(txn), tags_.HbmAddr(set, txn.addr), /*is_write=*/false,
-          now);
+  txn.aux = tags_.MruWay(set);  // the way whose data the probe returns
+  SendHbm(TxnIndex(txn), tags_.HbmAddr(set, txn.addr, txn.aux),
+          /*is_write=*/false, now);
 }
 
 void RedCacheController::RecordReadHitUpdate(Addr block, std::uint64_t set,
-                                             Cycle now) {
+                                             std::uint32_t way, Cycle now) {
   switch (opt_.update_mode) {
     case RedCacheOptions::UpdateMode::kInSitu:
       insitu_updates_++;
       return;
     case RedCacheOptions::UpdateMode::kImmediate:
       immediate_updates_++;
-      SendHbm(kPostedOp, tags_.HbmAddr(set, block), /*is_write=*/true, now);
+      SendHbm(kPostedOp, tags_.HbmAddr(set, block, way), /*is_write=*/true,
+              now);
       return;
     case RedCacheOptions::UpdateMode::kRcu: {
       const auto evicted = rcu_.Insert(
-          block, hbm_->mapper().Map(tags_.HbmAddr(set, block)));
+          block, hbm_->mapper().Map(tags_.HbmAddr(set, block, way)));
       FlushRcuEntries(evicted, now, obs::kRcuFlushCapacity);
       return;
     }
@@ -298,25 +358,30 @@ void RedCacheController::FlushRcuEntries(
     std::uint64_t reason) {
   for (const RcuManager::Entry& e : entries) {
     const std::uint64_t set = tags_.SetOf(e.block);
+    // A merged update whose block left the cache after it matched still
+    // drains; it lands in its set's first way.
+    const std::uint32_t found = tags_.FindWay(e.block);
+    const std::uint32_t way = found == tags_.ways() ? 0 : found;
     REDCACHE_TRACE_EVENT(
         PolicyEvent(now, obs::TraceEventType::kRcuFlush, e.block, reason));
     // The drain write targets a remapped set address; only `e.block` (the
     // CPU-visible block) identifies the tenant whose update is draining.
     TenantScope scope(*this, e.block);
     CountRcuDrain(e.block);
-    SendHbm(kPostedOp, tags_.HbmAddr(set, e.block), /*is_write=*/true, now);
+    SendHbm(kPostedOp, tags_.HbmAddr(set, e.block, way), /*is_write=*/true,
+            now);
   }
 }
 
 void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
                                            Cycle now) {
   const std::uint64_t set = tags_.SetOf(txn.addr);
-  DirectMappedTags::Line& line = tags_.line(set);
-  const bool hit = tags_.Hit(txn.addr);
+  const std::uint32_t way = tags_.FindWay(txn.addr);
 
-  if (hit) {
+  if (way != tags_.ways()) {
     hits_++;
-    const std::uint32_t r = tags_.BumpRcount(set);
+    const std::uint32_t r = tags_.BumpRcount(set, way);
+    tags_.Touch(set, way);
     if (opt_.gamma_enabled) gamma_.OnHit(r);
 
     if (txn.is_writeback) {
@@ -330,20 +395,20 @@ void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
             now, obs::TraceEventType::kGammaInvalidate, txn.addr, r));
         rcu_.Remove(txn.addr);
         NotifyMmWrite(txn.addr);
-        InvalidateBlock(set, /*lifetime_sample=*/false);
+        InvalidateBlock(set, way, /*lifetime_sample=*/false);
         NotifyInvalidate(txn.addr);
         NoteGammaInvalidation(txn.addr);
         SendMm(kPostedOp, txn.addr, /*is_write=*/true, now);
       } else {
-        line.dirty = true;
+        tags_.line(set, way).dirty = true;
         // A parked r-count update (and its RAM block copy) is superseded by
         // the write: drop it, or the RCU block cache would serve pre-write
         // data to the next read. The refreshed r-count rides inside the
         // data write's tag/ECC bits.
         rcu_.Remove(txn.addr);
         NotifyCacheWrite(txn.addr);
-        SendHbm(kPostedOp, tags_.HbmAddr(set, txn.addr), /*is_write=*/true,
-                now);
+        SendHbm(kPostedOp, tags_.HbmAddr(set, txn.addr, way),
+                /*is_write=*/true, now);
       }
       FreeTxn(txn);
       return;
@@ -351,16 +416,27 @@ void RedCacheController::HandleProbeResult(Txn& txn, const DramCompletion& c,
 
     read_hits_++;
     NotifyServeRead(txn, ServeSource::kCache);
-    CompleteRead(txn, c.done);
-    RecordReadHitUpdate(txn.addr, set, now);
-    FreeTxn(txn);
+    if (way == txn.aux) {
+      CompleteRead(txn, c.done);
+      RecordReadHitUpdate(txn.addr, set, way, now);
+      FreeTxn(txn);
+      return;
+    }
+    // The probe returned another way's data. The hit is decided here; one
+    // more burst fetches this way's block before the read completes.
+    way_fetches_++;
+    txn.state = kWayFetch;
+    SendHbm(TxnIndex(txn), tags_.HbmAddr(set, txn.addr, way),
+            /*is_write=*/false, now);
+    RecordReadHitUpdate(txn.addr, set, way, now);
     return;
   }
 
   misses_++;
   if (opt_.gamma_enabled) CheckPrematureInvalidation(txn.addr);
   if (txn.is_writeback) {
-    if (line.valid && line.dirty) {
+    const TagStore::Line& victim = tags_.line(set, tags_.VictimWay(set));
+    if (victim.valid && victim.dirty) {
       // Fig. 7: miss with a dirty resident — send the write to main memory
       // directly; no fill, no victim round trip.
       dirty_miss_bypasses_++;
@@ -391,6 +467,10 @@ void RedCacheController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
       return;
     case kDirectFetch:
       NotifyServeRead(txn, ServeSource::kMainMemory);
+      CompleteRead(txn, c.done);
+      FreeTxn(txn);
+      return;
+    case kWayFetch:
       CompleteRead(txn, c.done);
       FreeTxn(txn);
       return;
@@ -443,14 +523,6 @@ Cycle RedCacheController::PolicyWake(Cycle now) const {
   return kNeverWake;
 }
 
-std::uint64_t RedCacheController::ResidentLines() const {
-  std::uint64_t resident = 0;
-  for (std::uint64_t s = 0; s < tags_.num_sets(); ++s) {
-    resident += tags_.line(s).valid ? 1 : 0;
-  }
-  return resident;
-}
-
 void RedCacheController::MaybeRetune(Cycle now) {
   if (epoch_request_count_ < opt_.epoch_requests) return;
   epoch_request_count_ = 0;
@@ -474,7 +546,7 @@ void RedCacheController::SampleTelemetry(StatSet& out) const {
   out.Counter("gauge.alpha_pages_hot") = alpha_.pages_hot();
   out.Counter("gauge.alpha_pages_tracked") = alpha_.pages_tracked();
   out.Counter("gauge.rcu_depth") = rcu_.size();
-  out.Counter("gauge.resident_lines") = ResidentLines();
+  out.Counter("gauge.resident_lines") = tags_.ValidLines();
 }
 
 void RedCacheController::ExportOwnStats(StatSet& stats) const {
@@ -485,13 +557,18 @@ void RedCacheController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.fills") = fills_;
   stats.Counter("ctrl.victim_writebacks") = victim_writebacks_;
   stats.Counter("ctrl.evictions") = departures_;
-  stats.Counter("ctrl.resident_lines") = ResidentLines();
+  stats.Counter("ctrl.resident_lines") = tags_.ValidLines();
   stats.Counter("ctrl.alpha_bypasses") = alpha_bypasses_;
   stats.Counter("ctrl.refresh_bypasses") = refresh_bypasses_;
   stats.Counter("ctrl.gamma_invalidations") = gamma_invalidations_;
   stats.Counter("ctrl.dirty_miss_bypasses") = dirty_miss_bypasses_;
   stats.Counter("ctrl.write_miss_bypasses") = write_miss_bypasses_;
   stats.Counter("ctrl.rcu_served_reads") = rcu_served_reads_;
+  if (tags_.ways() > 1) {
+    stats.Counter("ctrl.non_mru_hits") = way_fetches_;
+    stats.Counter("ctrl.mru_hits") =
+        read_hits_ - rcu_served_reads_ - way_fetches_;
+  }
   stats.Counter("ctrl.immediate_updates") = immediate_updates_;
   stats.Counter("ctrl.insitu_updates") = insitu_updates_;
   stats.Counter("ctrl.alpha_lookups") = alpha_.lookups();
@@ -542,6 +619,7 @@ void RedCacheController::SnapshotPolicy(ser::Writer& w) const {
   w.U64(rcu_served_reads_);
   w.U64(immediate_updates_);
   w.U64(insitu_updates_);
+  if (tags_.ways() > 1) w.U64(way_fetches_);
 }
 
 void RedCacheController::RestorePolicy(ser::Reader& r) {
@@ -577,6 +655,7 @@ void RedCacheController::RestorePolicy(ser::Reader& r) {
   rcu_served_reads_ = r.U64();
   immediate_updates_ = r.U64();
   insitu_updates_ = r.U64();
+  if (tags_.ways() > 1) way_fetches_ = r.U64();
 }
 
 }  // namespace redcache

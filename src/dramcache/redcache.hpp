@@ -1,6 +1,8 @@
 // RedCache controller (the paper's contribution, §III).
 //
-// A fine-grained direct-mapped DRAM cache managed by:
+// A fine-grained DRAM cache — direct-mapped as in the paper, or `ways`-way
+// set-associative with LRU replacement (the authors' R-Cache direction) —
+// managed by:
 //  * alpha counting — only blocks of pages that have proven bandwidth-hungry
 //    (>= alpha average accesses per block) are ever installed; colder
 //    traffic bypasses the cache straight to main memory;
@@ -16,6 +18,11 @@
 //
 // Option flags turn individual mechanisms off to model the paper's
 // Red-Alpha / Red-Gamma / Red-Basic / Red-InSitu ablation variants.
+//
+// With ways > 1 a set's ways share one DRAM row and its tags ride in the
+// row's ECC lanes: the probe burst returns every tag plus the MRU way's
+// data. A read hit on another way costs one more data burst, and a dirty
+// LRU victim is streamed out with one extra read before its writeback.
 #pragma once
 
 #include <deque>
@@ -82,7 +89,8 @@ struct RedCacheOptions {
 class RedCacheController : public ControllerBase {
  public:
   RedCacheController(MemControllerConfig cfg, RedCacheOptions options,
-                     const char* display_name = "redcache");
+                     const char* display_name = "redcache",
+                     std::uint32_t ways = 1);
 
   const char* name() const override { return display_name_; }
 
@@ -108,26 +116,26 @@ class RedCacheController : public ControllerBase {
 
  private:
   void HandleProbeResult(Txn& txn, const DramCompletion& c, Cycle now);
-  void RecordReadHitUpdate(Addr block, std::uint64_t set, Cycle now);
+  void RecordReadHitUpdate(Addr block, std::uint64_t set, std::uint32_t way,
+                           Cycle now);
   /// `reason` is an obs::kRcuFlush* constant, recorded in the event trace.
   void FlushRcuEntries(const std::vector<RcuManager::Entry>& entries,
                        Cycle now, std::uint64_t reason);
-  /// Drop the resident of `set`. `lifetime_sample` feeds the block's final
-  /// r-count to gamma (true only for natural evictions — gamma's own kills
-  /// are truncated lifetimes and must not be sampled).
-  void InvalidateBlock(std::uint64_t set, bool lifetime_sample);
+  /// Drop the resident of (set, way). `lifetime_sample` feeds the block's
+  /// final r-count to gamma (true only for natural evictions — gamma's own
+  /// kills are truncated lifetimes and must not be sampled).
+  void InvalidateBlock(std::uint64_t set, std::uint32_t way,
+                       bool lifetime_sample);
   void NoteGammaInvalidation(Addr block);
   void CheckPrematureInvalidation(Addr block);
   void Fill(Addr addr, bool dirty, Cycle now);
   void RouteToMainMemory(Txn& txn, Cycle now);
   /// Mean r-count of blocks that left the cache this epoch.
   void MaybeRetune(Cycle now);
-  /// Valid lines currently resident (fills == departures + resident).
-  std::uint64_t ResidentLines() const;
 
   RedCacheOptions opt_;
   const char* display_name_;
-  DirectMappedTags tags_;
+  TagStore tags_;
   AlphaTable alpha_;
   GammaController gamma_;
   RcuManager rcu_;
@@ -160,6 +168,7 @@ class RedCacheController : public ControllerBase {
   std::uint64_t dirty_miss_bypasses_ = 0;
   std::uint64_t write_miss_bypasses_ = 0;
   std::uint64_t rcu_served_reads_ = 0;
+  std::uint64_t way_fetches_ = 0;  ///< read hits off the MRU way (ways > 1)
   std::uint64_t immediate_updates_ = 0;
   std::uint64_t insitu_updates_ = 0;
 };

@@ -1,13 +1,20 @@
-// Direct-mapped DRAM-cache metadata.
+// DRAM-cache metadata: `ways`-way sets of `line_blocks`-block lines.
 //
 // Alloy-style caches keep tags *inside* the DRAM rows (TAD); the controller
 // cannot consult them without a DRAM read. This class is the simulator-side
 // mirror of that in-DRAM state: policies update it when the corresponding
 // DRAM traffic is issued, and every timing/bandwidth cost of reaching the
 // real tags is charged through the DRAM model (the probe reads).
+//
+// The paper's caches are direct-mapped (ways = 1, the default). Higher
+// associativity (the authors' R-Cache direction) keeps a set's ways in one
+// DRAM row, so one probe burst reads every tag, and adds per-line LRU
+// stamps; a direct-mapped store allocates none.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -16,7 +23,7 @@
 
 namespace redcache {
 
-class DirectMappedTags {
+class TagStore {
  public:
   struct Line {
     std::uint64_t tag = 0;
@@ -30,14 +37,22 @@ class DirectMappedTags {
   };
 
   /// `capacity_bytes` of data, organized as `line_blocks` 64 B blocks per
-  /// line (1 for the fine-grained caches; 2/4 for the granularity study).
-  DirectMappedTags(std::uint64_t capacity_bytes, std::uint32_t line_blocks)
+  /// line (1 for the fine-grained caches; 2/4 for the granularity study)
+  /// and `ways` lines per set. `channels` is the device's block interleave
+  /// (see HbmAddr). Throws std::invalid_argument unless the capacity splits
+  /// into a whole, nonzero number of sets.
+  TagStore(std::uint64_t capacity_bytes, std::uint32_t line_blocks,
+           std::uint32_t ways = 1, std::uint32_t channels = 1)
       : line_blocks_(line_blocks),
+        ways_(ways),
+        channels_(channels),
         line_bytes_(std::uint64_t{line_blocks} * kBlockBytes),
-        num_sets_(capacity_bytes / line_bytes_),
-        lines_(num_sets_) {}
+        num_sets_(SetCount(capacity_bytes, line_bytes_, ways)),
+        lines_(num_sets_ * ways),
+        lru_(ways > 1 ? lines_.size() : 0) {}
 
   std::uint64_t num_sets() const { return num_sets_; }
+  std::uint32_t ways() const { return ways_; }
   std::uint32_t line_blocks() const { return line_blocks_; }
   std::uint64_t line_bytes() const { return line_bytes_; }
 
@@ -46,31 +61,86 @@ class DirectMappedTags {
   }
   std::uint64_t TagOf(Addr addr) const { return addr / line_bytes_ / num_sets_; }
 
-  Line& line(std::uint64_t set) { return lines_[set]; }
-  const Line& line(std::uint64_t set) const { return lines_[set]; }
-
-  bool Hit(Addr addr) const {
-    const Line& l = lines_[SetOf(addr)];
-    return l.valid && l.tag == TagOf(addr);
+  Line& line(std::uint64_t set, std::uint32_t way = 0) {
+    return lines_[set * ways_ + way];
+  }
+  const Line& line(std::uint64_t set, std::uint32_t way = 0) const {
+    return lines_[set * ways_ + way];
   }
 
-  /// Main-memory address of the line currently stored in `set`.
-  Addr VictimAddr(std::uint64_t set) const {
-    return (lines_[set].tag * num_sets_ + set) * line_bytes_;
+  /// Way holding `addr`, or ways() if absent.
+  std::uint32_t FindWay(Addr addr) const {
+    const Line* base = &lines_[SetOf(addr) * ways_];
+    const std::uint64_t tag = TagOf(addr);
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == tag) return w;
+    }
+    return ways_;
   }
 
-  /// Address *within the HBM device* used for timing: the set's physical
-  /// location, plus the block offset the request targets within the line.
-  Addr HbmAddr(std::uint64_t set, Addr demand_addr) const {
+  bool Hit(Addr addr) const { return FindWay(addr) != ways_; }
+
+  /// Fill target: an invalid way if any, else the least recently touched.
+  std::uint32_t VictimWay(std::uint64_t set) const {
+    if (ways_ == 1) return 0;
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (!line(set, w).valid) return w;
+      if (lru_[set * ways_ + w] < lru_[set * ways_ + victim]) victim = w;
+    }
+    return victim;
+  }
+
+  /// Most recently touched valid way (way 0 when the set is empty).
+  std::uint32_t MruWay(std::uint64_t set) const {
+    std::uint32_t mru = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+      if (line(set, w).valid &&
+          (!line(set, mru).valid ||
+           lru_[set * ways_ + w] > lru_[set * ways_ + mru])) {
+        mru = w;
+      }
+    }
+    return mru;
+  }
+
+  /// Mark (set, way) most recently used. No-op when direct-mapped.
+  void Touch(std::uint64_t set, std::uint32_t way) {
+    if (ways_ > 1) lru_[set * ways_ + way] = ++tick_;
+  }
+
+  /// Main-memory address of the line currently stored in (set, way).
+  Addr VictimAddr(std::uint64_t set, std::uint32_t way = 0) const {
+    return (line(set, way).tag * num_sets_ + set) * line_bytes_;
+  }
+
+  /// Address *within the HBM device* used for timing: the (set, way) slot's
+  /// physical location, plus the block offset the request targets within
+  /// the line. The device interleaves consecutive blocks over `channels`,
+  /// so a set's ways sit `channels` slots apart: all in the set's channel
+  /// and, when ways divide a row's blocks, in one row.
+  Addr HbmAddr(std::uint64_t set, Addr demand_addr,
+               std::uint32_t way = 0) const {
     const Addr offset = demand_addr % line_bytes_;
-    return set * line_bytes_ + BlockAlign(offset);
+    const std::uint64_t slot =
+        ways_ == 1 ? set
+                   : ((set / channels_) * ways_ + way) * channels_ +
+                         set % channels_;
+    return slot * line_bytes_ + BlockAlign(offset);
   }
 
   /// Increment a line's saturating r-count and return the new value.
-  std::uint32_t BumpRcount(std::uint64_t set) {
-    Line& l = lines_[set];
+  std::uint32_t BumpRcount(std::uint64_t set, std::uint32_t way = 0) {
+    Line& l = line(set, way);
     if (l.r_count != 0xff) ++l.r_count;
     return l.r_count;
+  }
+
+  /// Valid lines currently stored.
+  std::uint64_t ValidLines() const {
+    std::uint64_t valid = 0;
+    for (const Line& l : lines_) valid += l.valid ? 1 : 0;
+    return valid;
   }
 
   void Snapshot(ser::Writer& w) const {
@@ -85,6 +155,10 @@ class DirectMappedTags {
       p[10] = l.dirty ? 1 : 0;
       p[11] = l.write_filled ? 1 : 0;
       p += 12;
+    }
+    if (ways_ > 1) {
+      w.U64Seq(lru_);
+      w.U64(tick_);
     }
   }
   void Restore(ser::Reader& r) {
@@ -101,13 +175,39 @@ class DirectMappedTags {
       l.write_filled = p[11] != 0;
       p += 12;
     }
+    if (ways_ > 1) {
+      std::vector<std::uint64_t> lru = r.U64Vec();
+      if (lru.size() != lru_.size()) {
+        throw ser::SerializeError("tag store LRU geometry mismatch");
+      }
+      lru_ = std::move(lru);
+      tick_ = r.U64();
+    }
   }
 
  private:
+  static std::uint64_t SetCount(std::uint64_t capacity_bytes,
+                                std::uint64_t line_bytes, std::uint32_t ways) {
+    const std::uint64_t set_bytes = line_bytes * ways;
+    if (set_bytes == 0 || capacity_bytes < set_bytes ||
+        capacity_bytes % set_bytes != 0) {
+      throw std::invalid_argument(
+          "tag store: " + std::to_string(capacity_bytes) +
+          " B does not split into whole sets of " + std::to_string(ways) +
+          " x " + std::to_string(line_bytes) + " B lines");
+    }
+    return capacity_bytes / set_bytes;
+  }
+
   std::uint32_t line_blocks_;
+  std::uint32_t ways_;
+  std::uint32_t channels_;
   std::uint64_t line_bytes_;
   std::uint64_t num_sets_;
   std::vector<Line> lines_;
+  /// Per-line LRU stamps; empty when direct-mapped.
+  std::vector<std::uint64_t> lru_;
+  std::uint64_t tick_ = 0;
 };
 
 }  // namespace redcache

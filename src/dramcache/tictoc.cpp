@@ -63,7 +63,7 @@ void TicTocController::OnDeviceComplete(Txn& txn, bool /*from_hbm*/,
   switch (txn.state) {
     case kProbe: {
       const bool hit = tags_.Hit(txn.addr);
-      DirectMappedTags::Line& line = tags_.line(set);
+      TagStore::Line& line = tags_.line(set);
       if (hit) {
         hits_++;
         if (txn.is_writeback) {
@@ -157,7 +157,7 @@ void TicTocController::ExportOwnStats(StatSet& stats) const {
 void TicTocController::SampleTelemetry(StatSet& out) const {
   ControllerBase::SampleTelemetry(out);
   out.Counter("gauge.fill_duty") = fill_duty_;
-  out.Counter("gauge.resident_lines") = ResidentLines();
+  out.Counter("gauge.resident_lines") = tags_.ValidLines();
   out.Counter("bypassed_fills") = bypassed_fills_;
   out.Counter("last_write_routes") = last_write_routes_;
   out.Counter("metadata_skips") = metadata_skips_;

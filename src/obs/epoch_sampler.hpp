@@ -183,8 +183,8 @@ struct TelemetryMeta {
   std::string arch;
   std::string workload;
   std::string preset;
-  /// Resolved registry policy name (canonical casing); may differ from
-  /// `arch` for extension controllers ("RedCache-4way") and aliases.
+  /// Registry policy name. Runs built from a RunSpec set `arch` to the
+  /// same name; both keys stay in the artifacts for their readers.
   std::string policy;
   /// Canonical mix descriptor (MixSpec::Describe) when a multi-tenant mix
   /// was active; empty for single-tenant runs.

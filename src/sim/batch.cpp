@@ -374,7 +374,7 @@ std::string CellKey(const CellSpec& cell) {
   const RunSpec& spec = cell.spec;
   std::string key = spec.preset.name;
   key += '_';
-  key += PolicyNameOf(spec);  // == ToString(spec.arch) for enum-based cells
+  key += PolicyNameOf(spec);
   key += '_';
   key += spec.workload;
   key += '_';
@@ -395,6 +395,10 @@ std::string CellKey(const CellSpec& cell) {
     key += "_mix";
     key += spec.mix.Describe();
   }
+  // Threshold pins join the key only when set, so unpinned keys (every
+  // existing disk-cache entry) are unchanged.
+  if (spec.alpha_pin) key += "_alpha" + std::to_string(*spec.alpha_pin);
+  if (spec.gamma_pin) key += "_gamma" + std::to_string(*spec.gamma_pin);
   // The tail hash covers every remaining result-affecting input: the preset
   // fields and the cycle cap (the seed is spelled out above for legibility).
   std::uint64_t tail = PresetFieldHash(spec.preset);

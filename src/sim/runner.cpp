@@ -22,9 +22,7 @@ double EffectiveScale(double scale) {
   return scale;
 }
 
-std::string PolicyNameOf(const RunSpec& spec) {
-  return spec.policy.empty() ? ToString(spec.arch) : spec.policy;
-}
+std::string PolicyNameOf(const RunSpec& spec) { return spec.policy; }
 
 namespace {
 
@@ -78,7 +76,18 @@ std::unique_ptr<System> BuildSystem(const RunSpec& spec) {
     trace = MakeWorkload(spec.workload, wp);
   }
 
-  auto controller = MakePolicy(PolicyNameOf(spec), spec.preset.mem);
+  MemControllerConfig mem = spec.preset.mem;
+  if (spec.alpha_pin || spec.gamma_pin) {
+    const PolicyInfo info = PolicyRegistry::Instance().Get(spec.policy);
+    if (info.family != "redcache") {
+      throw std::invalid_argument(
+          "alpha/gamma pins apply only to redcache-family policies; " +
+          info.name + " is family \"" + info.family + "\"");
+    }
+    mem.alpha_pin = spec.alpha_pin;
+    mem.gamma_pin = spec.gamma_pin;
+  }
+  auto controller = MakePolicy(spec.policy, mem);
   if (spec.verify) {
     ShadowChecker::Options opts;
     opts.strict = true;
@@ -101,18 +110,16 @@ obs::TelemetryMeta TelemetryMetaOf(const RunSpec& spec) {
                       : (!spec.serve_path.empty() ? "serve:" + spec.serve_path
                                                   : spec.workload);
   meta.preset = spec.preset.name;
-  // Canonical registry casing, so records from aliased/lowercased CLI
-  // spellings attribute to one policy name.
-  const std::string name = PolicyNameOf(spec);
-  meta.policy = PolicyRegistry::Instance().Has(name)
-                    ? PolicyRegistry::Instance().Get(name).name
-                    : name;
+  meta.policy = spec.policy;
   if (spec.mix.active()) meta.mix = spec.mix.Describe();
   return meta;
 }
 
 RunResult RunOne(const RunSpec& spec) {
-  auto system = BuildSystem(spec);
+  return RunBuilt(*BuildSystem(spec), spec);
+}
+
+RunResult RunBuilt(System& system, const RunSpec& spec) {
   // Checkpoint blobs are keyed by the spec's CellKey, so a blob can never
   // restore into a run built from different inputs.
   std::string spec_key;
@@ -120,7 +127,7 @@ RunResult RunOne(const RunSpec& spec) {
     spec_key = ckpt::SpecKeyOf(spec);
   }
   if (!spec.restore_path.empty()) {
-    ckpt::RestoreInto(*system, ckpt::LoadFile(spec.restore_path), spec_key);
+    ckpt::RestoreInto(system, ckpt::LoadFile(spec.restore_path), spec_key);
   }
   std::unique_ptr<obs::TelemetrySession> telemetry;
   obs::TelemetryMeta meta;
@@ -133,28 +140,27 @@ RunResult RunOne(const RunSpec& spec) {
       // carries restored_at + the pre-restore cumulative counters and the
       // validator's sum(deltas) + baseline == totals check holds whatever
       // epoch settings the resumed run uses.
-      const Cycle at = system->resume_cycle();
-      telemetry->sampler().SeedBaseline(at, system->CumulativeStats(at));
+      const Cycle at = system.resume_cycle();
+      telemetry->sampler().SeedBaseline(at, system.CumulativeStats(at));
     }
-    system->SetTelemetry(&telemetry->sampler());
+    system.SetTelemetry(&telemetry->sampler());
     telemetry->Begin(meta);
   }
   if (!spec.checkpoint_path.empty()) {
-    System* sys = system.get();
     const std::string path = spec.checkpoint_path;
-    system->SetCheckpointHook(
-        spec.checkpoint_at, /*every=*/0, [sys, path, spec_key](Cycle now) {
-          ckpt::SaveFile(path, ckpt::Capture(*sys, now, spec_key));
+    system.SetCheckpointHook(
+        spec.checkpoint_at, /*every=*/0, [&system, path, spec_key](Cycle now) {
+          ckpt::SaveFile(path, ckpt::Capture(system, now, spec_key));
         });
   }
-  RunResult result = system->Run(spec.max_cycles);
+  RunResult result = system.Run(spec.max_cycles);
   if (telemetry != nullptr) {
     meta.exec_cycles = result.exec_cycles;
     telemetry->Close(meta);
     result.telemetry_epochs = telemetry->sampler().total_epochs();
   }
   if (spec.verify && result.completed) {
-    if (auto* checker = dynamic_cast<ShadowChecker*>(&system->controller())) {
+    if (auto* checker = dynamic_cast<ShadowChecker*>(&system.controller())) {
       checker->CheckDrained();
     }
   }

@@ -1,10 +1,11 @@
-// Convenience layer used by benches, examples and integration tests:
-// build a System for (architecture, workload, preset) and run it.
+// Convenience layer used by benches, examples, the CLI and integration
+// tests: build a System for (policy, workload, preset) and run it.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
-#include "dramcache/factory.hpp"
 #include "obs/epoch_sampler.hpp"
 #include "sim/presets.hpp"
 #include "sim/system.hpp"
@@ -14,11 +15,9 @@
 namespace redcache {
 
 struct RunSpec {
-  Arch arch = Arch::kAlloy;
-  /// Registry policy name (see dramcache/policy_registry.hpp). When empty
-  /// the policy is derived from `arch` via ToString, so existing enum-based
-  /// call sites (and their cache/golden keys) behave exactly as before.
-  std::string policy;
+  /// Registry policy name (see dramcache/policy_registry.hpp); also the
+  /// policy label of the cell's CellKey.
+  std::string policy = "Alloy";
   std::string workload = "LU";
   SimPreset preset = EvalPreset();
   /// Workload size multiplier. Benches also honor the REDCACHE_REFS_SCALE
@@ -30,6 +29,11 @@ struct RunSpec {
   bool ignore_env_scale = false;
   std::uint64_t seed = 1;
   Cycle max_cycles = ~Cycle{0};
+  /// Pin RedCache's alpha / gamma thresholds (adaptation off). Valid only
+  /// for "redcache"-family policies — BuildSystem throws
+  /// std::invalid_argument otherwise. Unset pins leave CellKey untouched.
+  std::optional<std::uint32_t> alpha_pin;
+  std::optional<std::uint32_t> gamma_pin;
   /// Wrap the controller in a strict ShadowChecker (src/verify/): every
   /// divergence from the reference memory model throws
   /// ShadowChecker::VerifyError, and RunOne audits the drain on completion.
@@ -72,8 +76,7 @@ struct RunSpec {
 /// `scale` combined with the REDCACHE_REFS_SCALE environment variable.
 double EffectiveScale(double scale);
 
-/// The registry policy name this spec resolves to: `spec.policy`, or
-/// ToString(spec.arch) when the policy field is empty.
+/// The registry policy name of the spec (`spec.policy`).
 std::string PolicyNameOf(const RunSpec& spec);
 
 /// Run identification for the spec's telemetry artifacts: arch/workload/
@@ -81,10 +84,16 @@ std::string PolicyNameOf(const RunSpec& spec);
 /// (exec_cycles is left for the caller to fill after the run).
 obs::TelemetryMeta TelemetryMetaOf(const RunSpec& spec);
 
-/// Build and run one simulation.
+/// Build and run one simulation: RunBuilt(*BuildSystem(spec), spec).
 RunResult RunOne(const RunSpec& spec);
 
 /// Build the System without running it (integration tests / custom loops).
 std::unique_ptr<System> BuildSystem(const RunSpec& spec);
+
+/// Run a System built from `spec`, honouring the spec's restore,
+/// telemetry, checkpoint and verify settings. Callers that need the System
+/// around the run (the CLI's serve stop flag and verify summary) build it
+/// themselves and finish through here.
+RunResult RunBuilt(System& system, const RunSpec& spec);
 
 }  // namespace redcache

@@ -2,7 +2,7 @@
 // tests can prove the ShadowChecker actually catches them. Sits *between*
 // the checker and the policy:
 //
-//   ShadowChecker( FaultInjector( MakeController(...) ) )
+//   ShadowChecker( FaultInjector( MakePolicy(...) ) )
 //
 // Supported faults:
 //   * drop_every_nth_writeback — silently discards every Nth CPU writeback

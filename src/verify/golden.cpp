@@ -26,10 +26,8 @@ const std::vector<std::string>& GoldenTrackedCounters() {
 std::string GoldenKey(const RunSpec& spec) {
   char scale[32];
   std::snprintf(scale, sizeof scale, "%g", spec.scale);
-  // PolicyNameOf == ToString(spec.arch) for enum-based specs, so keys of
-  // pre-existing golden entries are unchanged by the policy registry.
-  // Likewise an active mix replaces the workload component with its full
-  // canonical descriptor while inactive mixes leave keys untouched.
+  // An active mix replaces the workload component with its full canonical
+  // descriptor while inactive mixes leave keys untouched.
   const std::string workload =
       spec.mix.active() ? "mix:" + spec.mix.Describe() : spec.workload;
   return PolicyNameOf(spec) + "/" + workload + "/" + spec.preset.name +

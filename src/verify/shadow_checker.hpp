@@ -4,7 +4,7 @@
 //
 // Wrap a controller before handing it to the System:
 //
-//   auto ctrl = MakeController(arch, cfg);
+//   auto ctrl = MakePolicy("RedCache", cfg);
 //   auto checked = std::make_unique<ShadowChecker>(std::move(ctrl));
 //
 // The checker registers itself as the inner policy's VerifySink, forwards

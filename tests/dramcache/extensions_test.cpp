@@ -1,10 +1,11 @@
-// Tests for the extension controllers: the set-associative RedCache and
-// the coarse-grained footprint cache baseline.
+// Tests for the extensions: RedCache at ways > 1 and the coarse-grained
+// footprint cache baseline.
 #include <gtest/gtest.h>
 
 #include "controller_harness.hpp"
-#include "dramcache/assoc_redcache.hpp"
 #include "dramcache/footprint.hpp"
+#include "dramcache/redcache.hpp"
+#include "tenant/accounting.hpp"
 
 namespace redcache {
 namespace {
@@ -18,9 +19,9 @@ RedCacheOptions PlainOptions() {
   return o;
 }
 
-std::unique_ptr<AssocRedCacheController> MakeAssoc(std::uint32_t ways,
-                                                   RedCacheOptions o) {
-  return std::make_unique<AssocRedCacheController>(SmallMemConfig(), o, ways);
+std::unique_ptr<RedCacheController> MakeAssoc(std::uint32_t ways,
+                                              RedCacheOptions o) {
+  return std::make_unique<RedCacheController>(SmallMemConfig(), o, "t", ways);
 }
 
 // --- Associative RedCache ---------------------------------------------------
@@ -140,6 +141,67 @@ TEST(AssocRedCache, HigherAssociativityRaisesHitRateUnderConflicts) {
     return h.Stats().GetCounter("ctrl.cache_hits");
   };
   EXPECT_GT(run(4), run(1));
+}
+
+// The associative organization keeps every mechanism of the direct-mapped
+// controller: refresh bypass, gamma's premature-invalidation feedback and
+// per-tenant RCU drain accounting.
+
+TEST(AssocRedCache, RefreshWindowsBypass) {
+  RedCacheOptions o = RedCacheOptions::Full();
+  o.alpha_enabled = false;
+  ControllerHarness h(MakeAssoc(4, o));
+  const Cycle refi = SmallMemConfig().hbm.timing.tREFI;
+  std::size_t reads = 0;
+  while (h.now() < 4 * refi) {
+    h.Read((reads % 512) * kBlockBytes);
+    reads++;
+    h.RunUntilCompletions(reads);
+  }
+  EXPECT_GT(h.Stats().GetCounter("ctrl.refresh_bypasses"), 0u);
+}
+
+TEST(AssocRedCache, PrematureInvalidationRaisesGamma) {
+  RedCacheOptions o = RedCacheOptions::Full();
+  o.alpha_enabled = false;
+  o.bypass_on_refresh = false;
+  o.gamma.initial_gamma = 4;
+  o.gamma.min_gamma = 4;
+  ControllerHarness h(MakeAssoc(4, o));
+  const Addr a = 0x4000;
+  for (int i = 0; i < 5; ++i) {
+    h.Read(a);
+    h.RunToIdle();
+  }
+  h.Writeback(a);  // r >= gamma: invalidated as "last write"
+  h.RunToIdle();
+  ASSERT_EQ(h.Stats().GetCounter("ctrl.gamma_invalidations"), 1u);
+  const auto gamma_before = h.Stats().GetCounter("ctrl.gamma_value");
+  h.Read(a);  // the block was not dead: premature signal
+  h.RunToIdle();
+  EXPECT_EQ(h.Stats().GetCounter("ctrl.gamma_premature"), 1u);
+  EXPECT_GT(h.Stats().GetCounter("ctrl.gamma_value"), gamma_before);
+}
+
+TEST(AssocRedCache, RcuDrainsCountAgainstTheirTenant) {
+  RedCacheOptions o = RedCacheOptions::Full();
+  o.alpha_enabled = false;
+  o.bypass_on_refresh = false;
+  // Two tenants in 1 MiB windows: tenant 1 owns [1 MiB, 2 MiB).
+  tenant::TenantAccounting acct(tenant::TenantAddressMap(
+      tenant::TenantAddressMap::Mode::kOffset, 2, /*window_bits=*/20));
+  auto ctrl = MakeAssoc(4, o);
+  ctrl->SetTenantAccounting(&acct);
+  ControllerHarness h(std::move(ctrl));
+  const Addr a = 1_MiB + 0x4000;
+  h.Read(a);  // miss + fill
+  h.RunToIdle();
+  h.Read(a);  // hit: r-count update parked, then drained to an idle channel
+  h.RunToIdle();
+  StatSet s;
+  acct.ExportStats(s);
+  EXPECT_GE(s.GetCounter("tenant1.rcu_drains"), 1u);
+  EXPECT_EQ(s.GetCounter("tenant0.rcu_drains"), 0u);
 }
 
 // --- Footprint (coarse-grained) cache ---------------------------------------

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "controller_harness.hpp"
-#include "dramcache/factory.hpp"
 
 namespace redcache {
 namespace {
@@ -106,13 +105,44 @@ TEST(PolicyRegistry, RivalFamiliesAreFullyEnrolled) {
   }
 }
 
-TEST(PolicyRegistry, ArchFactoryDelegatesToRegistry) {
-  for (Arch a : EvaluationArchs()) {
-    auto via_arch = MakeController(a, SmallMemConfig());
-    auto via_name = MakePolicy(ToString(a), SmallMemConfig());
-    ASSERT_NE(via_arch, nullptr);
-    ASSERT_NE(via_name, nullptr);
-    EXPECT_STREQ(via_arch->name(), via_name->name()) << ToString(a);
+// --- the paper's policies by name ------------------------------------------
+
+/// Every memory system of the paper's Fig. 2 and Fig. 9-11 comparisons.
+const char* const kPaperPolicies[] = {
+    "No-HBM",    "IDEAL",     "Alloy",      "Bear",     "Red-Alpha",
+    "Red-Gamma", "Red-Basic", "Red-InSitu", "RedCache",
+};
+
+TEST(Factory, AllArchesConstruct) {
+  for (const char* name : kPaperPolicies) {
+    auto ctrl = MakePolicy(name, SmallMemConfig());
+    ASSERT_NE(ctrl, nullptr) << name;
+    EXPECT_STRNE(ctrl->name(), "");
+  }
+}
+
+TEST(Factory, NamesRoundTrip) {
+  for (const char* name : kPaperPolicies) {
+    EXPECT_EQ(PolicyRegistry::Instance().Get(name).name, name);
+  }
+  EXPECT_THROW(MakePolicy("bogus", SmallMemConfig()), std::invalid_argument);
+}
+
+TEST(Factory, EvaluationListMatchesPaperFigures) {
+  const auto& policies = EvaluationPolicies();
+  ASSERT_EQ(policies.size(), 7u);
+  EXPECT_EQ(policies.front(), "Alloy");  // normalization baseline
+  EXPECT_EQ(policies.back(), "RedCache");
+}
+
+TEST(Factory, EveryArchServesTrivialTraffic) {
+  for (const std::string& name : EvaluationPolicies()) {
+    ControllerHarness h(MakePolicy(name, SmallMemConfig()));
+    h.Read(0x1000);
+    h.Writeback(0x2000);
+    h.Read(0x1000);
+    h.RunToIdle();
+    EXPECT_EQ(h.completions.size(), 2u) << name;
   }
 }
 

@@ -18,7 +18,7 @@ namespace {
 
 RunSpec SmallSpec() {
   RunSpec spec;
-  spec.arch = Arch::kRedCache;
+  spec.policy = "RedCache";
   spec.workload = "LU";
   spec.scale = 0.02;
   spec.ignore_env_scale = true;

@@ -243,7 +243,9 @@ TEST(TraceSpill, WindowedFullRunTraceValidatesAndAccountsForEveryEvent) {
     const std::string& ph = e.Find("ph")->string;
     if (ph == "X") {
       const Cycle ts = static_cast<Cycle>(e.Find("ts")->number);
-      if (x_events > 0) EXPECT_GE(ts, prev);
+      if (x_events > 0) {
+        EXPECT_GE(ts, prev);
+      }
       prev = ts;
       ++x_events;
     } else if (ph == "M" && e.Find("name")->string == "process_name") {

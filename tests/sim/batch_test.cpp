@@ -24,6 +24,15 @@
 namespace redcache {
 namespace {
 
+/// Quiet batch options: `jobs` workers, no progress lines.
+BatchOptions Quiet(unsigned jobs, const std::string& label = "t") {
+  BatchOptions opts;
+  opts.jobs = jobs;
+  opts.progress = false;
+  opts.label = label;
+  return opts;
+}
+
 // Serialize everything a figure could print from a RunResult so "identical"
 // means byte-identical output, not just matching headline cycles.
 std::string Serialize(const RunResult& r) {
@@ -36,15 +45,15 @@ std::string Serialize(const RunResult& r) {
 }
 
 std::vector<RunSpec> Matrix() {
-  // 6 architectures x 3 workloads, tiny but nonzero runs.
-  const Arch archs[] = {Arch::kNoHbm, Arch::kIdeal,    Arch::kAlloy,
-                        Arch::kBear,  Arch::kRedAlpha, Arch::kRedCache};
+  // 6 policies x 3 workloads, tiny but nonzero runs.
+  const char* policies[] = {"No-HBM", "IDEAL",     "Alloy",
+                            "Bear",   "Red-Alpha", "RedCache"};
   const char* wls[] = {"LU", "RDX", "HIST"};
   std::vector<RunSpec> specs;
-  for (Arch a : archs) {
+  for (const char* policy : policies) {
     for (const char* wl : wls) {
       RunSpec s;
-      s.arch = a;
+      s.policy = policy;
       s.workload = wl;
       s.scale = 0.02;
       s.ignore_env_scale = true;  // immune to REDCACHE_REFS_SCALE in CI
@@ -72,7 +81,7 @@ TEST(Batch, DeterministicAcrossWorkerCounts) {
   ASSERT_EQ(par.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(Serialize(base[i]), Serialize(par[i]))
-        << "cell " << i << " (" << ToString(specs[i].arch) << "/"
+        << "cell " << i << " (" << specs[i].policy << "/"
         << specs[i].workload << ") diverged between jobs=1 and jobs=8";
   }
 }
@@ -81,16 +90,16 @@ TEST(Batch, RunCellsMatchesRunBatchAndSharesDuplicates) {
   // The same cell requested twice must produce the same object both times
   // and agree with the uncached path.
   RunSpec s;
-  s.arch = Arch::kAlloy;
+  s.policy = "Alloy";
   s.workload = "FT";
   s.scale = 0.02;
   s.ignore_env_scale = true;
   s.seed = 11;
 
-  const auto direct = RunBatch({s}, BatchOptions{1, false, "t"});
+  const auto direct = RunBatch({s}, Quiet(1));
 
   CellSpec cell{s, ""};
-  BatchOptions opts{4, false, "t"};
+  BatchOptions opts = Quiet(4);
   const auto cached = RunCells({cell, cell, cell}, opts);
   ASSERT_EQ(cached.size(), 3u);
   EXPECT_EQ(Serialize(cached[0]), Serialize(direct[0]));
@@ -104,7 +113,7 @@ TEST(Batch, CellKeyDistinguishesEverythingThatMattersToResults) {
   CellSpec a{s, ""};
 
   CellSpec b = a;
-  b.spec.arch = Arch::kBear;
+  b.spec.policy = "Bear";
   EXPECT_NE(CellKey(a), CellKey(b));
 
   CellSpec c = a;
@@ -142,6 +151,24 @@ TEST(Batch, CellKeyDistinguishesEverythingThatMattersToResults) {
   }
 }
 
+TEST(Batch, ThresholdPinsJoinCellKeyOnlyWhenSet) {
+  RunSpec s;
+  s.policy = "RedCache";
+  s.workload = "LU";
+  const std::string plain = CellKey({s, ""});
+  EXPECT_EQ(plain.find("_alpha"), std::string::npos);
+  EXPECT_EQ(plain.find("_gamma"), std::string::npos);
+
+  CellSpec alpha{s, ""};
+  alpha.spec.alpha_pin = 2;
+  CellSpec gamma{s, ""};
+  gamma.spec.gamma_pin = 2;
+  EXPECT_NE(CellKey(alpha).find("_alpha2_"), std::string::npos);
+  EXPECT_NE(CellKey(gamma).find("_gamma2_"), std::string::npos);
+  EXPECT_NE(CellKey(alpha), CellKey(gamma));
+  EXPECT_NE(CellKey(alpha), plain);
+}
+
 TEST(Batch, FingerprintTracksPresetBehavior) {
   const SimPreset base = EvalPreset();
   const std::uint64_t fp = SimFingerprint(base, "RDX");
@@ -165,7 +192,7 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kBear;
+  s.policy = "Bear";
   s.workload = "RDX";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -231,7 +258,7 @@ TEST(Batch, DiskCacheRoundTripsHistograms) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kAlloy;
+  s.policy = "Alloy";
   s.workload = "RDX";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -300,7 +327,7 @@ TEST(Batch, DiskCacheCorruptEntryIsMissAndRepaired) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kBear;
+  s.policy = "Bear";
   s.workload = "LREG";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -359,16 +386,16 @@ TEST(Batch, WorkerExceptionsPropagateToCaller) {
   // the calling thread — not std::terminate from a worker.
   std::vector<RunSpec> specs(4);
   for (auto& s : specs) {
-    s.arch = Arch::kNoHbm;
+    s.policy = "No-HBM";
     s.workload = "LU";
     s.scale = 0.01;
     s.ignore_env_scale = true;
   }
   specs[2].workload = "NO_SUCH_WORKLOAD";
 
-  BatchOptions par{4, false, "t"};
+  BatchOptions par = Quiet(4);
   EXPECT_THROW(RunBatch(specs, par), std::invalid_argument);
-  BatchOptions serial{1, false, "t"};
+  BatchOptions serial = Quiet(1);
   EXPECT_THROW(RunBatch(specs, serial), std::invalid_argument);
 
   EXPECT_THROW(ParallelFor(64, 8,
@@ -434,7 +461,7 @@ TEST(Batch, DiskCacheHitRefreshesRecencyAndProfilesAsDiskHit) {
   ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
 
   RunSpec s;
-  s.arch = Arch::kAlloy;
+  s.policy = "Alloy";
   s.workload = "RDX";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -477,7 +504,7 @@ TEST(Batch, DiskCacheHitRefreshesRecencyAndProfilesAsDiskHit) {
 
 TEST(Batch, RunCellsFillsBatchReport) {
   RunSpec s;
-  s.arch = Arch::kNoHbm;
+  s.policy = "No-HBM";
   s.workload = "HIST";
   s.scale = 0.02;
   s.ignore_env_scale = true;
@@ -488,7 +515,7 @@ TEST(Batch, RunCellsFillsBatchReport) {
   CellSpec b{s2, "report_b"};
 
   BatchReport report;
-  BatchOptions opts{1, false, "report-test"};
+  BatchOptions opts = Quiet(1, "report-test");
   opts.report = &report;
   // Serial execution: the duplicate in slot 1 is guaranteed a memo hit.
   const auto results = RunCells({a, a, b}, opts);

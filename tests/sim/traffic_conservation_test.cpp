@@ -7,9 +7,9 @@
 namespace redcache {
 namespace {
 
-RunResult RunSmall(Arch arch, const std::string& wl) {
+RunResult RunSmall(const std::string& policy, const std::string& wl) {
   RunSpec spec;
-  spec.arch = arch;
+  spec.policy = policy;
   spec.workload = wl;
   spec.scale = 0.05;
   spec.preset = EvalPreset();
@@ -18,7 +18,7 @@ RunResult RunSmall(Arch arch, const std::string& wl) {
 }
 
 TEST(TrafficConservation, NoHbmWritesEqualL3Writebacks) {
-  const RunResult r = RunSmall(Arch::kNoHbm, "OCN");
+  const RunResult r = RunSmall("No-HBM", "OCN");
   EXPECT_EQ(r.stats.GetCounter("ddr4.write_bursts"),
             r.stats.GetCounter("ctrl.writebacks"));
   EXPECT_EQ(r.stats.GetCounter("ddr4.read_bursts"),
@@ -26,7 +26,7 @@ TEST(TrafficConservation, NoHbmWritesEqualL3Writebacks) {
 }
 
 TEST(TrafficConservation, AlloyProbesEveryRequest) {
-  const RunResult r = RunSmall(Arch::kAlloy, "RDX");
+  const RunResult r = RunSmall("Alloy", "RDX");
   // Every read and writeback starts with exactly one TAD probe; further
   // HBM reads only come from wide-line victim streaming (none at 64 B).
   const auto requests =
@@ -35,20 +35,20 @@ TEST(TrafficConservation, AlloyProbesEveryRequest) {
 }
 
 TEST(TrafficConservation, AlloyMainMemoryReadsAreReadMisses) {
-  const RunResult r = RunSmall(Arch::kAlloy, "RDX");
+  const RunResult r = RunSmall("Alloy", "RDX");
   const auto read_misses = r.stats.GetCounter("ctrl.reads") -
                            r.stats.GetCounter("ctrl.read_hits");
   EXPECT_EQ(r.stats.GetCounter("ddr4.read_bursts"), read_misses);
 }
 
 TEST(TrafficConservation, AlloyVictimWritebacksMatchDdrWrites) {
-  const RunResult r = RunSmall(Arch::kAlloy, "OCN");
+  const RunResult r = RunSmall("Alloy", "OCN");
   EXPECT_EQ(r.stats.GetCounter("ddr4.write_bursts"),
             r.stats.GetCounter("ctrl.victim_writebacks"));
 }
 
 TEST(TrafficConservation, RedCacheAccountsEveryRequestExactlyOnce) {
-  const RunResult r = RunSmall(Arch::kRedCache, "RDX");
+  const RunResult r = RunSmall("RedCache", "RDX");
   const auto requests =
       r.stats.GetCounter("ctrl.reads") + r.stats.GetCounter("ctrl.writebacks");
   // Each request is either bypassed (alpha or refresh) or resolved as a
@@ -61,7 +61,7 @@ TEST(TrafficConservation, RedCacheAccountsEveryRequestExactlyOnce) {
 }
 
 TEST(TrafficConservation, IdealNeverTouchesMainMemory) {
-  const RunResult r = RunSmall(Arch::kIdeal, "FT");
+  const RunResult r = RunSmall("IDEAL", "FT");
   EXPECT_EQ(r.stats.GetCounter("ddr4.transactions"), 0u);
   EXPECT_GT(r.stats.GetCounter("hbm.transactions"), 0u);
 }

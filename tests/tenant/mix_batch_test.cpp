@@ -19,6 +19,15 @@
 namespace redcache {
 namespace {
 
+/// Quiet batch options: `jobs` workers, no progress lines.
+BatchOptions Quiet(unsigned jobs, const std::string& label = "t") {
+  BatchOptions opts;
+  opts.jobs = jobs;
+  opts.progress = false;
+  opts.label = label;
+  return opts;
+}
+
 std::string Serialize(const RunResult& r) {
   std::ostringstream os;
   os << "completed=" << r.completed << "\nexec_cycles=" << r.exec_cycles
@@ -90,8 +99,8 @@ TEST(MixBatch, MixCellsAreDeterministicAcrossWorkerCounts) {
     s.policy = policy;
     specs.push_back(s);
   }
-  BatchOptions serial{1, false, "t"};
-  BatchOptions wide{8, false, "t"};
+  BatchOptions serial = Quiet(1);
+  BatchOptions wide = Quiet(8);
   const auto base = RunBatch(specs, serial);
   const auto par = RunBatch(specs, wide);
   ASSERT_EQ(base.size(), par.size());
@@ -163,7 +172,7 @@ TEST(MixBatch, ReportJsonCarriesTenantRowsOnlyForMixCells) {
   solo.variant = "mixreport";
 
   BatchReport report;
-  BatchOptions opts{2, false, "t"};
+  BatchOptions opts = Quiet(2);
   opts.report = &report;
   const auto results = RunCells({mix, solo}, opts);
   ASSERT_EQ(results.size(), 2u);

@@ -109,16 +109,16 @@ TEST(RefModel, RcuServeOfPreWriteCopyIsStale) {
 // --- end-to-end positive: instrumented policies are divergence-free -------
 
 TEST(ShadowChecker, FullRunsAreDivergenceFree) {
-  for (Arch arch : {Arch::kRedCache, Arch::kBear}) {
+  for (const char* policy : {"RedCache", "Bear"}) {
     RunSpec spec;
-    spec.arch = arch;
+    spec.policy = policy;
     spec.workload = "IS";
     spec.scale = 0.02;
     spec.verify = true;  // strict: any divergence throws
     const RunResult r = RunOne(spec);
-    EXPECT_TRUE(r.completed) << ToString(arch);
-    EXPECT_EQ(r.stats.GetCounter("verify.divergences"), 0u) << ToString(arch);
-    EXPECT_GT(r.stats.GetCounter("verify.model_events"), 0u) << ToString(arch);
+    EXPECT_TRUE(r.completed) << policy;
+    EXPECT_EQ(r.stats.GetCounter("verify.divergences"), 0u) << policy;
+    EXPECT_GT(r.stats.GetCounter("verify.model_events"), 0u) << policy;
   }
 }
 
@@ -126,7 +126,8 @@ TEST(ShadowChecker, FullRunsAreDivergenceFree) {
 
 /// RedCache with every admission filter off, so fills and dirty victims are
 /// plentiful, and the test-only lost-write fault armed.
-std::unique_ptr<MemController> LeakyRedCache(bool drop_victims) {
+std::unique_ptr<MemController> LeakyRedCache(bool drop_victims,
+                                             std::uint32_t ways = 1) {
   RedCacheOptions opt;
   opt.alpha_enabled = false;
   opt.gamma_enabled = false;
@@ -134,7 +135,7 @@ std::unique_ptr<MemController> LeakyRedCache(bool drop_victims) {
   opt.bypass_on_refresh = false;
   opt.testing_drop_victim_writeback = drop_victims;
   return std::make_unique<RedCacheController>(SmallMemConfig(), opt,
-                                              "leaky-redcache");
+                                              "leaky-redcache", ways);
 }
 
 TEST(ShadowChecker, CatchesDroppedVictimWriteback) {
@@ -146,6 +147,24 @@ TEST(ShadowChecker, CatchesDroppedVictimWriteback) {
   h.RunToIdle();
   h.Read(0x40 + 1_MiB);          // direct-mapped alias evicts the dirty line
   h.RunUntilCompletions(1);
+  h.RunToIdle();
+  shadow->CheckDrained();
+
+  EXPECT_GT(shadow->divergence_count(), 0u);
+  EXPECT_TRUE(AnyMessageContains(*shadow, "lost write")) << shadow->Summary();
+}
+
+TEST(ShadowChecker, CatchesDroppedVictimWritebackAtFourWays) {
+  auto checker = std::make_unique<ShadowChecker>(LeakyRedCache(true, 4));
+  ShadowChecker* shadow = checker.get();
+  ControllerHarness h(std::move(checker));
+
+  h.Writeback(0x40);  // write-allocates: dirty line in the cache
+  h.RunToIdle();
+  // 1 MiB / 4 ways: sets alias every 256 KiB. Four more blocks in the set
+  // make the dirty line the LRU victim.
+  for (Addr k = 1; k <= 4; ++k) h.Read(0x40 + k * 256_KiB);
+  h.RunUntilCompletions(4);
   h.RunToIdle();
   shadow->CheckDrained();
 

@@ -1,36 +1,47 @@
 // redcache_cli — the swiss-army driver for one-off experiments.
 //
-//   redcache_cli --arch RedCache --workload LU
-//   redcache_cli --arch Alloy --workload RDX --scale 0.5 --stats
-//   redcache_cli --arch RedCache --ways 4 --workload FT
-//   redcache_cli --footprint --workload HIST
+//   redcache_cli --policy RedCache --workload LU
+//   redcache_cli --policy Alloy --workload RDX --scale 0.5 --stats
+//   redcache_cli --policy RedCache-4way --workload FT   # associative RedCache
+//   redcache_cli --policy Footprint-2KB --workload HIST  # coarse-grained cache
+//   redcache_cli --policy Red-Basic --alpha 2 --gamma 16  # pinned thresholds
 //   redcache_cli --capture lu.rctr --workload LU        # snapshot a trace
-//   redcache_cli --arch Bear --replay lu.rctr           # replay it
-//   redcache_cli --arch RedCache --workload LU
+//   redcache_cli --policy Bear --replay lu.rctr         # replay it
+//   redcache_cli --policy RedCache --workload LU
 //       --telemetry t.json --trace t.perfetto.json      # observability
 //   redcache_cli --sweep --jobs 4                       # full eval matrix
-//   redcache_cli --sweep --archs Alloy,RedCache --workloads LU,RDX
+//   redcache_cli --sweep --policies Alloy,RedCache --workloads LU,RDX
 //   redcache_cli --list
 //
-// Exit code 0 on success; prints a one-line summary plus optional full
-// counter dump.
+// Every single run — plain, mix, serve/replay, checkpoint, restore or
+// sampled — is one RunSpec built from the flags; --sweep runs the same
+// spec per (policy x workload) cell. A flag that cannot apply to the
+// requested run is a usage error, never silently ignored.
+//
+// Exit code 0 on success, 1 on a run error, 2 on a usage error; prints a
+// one-line summary plus optional full counter dump.
 #include <signal.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.hpp"
-#include "dramcache/assoc_redcache.hpp"
-#include "dramcache/footprint.hpp"
 #include "dramcache/policy_registry.hpp"
 #include "obs/epoch_sampler.hpp"
-#include "obs/telemetry_sink.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_spill.hpp"
 #include "sim/batch.hpp"
@@ -46,15 +57,15 @@ namespace {
 using namespace redcache;
 
 struct CliOptions {
-  std::string arch = "RedCache";
-  std::string workload = "LU";
+  std::optional<std::string> policy;    ///< default RedCache
+  std::optional<std::string> workload;  ///< default LU
   std::optional<std::string> replay_path;
   std::optional<std::string> capture_path;
   std::optional<std::string> telemetry_path;  ///< epoch series ("-" = stdout
                                               ///< NDJSON, .ndjson stream,
                                               ///< .csv, else JSON)
   std::optional<std::string> trace_out_path;  ///< Chrome trace-event JSON
-  std::optional<std::string> report_path;     ///< --sweep batch report JSON
+  std::optional<std::string> report_path;     ///< --sweep/--sample report
   obs::EpochSpec epoch;                       ///< --epoch N | auto[:MIN:MAX]
   std::size_t trace_window = 0;  ///< --trace ring capacity; spill the rest
   std::string telemetry_dir;     ///< --sweep per-cell NDJSON directory
@@ -62,26 +73,25 @@ struct CliOptions {
   bool paper_preset = false;
   bool dump_stats = false;
   bool list = false;
-  std::uint32_t ways = 0;         ///< >1 selects the associative RedCache
-  bool footprint = false;         ///< coarse-grained baseline
   bool verify = false;            ///< shadow-check the run
   std::optional<std::uint64_t> hbm_mib;
   std::optional<std::uint32_t> alpha;
   std::optional<std::uint32_t> gamma;
   std::uint64_t seed = 1;
   std::string mix;                ///< --mix "LU:2,RDX:1@8" tenant list
-  std::string mix_mode = "offset";  ///< address placement: offset|interleave
+  tenant::TenantAddressMap::Mode mix_mode =
+      tenant::TenantAddressMap::Mode::kOffset;
   std::uint32_t mix_window_bits = 0;  ///< 0 = planner default
   std::string serve_path;         ///< stream an RCTR trace ("-" = stdin)
   std::string checkpoint_path;    ///< --checkpoint blob destination
   Cycle checkpoint_at = 0;        ///< --checkpoint-at cycle (default 0)
   std::string restore_path;       ///< --restore blob to resume from
-  std::string sample;             ///< --sample P[:INTERVAL] sampled run
+  std::optional<SamplingOptions> sample;  ///< --sample P[:INTERVAL]
   bool no_solo = false;           ///< skip the solo baselines for --mix QoS
-  bool sweep = false;             ///< run an (arch x workload) matrix
-  std::string sweep_archs;        ///< comma list; empty = evaluation archs
+  bool sweep = false;             ///< run a (policy x workload) matrix
+  std::string sweep_policies;     ///< comma list; empty = evaluation set
   std::string sweep_workloads;    ///< comma list; empty = all Table II
-  unsigned jobs = 0;              ///< worker threads for --sweep (0 = auto)
+  unsigned jobs = 0;              ///< --sweep/--sample workers (0 = auto)
 };
 
 void PrintUsage() {
@@ -103,13 +113,11 @@ void PrintUsage() {
       "  --epoch SPEC       telemetry epoch pacing: N cycles, \"auto\"\n"
       "                     (variance-driven, clamped to [preset/8, 4x]),\n"
       "                     or \"auto:MIN:MAX\" (explicit clamp band)\n"
-      "  --scale X          workload scale factor (default 1.0)\n"
+      "  --scale X          workload scale factor > 0 (default 1.0)\n"
       "  --paper            use the verbatim Table I preset (2 GiB HBM)\n"
-      "  --hbm-mib N        override HBM cache capacity\n"
-      "  --ways N           N-way associative RedCache (extension)\n"
-      "  --footprint        coarse-grained footprint-cache baseline\n"
-      "  --alpha N          pin alpha (disables adaptation)\n"
-      "  --gamma N          pin gamma (disables adaptation)\n"
+      "  --hbm-mib N        override HBM cache capacity (N >= 1)\n"
+      "  --alpha N          pin alpha (disables adaptation; redcache family)\n"
+      "  --gamma N          pin gamma (disables adaptation; redcache family)\n"
       "  --seed N           simulation seed\n"
       "  --mix SPEC         co-schedule tenants: LABEL[:WEIGHT[@MIN_GAP]]\n"
       "                     comma-separated, e.g. LU:2,RDX:1@8. The label\n"
@@ -137,213 +145,285 @@ void PrintUsage() {
       "  --verify           run under the shadow checker; exit 1 on any\n"
       "                     divergence from the reference memory model\n"
       "  --stats            dump every counter after the run\n"
-      "  --sweep            run an (arch x workload) matrix on a worker pool\n"
+      "  --sweep            run a (policy x workload) matrix on a worker\n"
+      "                     pool; --scale/--paper/--hbm-mib/--seed/--alpha/\n"
+      "                     --gamma/--mix apply to every cell\n"
       "  --report FILE      write a host-side profiling report of --sweep\n"
-      "                     (per-cell wall time, cache layer, phases,\n"
-      "                     per-cell telemetry paths + epoch counts)\n"
+      "                     or --sample (per-cell wall time, cache layer,\n"
+      "                     phases, per-cell telemetry paths + epoch counts)\n"
       "  --telemetry-dir D  with --sweep: stream each simulated cell's\n"
       "                     NDJSON series to D/<cell-key>.ndjson\n"
       "  --policies A,B,..  policies for --sweep (default: every policy\n"
       "                     registered with sweep=true). --archs is an alias.\n"
       "  --workloads X,Y,.. workloads for --sweep (default: all Table II)\n"
-      "  --jobs N           worker threads for --sweep (default: \n"
+      "  --jobs N           worker threads for --sweep/--sample (default:\n"
       "                     REDCACHE_JOBS, then hardware concurrency)\n"
       "  --list             list registered policies and workloads\n");
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--policy" || arg == "--arch") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.arch = v;
-    } else if (arg == "--workload") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.workload = v;
-    } else if (arg == "--replay") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.replay_path = v;
-    } else if (arg == "--telemetry") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.telemetry_path = v;
-    } else if (arg == "--trace") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.trace_out_path = v;
-    } else if (arg == "--report") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.report_path = v;
-    } else if (arg == "--epoch") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      if (!obs::ParseEpochSpec(v, opt.epoch)) {
-        std::fprintf(stderr,
-                     "bad --epoch %s (want N, auto, or auto:MIN:MAX)\n", v);
-        return false;
-      }
-    } else if (arg == "--trace-window") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.trace_window = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-      if (opt.trace_window == 0) {
-        std::fprintf(stderr, "bad --trace-window %s (want N >= 1)\n", v);
-        return false;
-      }
-    } else if (arg == "--telemetry-dir") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.telemetry_dir = v;
-    } else if (arg == "--capture") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.capture_path = v;
-    } else if (arg == "--scale") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.scale = std::atof(v);
-    } else if (arg == "--paper") {
-      opt.paper_preset = true;
-    } else if (arg == "--hbm-mib") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.hbm_mib = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--ways") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.ways = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (arg == "--footprint") {
-      opt.footprint = true;
-    } else if (arg == "--alpha") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.alpha = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (arg == "--gamma") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.gamma = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--mix") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.mix = v;
-    } else if (arg == "--mix-mode") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.mix_mode = v;
-    } else if (arg == "--mix-window-bits") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.mix_window_bits = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (arg == "--no-solo") {
-      opt.no_solo = true;
-    } else if (arg == "--serve") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.serve_path = v;
-    } else if (arg == "--checkpoint") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.checkpoint_path = v;
-    } else if (arg == "--checkpoint-at") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.checkpoint_at = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--restore") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.restore_path = v;
-    } else if (arg == "--sample") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.sample = v;
-    } else if (arg == "--verify") {
-      opt.verify = true;
-    } else if (arg == "--sweep") {
-      opt.sweep = true;
-    } else if (arg == "--policies" || arg == "--archs") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.sweep_archs = v;
-    } else if (arg == "--workloads") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.sweep_workloads = v;
-    } else if (arg == "--jobs") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.jobs = static_cast<unsigned>(std::atoi(v));
-    } else if (arg == "--stats") {
-      opt.dump_stats = true;
-    } else if (arg == "--list") {
-      opt.list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
-    }
+/// Strict numeric flag parsing: the whole of `text` must be a number (no
+/// sign, blanks or trailing characters) within [lo, hi].
+template <typename T>
+bool ParseNumber(const char* text, T lo, T hi, T& out) {
+  if (text[0] == '\0' || text[0] == '-' || text[0] == '+' ||
+      std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
   }
+  errno = 0;
+  char* end = nullptr;
+  T v;
+  if constexpr (std::is_floating_point_v<T>) {
+    v = std::strtod(text, &end);
+    if (!std::isfinite(v)) return false;
+  } else {
+    const unsigned long long raw = std::strtoull(text, &end, 10);
+    if (raw > std::numeric_limits<T>::max()) return false;
+    v = static_cast<T>(raw);
+  }
+  if (errno != 0 || end == text || *end != '\0' || v < lo || v > hi) {
+    return false;
+  }
+  out = v;
   return true;
 }
 
-RedCacheOptions TunedOptions(const CliOptions& opt) {
-  RedCacheOptions o = RedCacheOptions::Full();
-  if (opt.alpha) {
-    o.alpha.initial_alpha = *opt.alpha;
-    o.alpha.min_alpha = *opt.alpha;
-    o.alpha.max_alpha = *opt.alpha;
-    o.alpha.adaptive = false;
+/// "P[:INTERVAL]" for --sample: P in (0, 1], INTERVAL >= 1 cycles.
+bool ParseSample(const std::string& text, SamplingOptions& out) {
+  const std::size_t colon = text.find(':');
+  const std::string fraction = text.substr(0, colon);
+  if (!ParseNumber(fraction.c_str(), std::numeric_limits<double>::min(), 1.0,
+                   out.fraction)) {
+    return false;
   }
-  if (opt.gamma) {
-    o.gamma.initial_gamma = *opt.gamma;
-    o.gamma.min_gamma = *opt.gamma;
-    o.gamma.max_gamma = *opt.gamma;
+  return colon == std::string::npos ||
+         ParseNumber(text.c_str() + colon + 1, Cycle{1},
+                     std::numeric_limits<Cycle>::max(), out.interval_cycles);
+}
+
+bool ParseArgs(int argc, char** argv, CliOptions& opt) {
+  // Value flags store through a setter; a false return is a usage error
+  // whose message the setter has printed.
+  using Setter = std::function<bool(const std::string& flag, const char* v)>;
+  const auto text = [](auto& out) -> Setter {
+    return [&out](const std::string&, const char* v) {
+      out = v;
+      return true;
+    };
+  };
+  const auto number = [](const char* want, auto lo, auto hi,
+                         auto& out) -> Setter {
+    return [want, lo, hi, &out](const std::string& flag, const char* v) {
+      decltype(lo) parsed{};
+      if (!ParseNumber(v, lo, hi, parsed)) {
+        std::fprintf(stderr, "bad %s %s (want %s)\n", flag.c_str(), v, want);
+        return false;
+      }
+      out = parsed;
+      return true;
+    };
+  };
+  const auto special = [](const char* want, auto parse) -> Setter {
+    return [want, parse](const std::string& flag, const char* v) {
+      if (parse(v)) return true;
+      std::fprintf(stderr, "bad %s %s (want %s)\n", flag.c_str(), v, want);
+      return false;
+    };
+  };
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+  const std::map<std::string, Setter> values = {
+      {"--policy", text(opt.policy)},
+      {"--arch", text(opt.policy)},
+      {"--workload", text(opt.workload)},
+      {"--replay", text(opt.replay_path)},
+      {"--capture", text(opt.capture_path)},
+      {"--telemetry", text(opt.telemetry_path)},
+      {"--trace", text(opt.trace_out_path)},
+      {"--report", text(opt.report_path)},
+      {"--telemetry-dir", text(opt.telemetry_dir)},
+      {"--mix", text(opt.mix)},
+      {"--serve", text(opt.serve_path)},
+      {"--checkpoint", text(opt.checkpoint_path)},
+      {"--restore", text(opt.restore_path)},
+      {"--policies", text(opt.sweep_policies)},
+      {"--archs", text(opt.sweep_policies)},
+      {"--workloads", text(opt.sweep_workloads)},
+      {"--scale", number("X in (0, 1e6]", std::numeric_limits<double>::min(),
+                         1e6, opt.scale)},
+      {"--hbm-mib", number("N in [1, 2^20]", std::uint64_t{1},
+                           std::uint64_t{1} << 20, opt.hbm_mib)},
+      {"--alpha", number("N in [0, 255]", 0u, 255u, opt.alpha)},
+      {"--gamma", number("N in [0, 255]", 0u, 255u, opt.gamma)},
+      {"--seed", number("an unsigned 64-bit N", std::uint64_t{0}, kU64Max,
+                        opt.seed)},
+      {"--mix-window-bits", number("N in [0, 63]", 0u, 63u,
+                                   opt.mix_window_bits)},
+      {"--checkpoint-at", number("a cycle N >= 0", Cycle{0}, kU64Max,
+                                 opt.checkpoint_at)},
+      {"--trace-window", number("N in [1, 2^32]", std::size_t{1},
+                                std::size_t{1} << 32, opt.trace_window)},
+      {"--jobs", number("N in [0, 4096]", 0u, 4096u, opt.jobs)},
+      {"--epoch", special("N, auto, or auto:MIN:MAX",
+                          [&opt](const char* v) {
+                            return obs::ParseEpochSpec(v, opt.epoch);
+                          })},
+      {"--sample", special("P in (0, 1], optionally :INTERVAL cycles >= 1",
+                           [&opt](const char* v) {
+                             SamplingOptions sopts;
+                             if (!ParseSample(v, sopts)) return false;
+                             opt.sample = sopts;
+                             return true;
+                           })},
+      {"--mix-mode", special("offset or interleave", [&opt](const char* v) {
+         const std::string mode = v;
+         opt.mix_mode = mode == "interleave"
+                            ? tenant::TenantAddressMap::Mode::kInterleave
+                            : tenant::TenantAddressMap::Mode::kOffset;
+         return mode == "offset" || mode == "interleave";
+       })},
+  };
+  const std::map<std::string, bool*> switches = {
+      {"--paper", &opt.paper_preset}, {"--stats", &opt.dump_stats},
+      {"--list", &opt.list},          {"--verify", &opt.verify},
+      {"--sweep", &opt.sweep},        {"--no-solo", &opt.no_solo},
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintUsage();
+      std::exit(0);
+    }
+    if (const auto sw = switches.find(arg); sw != switches.end()) {
+      *sw->second = true;
+      continue;
+    }
+    const auto flag = values.find(arg);
+    if (flag == values.end()) {
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+      return false;
+    }
+    if (!flag->second(arg, argv[++i])) return false;
   }
-  return o;
+  if (opt.sample) opt.sample->jobs = opt.jobs;
+  return true;
+}
+
+/// Flag combinations that cannot apply to the requested run. Returns the
+/// usage error, or an empty string when the flags compose.
+std::string CombinationError(const CliOptions& opt) {
+  struct Rule {
+    bool violated;
+    const char* message;
+  };
+  const bool checkpointed = !opt.checkpoint_path.empty() ||
+                            !opt.restore_path.empty() || opt.sample;
+  const bool streamed = opt.replay_path || !opt.serve_path.empty();
+  const Rule rules[] = {
+      // --sweep runs many cells: per-run flags have no single run to
+      // apply to, and the sweep has its own policy/workload lists.
+      {opt.sweep && opt.policy.has_value(),
+       "--sweep takes --policies, not --policy"},
+      {opt.sweep && opt.workload.has_value(),
+       "--sweep takes --workloads, not --workload"},
+      {opt.sweep && (streamed || opt.capture_path),
+       "--sweep cannot replay, serve or capture a trace"},
+      {opt.sweep && (opt.telemetry_path || opt.trace_out_path),
+       "--sweep streams per-cell telemetry with --telemetry-dir; --telemetry "
+       "and --trace are single-run flags"},
+      {opt.sweep && (checkpointed || opt.verify || opt.dump_stats),
+       "--checkpoint, --restore, --sample, --verify and --stats are "
+       "single-run flags; drop them or --sweep"},
+      {!opt.sweep && (!opt.sweep_policies.empty() ||
+                      !opt.sweep_workloads.empty() ||
+                      !opt.telemetry_dir.empty()),
+       "--policies, --workloads and --telemetry-dir need --sweep"},
+      {!opt.sweep && opt.report_path && !opt.sample,
+       "--report needs --sweep or --sample"},
+      {!opt.mix.empty() && opt.workload.has_value(),
+       "--mix replaces --workload; list the tenants in --mix"},
+      {opt.replay_path && !opt.serve_path.empty(),
+       "--replay and --serve both name the trace stream; pick one"},
+      {opt.sample && (!opt.checkpoint_path.empty() ||
+                      !opt.restore_path.empty()),
+       "--sample manages its own checkpoints; drop --checkpoint/--restore"},
+      {opt.sample && (opt.telemetry_path || opt.trace_out_path),
+       "--telemetry and --trace observe one detailed run; a sampled run "
+       "has none"},
+      {checkpointed && streamed,
+       "a streamed trace (--replay/--serve) cannot be checkpointed or "
+       "sampled"},
+  };
+  for (const Rule& r : rules) {
+    if (r.violated) return r.message;
+  }
+  return "";
+}
+
+/// --alpha/--gamma pin RedCache thresholds: a usage error for any policy
+/// outside the redcache family.
+bool PinsApply(const CliOptions& opt, const std::string& policy) {
+  if (!opt.alpha && !opt.gamma) return true;
+  const PolicyInfo info = PolicyRegistry::Instance().Get(policy);
+  if (info.family == "redcache") return true;
+  std::fprintf(stderr,
+               "--alpha/--gamma pin RedCache thresholds; %s belongs to the "
+               "%s family\n",
+               info.name.c_str(), info.family.c_str());
+  return false;
+}
+
+/// The result-shaping part of the flags — exactly what a batch cell
+/// carries. Sweep cells override policy/workload; mix solo baselines drop
+/// the mix.
+RunSpec CellSpecFromFlags(const CliOptions& opt) {
+  RunSpec spec;
+  spec.policy = opt.policy.value_or("RedCache");
+  spec.workload = opt.workload.value_or("LU");
+  spec.preset = opt.paper_preset ? PaperPreset() : EvalPreset();
+  if (opt.hbm_mib) spec.preset.mem.hbm = HbmCacheConfig(*opt.hbm_mib << 20);
+  spec.scale = opt.scale;
+  spec.seed = opt.seed;
+  spec.alpha_pin = opt.alpha;
+  spec.gamma_pin = opt.gamma;
+  if (!opt.mix.empty()) {
+    spec.mix = tenant::MixSpec::Parse(opt.mix);
+    spec.mix.mode = opt.mix_mode;
+    spec.mix.window_bits = opt.mix_window_bits;
+  }
+  return spec;
+}
+
+/// The single run the flags describe.
+RunSpec SpecFromFlags(const CliOptions& opt) {
+  RunSpec spec = CellSpecFromFlags(opt);
+  spec.verify = opt.verify;
+  spec.serve_path = opt.replay_path.value_or(opt.serve_path);
+  spec.telemetry_path = opt.telemetry_path.value_or("");
+  spec.epoch = opt.epoch;
+  spec.checkpoint_path = opt.checkpoint_path;
+  spec.checkpoint_at = opt.checkpoint_at;
+  spec.restore_path = opt.restore_path;
+  return spec;
+}
+
+/// The policy plus any pins: "RedCache", "Red-Basic[alpha=2]".
+std::string PolicyLabel(const RunSpec& spec) {
+  std::string pins;
+  if (spec.alpha_pin) pins += "alpha=" + std::to_string(*spec.alpha_pin);
+  if (spec.gamma_pin) {
+    pins += (pins.empty() ? "" : ",") + std::string("gamma=") +
+            std::to_string(*spec.gamma_pin);
+  }
+  return pins.empty() ? spec.policy : spec.policy + "[" + pins + "]";
 }
 
 /// Where human-readable run output goes: stderr when `--telemetry -` owns
 /// stdout for the NDJSON stream, stdout otherwise.
 FILE* HumanOut(const CliOptions& opt) {
   return opt.telemetry_path && *opt.telemetry_path == "-" ? stderr : stdout;
-}
-
-/// Canonical registry casing for `name`; extension labels (RedCache-4way,
-/// footprint-2KB) pass through unchanged.
-std::string CanonicalPolicy(const std::string& name) {
-  return PolicyRegistry::Instance().Has(name)
-             ? PolicyRegistry::Instance().Get(name).name
-             : name;
-}
-
-/// Close the run's telemetry session (end record for streams, file write
-/// otherwise) and print the one-line summary. Shared by both run paths.
-bool FinishTelemetry(obs::TelemetrySession& session, obs::TelemetryMeta meta,
-                     Cycle exec_cycles, FILE* out) {
-  meta.exec_cycles = exec_cycles;
-  if (!session.Close(meta)) {
-    std::fprintf(stderr, "failed to write telemetry to %s\n",
-                 session.path().c_str());
-    return false;
-  }
-  std::fprintf(out, "telemetry: %s\n", session.Summary().c_str());
-  return true;
 }
 
 /// Write the command trace: via the spill writer's Finish (windowed mode,
@@ -393,21 +473,6 @@ std::vector<std::string> SplitCommas(const std::string& list) {
   return out;
 }
 
-/// Parse --mix/--mix-mode/--mix-window-bits into `mix`. Returns 0, or 2 on
-/// a bad mode (MixSpec::Parse throws its own error for bad tenant syntax).
-int ParseMixOptions(const CliOptions& opt, tenant::MixSpec& mix) {
-  mix = tenant::MixSpec::Parse(opt.mix);
-  if (opt.mix_mode == "interleave") {
-    mix.mode = tenant::TenantAddressMap::Mode::kInterleave;
-  } else if (opt.mix_mode != "offset") {
-    std::fprintf(stderr, "unknown --mix-mode %s (offset|interleave)\n",
-                 opt.mix_mode.c_str());
-    return 2;
-  }
-  mix.window_bits = opt.mix_window_bits;
-  return 0;
-}
-
 /// "LU+RDX" — human-readable tenant list for cache keys and table rows.
 std::string JoinedTenantLabels(const tenant::MixSpec& mix) {
   std::string joined;
@@ -418,39 +483,39 @@ std::string JoinedTenantLabels(const tenant::MixSpec& mix) {
   return joined;
 }
 
-/// --sweep: the (arch x workload) evaluation matrix on the batch engine.
-/// Cells go through the fingerprinted cache when REDCACHE_CACHE_DIR is set.
-/// Default sweep columns: the paper's seven evaluation archs in their
-/// canonical order, then every other registry policy with sweep=true
-/// (rival families like Banshee and TicToc) in registry order.
-std::vector<std::string> DefaultSweepPolicies() {
-  std::vector<std::string> policies;
-  for (const Arch a : EvaluationArchs()) policies.push_back(ToString(a));
-  for (const std::string& name : PolicyRegistry::Instance().SweepNames()) {
-    if (std::find(policies.begin(), policies.end(), name) == policies.end()) {
-      policies.push_back(name);
-    }
+/// Print one QoS line per tenant of `mix`.
+void PrintQos(FILE* out, const tenant::MixSpec& mix,
+              const std::vector<tenant::TenantQos>& rows,
+              const char* indent) {
+  for (const tenant::TenantQos& row : rows) {
+    const std::string label =
+        row.tenant < mix.num_tenants() ? mix.tenants[row.tenant].workload
+                                       : "?";
+    std::fprintf(out, "%s%s\n", indent,
+                 tenant::FormatQosLine(rows, row, label).c_str());
   }
-  return policies;
 }
 
+/// --sweep: the (policy x workload) evaluation matrix on the batch engine.
+/// Cells go through the fingerprinted cache when REDCACHE_CACHE_DIR is set.
 int RunSweep(const CliOptions& opt) {
-  const SimPreset preset = opt.paper_preset ? PaperPreset() : EvalPreset();
   std::vector<std::string> policies;
-  if (opt.sweep_archs.empty()) {
+  if (opt.sweep_policies.empty()) {
     policies = DefaultSweepPolicies();
   } else {
-    for (const std::string& name : SplitCommas(opt.sweep_archs)) {
+    for (const std::string& name : SplitCommas(opt.sweep_policies)) {
       PolicyRegistry::Instance().Get(name);  // fail fast with the full list
       policies.push_back(name);
     }
   }
-  // With --mix the matrix is (policy x one mix cell): every policy runs the
-  // same co-schedule, plus each tenant's solo cell for the slowdown column.
-  tenant::MixSpec mix;
-  if (!opt.mix.empty()) {
-    if (const int rc = ParseMixOptions(opt, mix); rc != 0) return rc;
+  for (const std::string& p : policies) {
+    if (!PinsApply(opt, p)) return 2;
   }
+  // Every cell is the flags' spec with its own policy and workload. With
+  // --mix the matrix is (policy x one mix cell), plus each tenant's solo
+  // cell for the slowdown column.
+  const RunSpec base = CellSpecFromFlags(opt);
+  const tenant::MixSpec& mix = base.mix;
   const std::vector<std::string> workloads =
       mix.active() ? std::vector<std::string>{"mix:" + mix.Describe()}
       : opt.sweep_workloads.empty() ? WorkloadLabels()
@@ -460,13 +525,9 @@ int RunSweep(const CliOptions& opt) {
   cells.reserve(policies.size() * workloads.size());
   for (const std::string& wl : workloads) {
     for (const std::string& p : policies) {
-      CellSpec cell;
+      CellSpec cell{base, ""};
       cell.spec.policy = p;
       cell.spec.workload = mix.active() ? JoinedTenantLabels(mix) : wl;
-      cell.spec.scale = opt.scale;
-      cell.spec.preset = preset;
-      cell.spec.seed = opt.seed;
-      cell.spec.mix = mix;
       cells.push_back(std::move(cell));
     }
   }
@@ -474,12 +535,10 @@ int RunSweep(const CliOptions& opt) {
   if (mix.active() && !opt.no_solo) {
     for (const std::string& p : policies) {
       for (const tenant::TenantSpec& t : mix.tenants) {
-        CellSpec solo;
+        CellSpec solo{base, ""};
         solo.spec.policy = p;
         solo.spec.workload = t.workload;
-        solo.spec.scale = opt.scale;
-        solo.spec.preset = preset;
-        solo.spec.seed = opt.seed;
+        solo.spec.mix = {};
         cells.push_back(std::move(solo));
       }
     }
@@ -529,10 +588,10 @@ int RunSweep(const CliOptions& opt) {
     table.AddRow(std::move(row));
   }
   std::printf("execution time (Mcycles), %s preset, scale %.2f:\n%s\n",
-              preset.name, opt.scale, table.Render().c_str());
+              base.preset.name, opt.scale, table.Render().c_str());
 
   // Per-tenant QoS under every policy — printed only for a mix sweep;
-  // classic sweeps emit exactly the table above, as before.
+  // classic sweeps emit exactly the table above.
   if (mix.active()) {
     for (std::size_t p = 0; p < policies.size(); ++p) {
       std::vector<tenant::TenantQos> rows =
@@ -546,20 +605,14 @@ int RunSweep(const CliOptions& opt) {
         }
       }
       std::printf("%s:\n", policies[p].c_str());
-      for (const tenant::TenantQos& row : rows) {
-        const std::string label = row.tenant < mix.tenants.size()
-                                      ? mix.tenants[row.tenant].workload
-                                      : "?";
-        std::printf("  %s\n",
-                    tenant::FormatQosLine(rows, row, label).c_str());
-      }
+      PrintQos(stdout, mix, rows, "  ");
     }
   }
   return 0;
 }
 
 // ---------------------------------------------------------------------------
-// --mix / --serve: co-scheduled tenants and long-run trace streaming.
+// Single runs.
 
 volatile std::sig_atomic_t g_serve_stop = 0;
 
@@ -590,26 +643,116 @@ tenant::StreamTraceSource* FindStream(TraceSource& trace) {
   return nullptr;
 }
 
-int RunMixServe(const CliOptions& opt) {
-  if (opt.capture_path || opt.replay_path || opt.footprint || opt.ways > 1) {
-    std::fprintf(stderr,
-                 "--mix/--serve cannot be combined with --capture, --replay, "
-                 "--footprint or --ways\n");
-    return 2;
+/// --capture: write the workload's (or the replayed file's) trace and exit.
+int Capture(const CliOptions& opt) {
+  const SimPreset preset = opt.paper_preset ? PaperPreset() : EvalPreset();
+  std::unique_ptr<TraceSource> trace;
+  if (opt.replay_path) {
+    trace = std::make_unique<FileTraceSource>(*opt.replay_path);
+  } else {
+    WorkloadBuildParams wp;
+    wp.num_cores = preset.hierarchy.num_cores;
+    wp.scale = EffectiveScale(opt.scale);
+    trace = MakeWorkload(opt.workload.value_or("LU"), wp);
   }
-  SimPreset preset = opt.paper_preset ? PaperPreset() : EvalPreset();
-  if (opt.hbm_mib) preset.mem.hbm = HbmCacheConfig(*opt.hbm_mib << 20);
+  TraceFileWriter writer(*opt.capture_path, trace->num_cores());
+  writer.CaptureAll(*trace);
+  writer.Flush();
+  std::printf("captured %llu records to %s\n",
+              static_cast<unsigned long long>(writer.records_written()),
+              opt.capture_path->c_str());
+  return 0;
+}
 
-  RunSpec spec;
-  spec.policy = opt.arch;
-  spec.preset = preset;
-  spec.scale = opt.scale;
-  spec.seed = opt.seed;
-  spec.verify = opt.verify;
-  spec.serve_path = opt.serve_path;
-  if (!opt.mix.empty()) {
-    if (const int rc = ParseMixOptions(opt, spec.mix); rc != 0) return rc;
+/// Report one run: the headline, then the event-loop split of a detailed
+/// run (`est` null) or the estimate quality of a sampled one (`r` then
+/// carries the estimated counters), then the optional counter dump.
+void PrintSummary(const CliOptions& opt, const std::string& run,
+                  const RunResult& r, const SamplingEstimate* est) {
+  FILE* out = HumanOut(opt);
+  if (est != nullptr) {
+    if (est->degenerate) {
+      std::fprintf(out,
+                   "sampling degenerated to one full detailed run (run "
+                   "shorter than the first measurement interval)\n");
+    }
+    std::fprintf(out,
+                 "%s (sampled %.1f%%): est %.0f cycles +/- %.0f "
+                 "(95%% CI, +/-%.2f%%), %llu intervals, %llu refs\n",
+                 run.c_str(), opt.sample->fraction * 100.0,
+                 est->est_exec_cycles, est->ci_half_cycles, est->ci_pct,
+                 static_cast<unsigned long long>(est->intervals),
+                 static_cast<unsigned long long>(est->total_refs));
+    std::fprintf(out,
+                 "sampling passes: functional %.2fs + parallel replay "
+                 "%.2fs\n",
+                 est->functional_seconds, est->replay_seconds);
+  } else {
+    const auto hits = r.stats.GetCounter("ctrl.cache_hits");
+    const auto misses = r.stats.GetCounter("ctrl.cache_misses");
+    std::fprintf(
+        out,
+        "%s: %llu cycles (%.2f ms @3.2GHz), hit rate %.1f%%, "
+        "HBM %.3f GB, DDR4 %.3f GB, system energy %.2f mJ\n",
+        run.c_str(), static_cast<unsigned long long>(r.exec_cycles),
+        static_cast<double>(r.exec_cycles) / 3.2e9 * 1e3,
+        hits + misses == 0 ? 0.0
+                           : 100.0 * static_cast<double>(hits) /
+                                 static_cast<double>(hits + misses),
+        static_cast<double>(r.HbmBytes()) / 1e9,
+        static_cast<double>(r.MmBytes()) / 1e9, r.energy.SystemNj() / 1e6);
+    // Event-loop economics go to stderr with the other diagnostics:
+    // telemetry epochs add loop visits, and stdout must not depend on
+    // observability flags (a restored run's stdout matches the original).
+    const std::uint64_t span = r.ticks_executed + r.cycles_skipped;
+    std::fprintf(stderr,
+                 "event loop: %llu ticks executed, %llu cycles skipped "
+                 "(%.1f%%)\n",
+                 static_cast<unsigned long long>(r.ticks_executed),
+                 static_cast<unsigned long long>(r.cycles_skipped),
+                 span == 0 ? 0.0
+                           : 100.0 * static_cast<double>(r.cycles_skipped) /
+                                 static_cast<double>(span));
   }
+  if (opt.dump_stats) {
+    std::fprintf(out, "%s", r.stats.ToString().c_str());
+  }
+}
+
+/// --report for a sampled run: a one-cell batch report.
+bool WriteSampleReport(const CliOptions& opt, const RunSpec& spec,
+                       const SamplingEstimate& est) {
+  BatchReport report;
+  report.label = "sample";
+  report.jobs = opt.sample->jobs;
+  report.wall_seconds = est.functional_seconds + est.replay_seconds;
+  CellProfile prof;
+  prof.key = CellKey(CellSpec{spec, ""});
+  prof.arch = spec.policy;
+  prof.workload = spec.workload;
+  prof.wall_seconds = report.wall_seconds;
+  prof.sim_seconds = report.wall_seconds;
+  prof.exec_cycles = est.est_stats.GetCounter("sys.exec_cycles");
+  prof.sampled = true;
+  prof.sampling_intervals = est.intervals;
+  prof.sampling_ci_pct = est.ci_pct;
+  report.cells.push_back(prof);
+  if (!WriteBatchReportJson(*opt.report_path, report)) {
+    std::fprintf(stderr, "cannot write report to %s\n",
+                 opt.report_path->c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Every non-sweep run: plain, mix, serve/replay, checkpoint, restore and
+/// sampled runs all execute the one RunSpec the flags describe.
+int RunSingle(const CliOptions& opt) {
+  RunSpec spec = SpecFromFlags(opt);
+  if (!PinsApply(opt, spec.policy)) return 2;
+  FILE* out = HumanOut(opt);
+  const std::string run =
+      PolicyLabel(spec) + " on " + TelemetryMetaOf(spec).workload;
 
   // Solo baselines for the slowdown column: each workload tenant first runs
   // alone (through the batch cache, so repeated invocations are free under
@@ -618,34 +761,27 @@ int RunMixServe(const CliOptions& opt) {
   if (spec.mix.active() && !opt.no_solo) {
     for (tenant::TenantSpec& t : spec.mix.tenants) {
       if (t.workload == "serve") continue;
-      CellSpec solo;
-      solo.spec.policy = spec.policy;
+      CellSpec solo{CellSpecFromFlags(opt), ""};
+      solo.spec.mix = {};
       solo.spec.workload = t.workload;
-      solo.spec.preset = preset;
-      solo.spec.scale = opt.scale;
-      solo.spec.seed = opt.seed;
       const RunResult r = RunCellCached(solo);
       t.solo_exec_cycles = r.exec_cycles;
       t.solo_refs = r.stats.GetCounter("core.refs");
     }
   }
 
-  auto system = BuildSystem(spec);
-  FILE* out = HumanOut(opt);
-
-  // Observability: live telemetry stream and/or (windowed) command trace —
-  // a long serve run traces end-to-end through --trace-window in bounded
-  // memory exactly like a single-shot run.
-  std::unique_ptr<obs::TelemetrySession> telemetry;
-  obs::TelemetryMeta meta = TelemetryMetaOf(spec);
-  const std::string workload_label = system->trace().name();
-  meta.workload = workload_label;
-  if (opt.telemetry_path) {
-    telemetry = std::make_unique<obs::TelemetrySession>(
-        *opt.telemetry_path, opt.epoch, preset.telemetry_epoch_cycles);
-    system->SetTelemetry(&telemetry->sampler());
-    telemetry->Begin(meta);
+  if (opt.sample) {
+    const SamplingEstimate est = RunSampled(spec, *opt.sample);
+    RunResult estimated;
+    estimated.stats = est.est_stats;
+    PrintSummary(opt, run, estimated, &est);
+    return opt.report_path && !WriteSampleReport(opt, spec, est) ? 1 : 0;
   }
+
+  auto system = BuildSystem(spec);
+
+  // Command trace: a ring of the last events, or — with --trace-window — a
+  // bounded ring that spills older events to the file as the run goes.
   obs::TraceBuffer trace_buffer(opt.trace_window != 0
                                     ? opt.trace_window
                                     : obs::TraceBuffer::kDefaultCapacity);
@@ -670,166 +806,13 @@ int RunMixServe(const CliOptions& opt) {
     stream->SetStopFlag(&g_serve_stop);
   }
 
-  const RunResult r = system->Run();
+  const RunResult r = RunBuilt(*system, spec);
   trace_scope.reset();
 
-  if (!r.completed) {
-    std::fprintf(stderr, "simulation did not complete\n");
-    return 1;
-  }
-  if (spec.verify) {
-    if (auto* checker = dynamic_cast<ShadowChecker*>(&system->controller())) {
-      checker->CheckDrained();
-      std::fprintf(out, "%s\n", checker->Summary().c_str());
-    }
-  }
-  if (stream != nullptr) {
-    std::fprintf(out, "stream: %llu records ingested%s\n",
-                 static_cast<unsigned long long>(stream->total_records()),
-                 g_serve_stop != 0 ? " (stopped by signal, drained)" : "");
-  }
-
-  const auto hits = r.stats.GetCounter("ctrl.cache_hits");
-  const auto misses = r.stats.GetCounter("ctrl.cache_misses");
-  std::fprintf(
-      out,
-      "%s on %s: %llu cycles (%.2f ms @3.2GHz), hit rate %.1f%%, "
-      "HBM %.3f GB, DDR4 %.3f GB, system energy %.2f mJ\n",
-      opt.arch.c_str(), workload_label.c_str(),
-      static_cast<unsigned long long>(r.exec_cycles),
-      static_cast<double>(r.exec_cycles) / 3.2e9 * 1e3,
-      hits + misses == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(hits) /
-                static_cast<double>(hits + misses),
-      static_cast<double>(r.HbmBytes()) / 1e9,
-      static_cast<double>(r.MmBytes()) / 1e9, r.energy.SystemNj() / 1e6);
-
-  // Per-tenant QoS: only a mix prints these (plain --serve runs stay
-  // single-tenant and export no tenant counters at all).
-  if (spec.mix.active()) {
-    std::vector<tenant::TenantQos> rows = tenant::QosFromStats(r.stats);
-    for (std::uint32_t t = 0; t < spec.mix.num_tenants(); ++t) {
-      tenant::ApplySoloBaseline(rows, t, spec.mix.tenants[t].solo_exec_cycles);
-    }
-    for (const tenant::TenantQos& row : rows) {
-      const std::string label = row.tenant < spec.mix.num_tenants()
-                                    ? spec.mix.tenants[row.tenant].workload
-                                    : "?";
-      std::fprintf(out, "%s\n",
-                   tenant::FormatQosLine(rows, row, label).c_str());
-    }
-  }
-
-  if (telemetry != nullptr &&
-      !FinishTelemetry(*telemetry, meta, r.exec_cycles, out)) {
-    return 1;
-  }
   if (opt.trace_out_path &&
       !FinishTrace(opt, trace_buffer, spill.get(), out)) {
     return 1;
   }
-  if (opt.dump_stats) {
-    std::fprintf(out, "%s", r.stats.ToString().c_str());
-  }
-  return 0;
-}
-
-/// --checkpoint / --restore / --sample: runs driven through RunSpec, so
-/// the blob's compatibility key covers exactly the inputs that shape
-/// results. Mixes are allowed (the blob captures tenant state); the
-/// trace/extension flags that bypass the policy registry are not.
-int RunSpecMode(const CliOptions& opt) {
-  if (opt.capture_path || opt.replay_path || opt.footprint || opt.ways > 1 ||
-      opt.alpha || opt.gamma || !opt.serve_path.empty() ||
-      opt.trace_out_path) {
-    std::fprintf(stderr,
-                 "--checkpoint/--restore/--sample cannot be combined with "
-                 "--capture, --replay, --footprint, --ways, --alpha, "
-                 "--gamma, --serve or --trace\n");
-    return 2;
-  }
-  SimPreset preset = opt.paper_preset ? PaperPreset() : EvalPreset();
-  if (opt.hbm_mib) preset.mem.hbm = HbmCacheConfig(*opt.hbm_mib << 20);
-
-  RunSpec spec;
-  spec.policy = opt.arch;
-  spec.workload = opt.workload;
-  spec.preset = preset;
-  spec.scale = opt.scale;
-  spec.seed = opt.seed;
-  spec.verify = opt.verify;
-  if (!opt.mix.empty()) {
-    if (const int rc = ParseMixOptions(opt, spec.mix); rc != 0) return rc;
-  }
-  if (opt.telemetry_path) spec.telemetry_path = *opt.telemetry_path;
-  spec.epoch = opt.epoch;
-  spec.checkpoint_path = opt.checkpoint_path;
-  spec.checkpoint_at = opt.checkpoint_at;
-  spec.restore_path = opt.restore_path;
-  FILE* out = HumanOut(opt);
-
-  if (!opt.sample.empty()) {
-    if (!opt.checkpoint_path.empty() || !opt.restore_path.empty()) {
-      std::fprintf(stderr,
-                   "--sample manages its own checkpoints; drop "
-                   "--checkpoint/--restore\n");
-      return 2;
-    }
-    SamplingOptions sopts;
-    sopts.jobs = opt.jobs;
-    char* rest = nullptr;
-    sopts.fraction = std::strtod(opt.sample.c_str(), &rest);
-    if (rest != nullptr && *rest == ':') {
-      sopts.interval_cycles = std::strtoull(rest + 1, nullptr, 10);
-    }
-    const SamplingEstimate est = RunSampled(spec, sopts);
-    if (est.degenerate) {
-      std::fprintf(out,
-                   "sampling degenerated to one full detailed run (run "
-                   "shorter than the first measurement interval)\n");
-    }
-    std::fprintf(
-        out,
-        "%s on %s (sampled %.1f%%): est %.0f cycles +/- %.0f "
-        "(95%% CI, +/-%.2f%%), %llu intervals, %llu refs\n",
-        opt.arch.c_str(), opt.workload.c_str(), sopts.fraction * 100.0,
-        est.est_exec_cycles, est.ci_half_cycles, est.ci_pct,
-        static_cast<unsigned long long>(est.intervals),
-        static_cast<unsigned long long>(est.total_refs));
-    std::fprintf(out,
-                 "sampling passes: functional %.2fs + parallel replay "
-                 "%.2fs\n",
-                 est.functional_seconds, est.replay_seconds);
-    if (opt.report_path) {
-      BatchReport report;
-      report.label = "sample";
-      report.jobs = sopts.jobs;
-      report.wall_seconds = est.functional_seconds + est.replay_seconds;
-      CellProfile prof;
-      prof.key = CellKey(CellSpec{spec, ""});
-      prof.arch = opt.arch;
-      prof.workload = opt.workload;
-      prof.wall_seconds = report.wall_seconds;
-      prof.sim_seconds = report.wall_seconds;
-      prof.exec_cycles = est.est_stats.GetCounter("sys.exec_cycles");
-      prof.sampled = true;
-      prof.sampling_intervals = est.intervals;
-      prof.sampling_ci_pct = est.ci_pct;
-      report.cells.push_back(prof);
-      if (!WriteBatchReportJson(*opt.report_path, report)) {
-        std::fprintf(stderr, "cannot write report to %s\n",
-                     opt.report_path->c_str());
-        return 1;
-      }
-    }
-    if (opt.dump_stats) {
-      std::fprintf(out, "%s", est.est_stats.ToString().c_str());
-    }
-    return 0;
-  }
-
-  const RunResult r = RunOne(spec);
   if (!r.completed) {
     std::fprintf(stderr, "simulation did not complete\n");
     return 1;
@@ -841,171 +824,31 @@ int RunSpecMode(const CliOptions& opt) {
                  static_cast<unsigned long long>(opt.checkpoint_at),
                  static_cast<unsigned long long>(r.exec_cycles));
   }
-  const auto hits = r.stats.GetCounter("ctrl.cache_hits");
-  const auto misses = r.stats.GetCounter("ctrl.cache_misses");
-  std::fprintf(
-      out,
-      "%s on %s: %llu cycles (%.2f ms @3.2GHz), hit rate %.1f%%, "
-      "HBM %.3f GB, DDR4 %.3f GB, system energy %.2f mJ\n",
-      opt.arch.c_str(), opt.workload.c_str(),
-      static_cast<unsigned long long>(r.exec_cycles),
-      static_cast<double>(r.exec_cycles) / 3.2e9 * 1e3,
-      hits + misses == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(hits) /
-                static_cast<double>(hits + misses),
-      static_cast<double>(r.HbmBytes()) / 1e9,
-      static_cast<double>(r.MmBytes()) / 1e9, r.energy.SystemNj() / 1e6);
-  if (opt.dump_stats) {
-    std::fprintf(out, "%s", r.stats.ToString().c_str());
-  }
-  return 0;
-}
-
-int Run(const CliOptions& opt) {
-  SimPreset preset = opt.paper_preset ? PaperPreset() : EvalPreset();
-  if (opt.hbm_mib) {
-    preset.mem.hbm = HbmCacheConfig(*opt.hbm_mib << 20);
-  }
-
-  // Trace source: captured file or synthetic workload.
-  std::unique_ptr<TraceSource> trace;
-  if (opt.replay_path) {
-    trace = std::make_unique<FileTraceSource>(*opt.replay_path);
-  } else {
-    WorkloadBuildParams wp;
-    wp.num_cores = preset.hierarchy.num_cores;
-    wp.scale = EffectiveScale(opt.scale);
-    trace = MakeWorkload(opt.workload, wp);
-  }
-
-  if (opt.capture_path) {
-    TraceFileWriter writer(*opt.capture_path, trace->num_cores());
-    writer.CaptureAll(*trace);
-    writer.Flush();
-    std::printf("captured %llu records to %s\n",
-                static_cast<unsigned long long>(writer.records_written()),
-                opt.capture_path->c_str());
-    return 0;
-  }
-
-  // Controller: extension flags first, then the standard registry.
-  std::unique_ptr<MemController> ctrl;
-  std::string arch_label = opt.arch;
-  if (opt.footprint) {
-    ctrl = std::make_unique<FootprintCacheController>(preset.mem);
-    arch_label = "footprint-2KB";
-  } else if (opt.ways > 1) {
-    ctrl = std::make_unique<AssocRedCacheController>(
-        preset.mem, TunedOptions(opt), opt.ways);
-    arch_label = "RedCache-" + std::to_string(opt.ways) + "way";
-  } else if (opt.alpha || opt.gamma) {
-    ctrl = std::make_unique<RedCacheController>(preset.mem, TunedOptions(opt),
-                                                "redcache-pinned");
-    arch_label = "RedCache-pinned";
-  } else {
-    // Unknown names fail here with a message listing every registered
-    // policy (see PolicyRegistry::Get).
-    ctrl = MakePolicy(opt.arch, preset.mem);
-  }
-
-  ShadowChecker* shadow = nullptr;
-  if (opt.verify) {
-    auto checked = std::make_unique<ShadowChecker>(std::move(ctrl));
-    shadow = checked.get();
-    ctrl = std::move(checked);
-  }
-
-  System system(preset.hierarchy, preset.core, std::move(ctrl),
-                std::move(trace), opt.seed);
-  FILE* out = HumanOut(opt);
-
-  // Observability: epoch sampler and/or command trace, both opt-in and
-  // inert (single branch per probe) when the flags are absent.
-  std::unique_ptr<obs::TelemetrySession> telemetry;
-  obs::TelemetryMeta meta;
-  if (opt.telemetry_path) {
-    meta.arch = arch_label;
-    meta.workload = opt.replay_path ? *opt.replay_path : opt.workload;
-    meta.preset = preset.name;
-    meta.policy = CanonicalPolicy(arch_label);
-    telemetry = std::make_unique<obs::TelemetrySession>(
-        *opt.telemetry_path, opt.epoch, preset.telemetry_epoch_cycles);
-    system.SetTelemetry(&telemetry->sampler());
-    telemetry->Begin(meta);
-  }
-  obs::TraceBuffer trace_buffer(opt.trace_window != 0
-                                    ? opt.trace_window
-                                    : obs::TraceBuffer::kDefaultCapacity);
-  std::unique_ptr<obs::TraceSpillWriter> spill;
-  std::optional<obs::TraceScope> trace_scope;
-  if (opt.trace_out_path) {
-    if (opt.trace_window != 0) {
-      spill = std::make_unique<obs::TraceSpillWriter>(*opt.trace_out_path);
-      if (!spill->ok()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace_out_path->c_str());
-        return 1;
-      }
-      trace_buffer.SetSpill(spill.get());
-    }
-    trace_scope.emplace(&trace_buffer);
-  }
-
-  const RunResult r = system.Run();
-  trace_scope.reset();
-
-  if (telemetry != nullptr &&
-      !FinishTelemetry(*telemetry, meta, r.exec_cycles, out)) {
-    return 1;
-  }
-  if (opt.trace_out_path &&
-      !FinishTrace(opt, trace_buffer, spill.get(), out)) {
-    return 1;
-  }
-  if (!r.completed) {
-    std::fprintf(stderr, "simulation did not complete\n");
-    return 1;
-  }
-  if (shadow != nullptr) {
-    shadow->CheckDrained();
-    std::fprintf(out, "%s\n", shadow->Summary().c_str());
-    if (shadow->divergence_count() != 0) {
-      for (const std::string& msg : shadow->divergence_messages()) {
-        std::fprintf(stderr, "divergence: %s\n", msg.c_str());
-      }
-      return 1;
+  if (spec.verify) {
+    if (auto* checker = dynamic_cast<ShadowChecker*>(&system->controller())) {
+      std::fprintf(out, "%s\n", checker->Summary().c_str());
     }
   }
+  if (stream != nullptr) {
+    std::fprintf(out, "stream: %llu records ingested%s\n",
+                 static_cast<unsigned long long>(stream->total_records()),
+                 g_serve_stop != 0 ? " (stopped by signal, drained)" : "");
+  }
+  if (!spec.telemetry_path.empty()) {
+    std::fprintf(stderr, "telemetry: %llu epochs -> %s\n",
+                 static_cast<unsigned long long>(r.telemetry_epochs),
+                 spec.telemetry_path.c_str());
+  }
+  PrintSummary(opt, run, r, nullptr);
 
-  const auto hits = r.stats.GetCounter("ctrl.cache_hits");
-  const auto misses = r.stats.GetCounter("ctrl.cache_misses");
-  std::fprintf(
-      out,
-      "%s on %s: %llu cycles (%.2f ms @3.2GHz), hit rate %.1f%%, "
-      "HBM %.3f GB, DDR4 %.3f GB, system energy %.2f mJ\n",
-      arch_label.c_str(),
-      opt.replay_path ? opt.replay_path->c_str() : opt.workload.c_str(),
-      static_cast<unsigned long long>(r.exec_cycles),
-      static_cast<double>(r.exec_cycles) / 3.2e9 * 1e3,
-      hits + misses == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(hits) /
-                static_cast<double>(hits + misses),
-      static_cast<double>(r.HbmBytes()) / 1e9,
-      static_cast<double>(r.MmBytes()) / 1e9, r.energy.SystemNj() / 1e6);
-  const std::uint64_t span = r.ticks_executed + r.cycles_skipped;
-  std::fprintf(out,
-               "event loop: %llu ticks executed, %llu cycles skipped "
-               "(%.1f%%)\n",
-               static_cast<unsigned long long>(r.ticks_executed),
-               static_cast<unsigned long long>(r.cycles_skipped),
-               span == 0 ? 0.0
-                         : 100.0 * static_cast<double>(r.cycles_skipped) /
-                               static_cast<double>(span));
-
-  if (opt.dump_stats) {
-    std::fprintf(out, "%s", r.stats.ToString().c_str());
+  // Per-tenant QoS: only a mix prints these (plain --serve runs stay
+  // single-tenant and export no tenant counters at all).
+  if (spec.mix.active()) {
+    std::vector<tenant::TenantQos> rows = tenant::QosFromStats(r.stats);
+    for (std::uint32_t t = 0; t < spec.mix.num_tenants(); ++t) {
+      tenant::ApplySoloBaseline(rows, t, spec.mix.tenants[t].solo_exec_cycles);
+    }
+    PrintQos(out, spec.mix, rows, "");
   }
   return 0;
 }
@@ -1031,18 +874,17 @@ int main(int argc, char** argv) {
     for (const std::string& wl : WorkloadLabels()) {
       std::printf(" %s", wl.c_str());
     }
-    std::printf("\nextensions: --ways N (associative RedCache), "
-                "--footprint (coarse-grained baseline)\n");
+    std::printf("\n");
     return 0;
   }
+  if (const std::string err = CombinationError(opt); !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return 2;
+  }
   try {
+    if (opt.capture_path) return Capture(opt);
     if (opt.sweep) return RunSweep(opt);
-    if (!opt.checkpoint_path.empty() || !opt.restore_path.empty() ||
-        !opt.sample.empty()) {
-      return RunSpecMode(opt);
-    }
-    if (!opt.mix.empty() || !opt.serve_path.empty()) return RunMixServe(opt);
-    return Run(opt);
+    return RunSingle(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
