@@ -3,9 +3,9 @@
 // Cells run through the batch engine (src/sim/batch.hpp): a worker-pool
 // sweep with an in-process memo (shared cells such as the Alloy baseline
 // column simulate once) and, when REDCACHE_CACHE_DIR is set, a disk cache
-// whose entries are validated against a simulator/preset fingerprint — a
-// stale entry from an older build re-simulates instead of silently serving
-// wrong numbers.
+// keyed by every input of the cell (CellKey) whose entries carry the build
+// identity of the simulator sources — an entry from an older build or
+// other preset re-simulates instead of silently serving wrong numbers.
 //
 // Typical figure structure:
 //   RunCellsAhead(GridCells(policies, workloads), "fig9");  // parallel sweep

@@ -19,7 +19,7 @@ namespace redcache {
 /// "hbm.chan2.act" sorts before "hbm.chan10.act" and hierarchical names
 /// group the way a human reads them. Used for dumps and telemetry output
 /// only — StatSet's internal map stays lexicographic, because snapshot
-/// serialization and fingerprint hashing depend on that iteration order.
+/// serialization (checkpoints, cache entries) depends on that order.
 bool NaturalNameLess(const std::string& a, const std::string& b);
 
 /// A fixed-width bucketed histogram over uint64 samples.
@@ -92,7 +92,7 @@ class StatSet {
   std::string ToString() const;
 
   /// Checkpointing: counters and histograms, in the map's lexicographic
-  /// order (the same order fingerprint hashing depends on).
+  /// order.
   void Snapshot(ser::Writer& w) const;
   /// Replaces the whole contents with the snapshotted set.
   void Restore(ser::Reader& r);

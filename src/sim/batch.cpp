@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,15 +14,21 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "energy/model.hpp"
 #include "obs/json.hpp"
 
 namespace redcache {
+
+/// SHA-256 of the src/ tree and toolchain, generated into build_id.cpp by
+/// src/sim/build_id.cmake.
+extern const char kBuildId[];
 
 namespace {
 
@@ -47,17 +55,27 @@ std::uint64_t FnvStr(std::uint64_t h, const std::string& s) {
   return FnvBytes(FnvU64(h, s.size()), s.data(), s.size());
 }
 
-// Explicit field-by-field hash of a preset. Used to key the in-process
-// fingerprint memo and to separate cache filenames of distinct presets; the
-// canary runs in SimFingerprint are what actually guard correctness, so a
-// field missed here degrades to a shared memo slot, not to wrong numbers.
+std::uint64_t FnvPin(std::uint64_t h,
+                     const std::optional<std::uint32_t>& pin) {
+  h = FnvU64(h, pin.has_value() ? 1 : 0);
+  return FnvU64(h, pin.value_or(0));
+}
+
+// Explicit field-by-field hash of every preset field except
+// telemetry_epoch_cycles (observability only). The build identity covers
+// code, not data, so this hash is the only thing that separates the cache
+// entries of two presets: a field missed here serves one preset's numbers
+// for the other. Batch.CellKeyDistinguishesEverythingThatMattersToResults
+// perturbs each field.
 std::uint64_t HashSram(std::uint64_t h, const SramCacheConfig& c) {
+  h = FnvStr(h, c.name);  // stat prefix
   h = FnvU64(h, c.size_bytes);
   h = FnvU64(h, c.ways);
   return FnvU64(h, c.latency);
 }
 
 std::uint64_t HashDram(std::uint64_t h, const DramConfig& d) {
+  h = FnvStr(h, d.name);  // stat prefix (hbm. / ddr4.)
   const DramTimingParams& t = d.timing;
   for (const Cycle v :
        {t.tRCD, t.tCAS, t.tCCD, t.tWTR, t.tWR, t.tRTP, t.tBL, t.tCWD, t.tRP,
@@ -95,7 +113,10 @@ std::uint64_t PresetFieldHash(const SimPreset& p) {
   h = FnvU64(h, p.mem.has_hbm ? 1 : 0);
   h = FnvU64(h, p.mem.input_queue_cap);
   h = FnvU64(h, p.mem.txn_pool_size);
-  return FnvU64(h, p.mem.line_blocks);
+  h = FnvU64(h, p.mem.line_blocks);
+  // BuildSystem copies preset.mem whole, so pins carried there run too.
+  h = FnvPin(h, p.mem.alpha_pin);
+  return FnvPin(h, p.mem.gamma_pin);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,17 +150,17 @@ std::string HexU64(std::uint64_t v) {
 }
 
 // ---------------------------------------------------------------------------
-// Disk cache (binary, format v3, one ".stats" file per cell). Shares the
-// checkpoint serializer: a self-describing header (section tag, format
-// version, behavioral fingerprint) followed by exec_cycles and the full
-// StatSet via StatSet::Snapshot — the hand-rolled text histogram encoding
-// is gone. ANY malformed byte (truncation, corruption, a stale version, a
-// section-tag mismatch) throws ser::SerializeError inside LoadCached and
-// is treated as a plain miss; the entry is overwritten after
-// re-simulation. Energy is not stored: it is derived from counters and
-// recomputed on load.
+// Disk cache (binary, format v4, one ".stats" file per cell). Shares the
+// checkpoint serializer and its payload checksum:
+//   Section | version | build identity | checksum | exec_cycles | StatSet
+// The checksum (common/hash.hpp) covers everything after itself, so a
+// flipped byte in a stored value is a miss, not a silently wrong hit. ANY
+// malformed byte (truncation, corruption, a stale version or identity, a
+// section-tag mismatch) is treated as a plain miss; the entry is
+// overwritten after re-simulation. Energy is not stored: it is derived from
+// counters and recomputed on load.
 
-bool LoadCached(const std::string& path, std::uint64_t fingerprint,
+bool LoadCached(const std::string& path, const std::string& identity,
                 RunResult& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -149,7 +170,14 @@ bool LoadCached(const std::string& path, std::uint64_t fingerprint,
     ser::Reader r(bytes);
     r.Section("rcache");
     if (r.U64() != kCacheFormatVersion) return false;
-    if (r.U64() != fingerprint) return false;
+    if (r.Str() != identity) return false;
+    const std::uint64_t checksum = r.U64();
+    const std::size_t payload_off = bytes.size() - r.remaining();
+    if (Fnv64(reinterpret_cast<const std::uint8_t*>(bytes.data()) +
+                  payload_off,
+              r.remaining()) != checksum) {
+      return false;
+    }
     out.exec_cycles = r.U64();
     out.stats.Restore(r);
     r.ExpectEnd();
@@ -160,14 +188,19 @@ bool LoadCached(const std::string& path, std::uint64_t fingerprint,
   return true;
 }
 
-void SaveCached(const std::string& path, std::uint64_t fingerprint,
+void SaveCached(const std::string& path, const std::string& identity,
                 const RunResult& r) {
   ser::Writer w;
   w.Section("rcache");
   w.U64(kCacheFormatVersion);
-  w.U64(fingerprint);
+  w.Str(identity);
+  const std::size_t checksum_off = w.buffer().size();
+  w.U64(0);  // checksum placeholder, patched below
+  const std::size_t payload_off = w.buffer().size();
   w.U64(r.exec_cycles);
   r.stats.Snapshot(w);
+  w.PatchU64(checksum_off, Fnv64(w.buffer().data() + payload_off,
+                                 w.buffer().size() - payload_off));
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return;
   const auto& buf = w.buffer();
@@ -246,11 +279,29 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The whole number in environment variable `name`, or 0 when it is unset
+/// or empty. A value that is not all decimal digits (a sign, a suffix,
+/// "abc") or exceeds `max` throws std::invalid_argument naming the
+/// variable, instead of silently meaning something else.
+std::uint64_t EnvCount(const char* name, std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return 0;
+  const char* end = env + std::strlen(env);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc() || ptr != end || v > max) {
+    throw std::invalid_argument(std::string(name) + "=\"" + env +
+                                "\" is not a whole number in [0, " +
+                                std::to_string(max) + "]");
+  }
+  return v;
+}
+
+constexpr std::uint64_t kMiB = 1024ull * 1024ull;
+
 /// REDCACHE_CACHE_MAX_MB as bytes; 0 = unbounded (default).
 std::uint64_t DiskCacheMaxBytes() {
-  const char* env = std::getenv("REDCACHE_CACHE_MAX_MB");
-  if (env == nullptr) return 0;
-  return std::strtoull(env, nullptr, 10) * 1024ull * 1024ull;
+  return EnvCount("REDCACHE_CACHE_MAX_MB", UINT64_MAX / kMiB) * kMiB;
 }
 
 /// Refresh mtime so LRU eviction sees this entry as recently used. Best
@@ -265,9 +316,8 @@ void TouchCacheEntry(const std::string& path) {
 
 unsigned ResolveJobs(unsigned requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("REDCACHE_JOBS")) {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+  if (const std::uint64_t v = EnvCount("REDCACHE_JOBS", UINT_MAX); v > 0) {
+    return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -315,60 +365,7 @@ void ParallelFor(std::size_t n, unsigned jobs,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::uint64_t SimFingerprint(const SimPreset& preset,
-                             const std::string& workload,
-                             const std::string& policy) {
-  // Canary micro-simulations on the *cell's own workload* with fixed seed
-  // and scale (environment scaling bypassed), so a change confined to one
-  // workload's trace generator invalidates that workload's entries instead
-  // of hiding behind a shared canary. The base policy set spans the major
-  // mechanisms — DDR4 only, the Alloy/BEAR baselines, and the full RedCache
-  // policy (alpha, gamma, RCU, refresh bypass); cells running any other
-  // registry policy add a canary of that policy so plugin changes guard
-  // their own cached cells. Hashing every counter plus exec_cycles makes
-  // essentially any behavioral change visible.
-  static const char* kBaseCanaries[] = {"No-HBM", "Alloy", "Bear", "RedCache"};
-  std::vector<std::string> canaries(std::begin(kBaseCanaries),
-                                    std::end(kBaseCanaries));
-  if (!policy.empty() &&
-      std::find(canaries.begin(), canaries.end(), policy) == canaries.end()) {
-    canaries.push_back(policy);
-  }
-
-  static std::mutex mu;
-  static std::map<std::tuple<std::uint64_t, std::string, std::size_t>,
-                  std::uint64_t>
-      memo;
-  const std::uint64_t field_hash = PresetFieldHash(preset);
-  // Two policies never collide in the memo: the extra canary slot is either
-  // absent (base set) or determined by the (keyed) canary count + hash.
-  const auto memo_key =
-      std::make_tuple(field_hash, workload + '\0' + policy, canaries.size());
-  std::lock_guard<std::mutex> lock(mu);
-  if (const auto it = memo.find(memo_key); it != memo.end()) {
-    return it->second;
-  }
-  std::uint64_t h = FnvU64(kFnvOffset, kCacheFormatVersion);
-  h = FnvU64(h, field_hash);
-  h = FnvStr(h, workload);
-  for (const std::string& canary : canaries) {
-    RunSpec spec;
-    spec.policy = canary;
-    spec.workload = workload;
-    spec.preset = preset;
-    spec.scale = 0.01;
-    spec.ignore_env_scale = true;
-    spec.seed = 7;
-    const RunResult r = RunOne(spec);
-    h = FnvU64(h, r.exec_cycles);
-    for (const auto& [name, value] : r.stats.counters()) {
-      h = FnvStr(h, name);
-      h = FnvU64(h, value);
-    }
-  }
-  memo[memo_key] = h;
-  return h;
-}
+std::string CacheIdentity() { return kBuildId; }
 
 std::string CellKey(const CellSpec& cell) {
   const RunSpec& spec = cell.spec;
@@ -506,29 +503,18 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
     RunResult result;
     const char* cache_dir = std::getenv("REDCACHE_CACHE_DIR");
     std::string path;
+    std::string identity;
     bool loaded = false;
-    std::uint64_t fingerprint = 0;
+    std::uint64_t max_bytes = 0;
     if (cache_dir != nullptr) {
-      const auto t_fp = std::chrono::steady_clock::now();
-      if (cell.spec.mix.active()) {
-        // A mix cell depends on every tenant's trace generator, not on the
-        // (ignored) spec.workload: combine one canary fingerprint per
-        // tenant so a change to any co-scheduled workload invalidates it.
-        fingerprint = kFnvOffset;
-        for (const tenant::TenantSpec& t : cell.spec.mix.tenants) {
-          fingerprint = FnvU64(
-              fingerprint, SimFingerprint(cell.spec.preset, t.workload,
-                                          PolicyNameOf(cell.spec)));
-        }
-      } else {
-        fingerprint = SimFingerprint(cell.spec.preset, cell.spec.workload,
-                                     PolicyNameOf(cell.spec));
-      }
-      if (profile != nullptr) {
-        profile->fingerprint_seconds = SecondsSince(t_fp);
-      }
+      max_bytes = DiskCacheMaxBytes();  // a malformed bound fails up front
+      const auto t_id = std::chrono::steady_clock::now();
+      identity = CacheIdentity();
       path = std::string(cache_dir) + "/" + key + ".stats";
-      loaded = LoadCached(path, fingerprint, result);
+      if (profile != nullptr) {
+        profile->fingerprint_seconds = SecondsSince(t_id);
+      }
+      loaded = LoadCached(path, identity, result);
       if (loaded) TouchCacheEntry(path);
     }
     if (!loaded) {
@@ -540,11 +526,8 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
         profile->telemetry_epochs = result.telemetry_epochs;
       }
       if (!path.empty() && result.completed) {
-        SaveCached(path, fingerprint, result);
-        if (const std::uint64_t max_bytes = DiskCacheMaxBytes();
-            max_bytes != 0) {
-          EnforceDiskCacheBound(cache_dir, max_bytes);
-        }
+        SaveCached(path, identity, result);
+        if (max_bytes != 0) EnforceDiskCacheBound(cache_dir, max_bytes);
       }
     } else {
       // Energy is derived from counters; recompute instead of storing it.

@@ -10,10 +10,13 @@
 //  - an in-process memo so shared cells (e.g. the Alloy baseline column
 //    every figure normalizes against) simulate once per process even when
 //    requested concurrently, and
-//  - a disk cache (REDCACHE_CACHE_DIR) whose entries carry a simulator
-//    *fingerprint* — a hash over canary micro-simulation outputs — so a
-//    stale entry written by a different simulator build or preset can never
-//    silently serve wrong numbers; it just misses and re-simulates.
+//  - a disk cache (REDCACHE_CACHE_DIR) keyed by CellKey (every input of the
+//    run: policy, workload, scale, seed, variant, mix, pins, preset fields,
+//    cycle cap) whose entries carry the *build identity* of the simulator
+//    (CacheIdentity: a hash of the src/ tree and toolchain) and a payload
+//    checksum, so an entry written by a different build, or damaged on
+//    disk, can never silently serve wrong numbers; it just misses and
+//    re-simulates.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +30,16 @@
 namespace redcache {
 
 /// Host-side profile of one cell's execution through RunCellCached: where
-/// the wall-clock went (fingerprint canaries vs. the simulation itself) and
-/// which cache layer served the result.
+/// the wall-clock went (keying vs. the simulation itself) and which cache
+/// layer served the result.
 struct CellProfile {
   std::string key;        ///< CellKey (cache filename stem)
   std::string arch;
   std::string workload;
   double wall_seconds = 0.0;         ///< total time inside RunCellCached
-  double fingerprint_seconds = 0.0;  ///< canary fingerprint computation
+  /// Deriving the disk entry's build-identity stamp and path (0 without
+  /// REDCACHE_CACHE_DIR). The name is kept for report readers.
+  double fingerprint_seconds = 0.0;
   double sim_seconds = 0.0;          ///< RunOne (0 when served from cache)
   bool memo_hit = false;  ///< served by the in-process memo (shared future)
   bool disk_hit = false;  ///< served by the REDCACHE_CACHE_DIR entry
@@ -84,14 +89,15 @@ struct BatchOptions {
   BatchReport* report = nullptr;
   /// When set, every cell that actually simulates streams its telemetry
   /// series to `<telemetry_dir>/<CellKey>.ndjson` (observability only; the
-  /// path and epoch pacing never enter cache keys or fingerprints).
+  /// path and epoch pacing never enter cache keys).
   std::string telemetry_dir;
   /// Epoch pacing for `telemetry_dir` series (fixed or adaptive).
   obs::EpochSpec epoch;
 };
 
 /// Resolve a worker count: `requested` if nonzero, else REDCACHE_JOBS,
-/// else std::thread::hardware_concurrency (at least 1).
+/// else std::thread::hardware_concurrency (at least 1). A REDCACHE_JOBS
+/// that is not a whole number throws std::invalid_argument.
 unsigned ResolveJobs(unsigned requested);
 
 /// Run every spec; `results[i]` is the result of `specs[i]` regardless of
@@ -108,19 +114,11 @@ std::vector<RunResult> RunBatch(const std::vector<RunSpec>& specs,
 void ParallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)>& fn);
 
-/// Behavioral fingerprint of (simulator build, preset, workload): a hash
-/// over the full stats output of fixed-seed canary micro-simulations run
-/// with `preset` on `workload` at a tiny fixed scale (REDCACHE_REFS_SCALE
-/// is ignored). Any change to simulator behavior — including one confined
-/// to a single workload's trace generator — or to a preset field that
-/// affects results changes the fingerprint. Memoized per (preset, workload,
-/// policy) in-process. `policy` names the registry policy the caller's cell
-/// runs; registry policies outside the fixed canary set (No-HBM, Alloy,
-/// Bear, RedCache) get an extra canary of their own so a behavioral change
-/// in a plugin policy invalidates that policy's cached cells.
-std::uint64_t SimFingerprint(const SimPreset& preset,
-                             const std::string& workload,
-                             const std::string& policy = "");
+/// Build identity stamped into every disk-cache entry: a SHA-256 (hex) over
+/// every file under src/ plus the compiler ID/version, CMAKE_CXX_FLAGS and
+/// build type, regenerated by the build whenever any of them changes
+/// (src/sim/build_id.cmake). An entry from any other build misses.
+std::string CacheIdentity();
 
 /// One evaluation cell: a spec plus a variant tag distinguishing custom
 /// preset configurations (e.g. fill granularity) in the cache key.
@@ -129,19 +127,22 @@ struct CellSpec {
   std::string variant;
 };
 
-/// Stable cache key for a cell (filename-safe, includes preset name, arch,
-/// workload, effective scale, seed, variant and a hash of the preset fields
-/// and cycle cap).
+/// Stable cache key for a cell: filename-safe, and covering every input
+/// that affects the result apart from the code itself — preset name,
+/// policy, workload, effective scale, seed, variant, mix descriptor, pins,
+/// and a hash of every preset field and the cycle cap.
 std::string CellKey(const CellSpec& cell);
 
 /// Run one cell through the process-wide memo and, when REDCACHE_CACHE_DIR
-/// is set, the fingerprinted disk cache. Concurrent requests for the same
-/// key share a single simulation. Disk entries store exec_cycles, counters
-/// and histograms; energy is derived from counters and recomputed on load.
-/// With REDCACHE_CACHE_MAX_MB set, the disk cache is bounded: a hit
-/// refreshes the entry's mtime and each store evicts least-recently-used
-/// entries until the directory fits. `profile`, when non-null, receives
-/// the host-side timing breakdown for this call.
+/// is set, the disk cache (CellKey names the entry, CacheIdentity stamps
+/// it). Concurrent requests for the same key share a single simulation.
+/// Disk entries store exec_cycles, counters and histograms under a payload
+/// checksum; energy is derived from counters and recomputed on load. With
+/// REDCACHE_CACHE_MAX_MB set, the disk cache is bounded: a hit refreshes
+/// the entry's mtime and each store evicts least-recently-used entries
+/// until the directory fits; a value that is not a whole number of MiB
+/// throws std::invalid_argument. `profile`, when non-null, receives the
+/// host-side timing breakdown for this call.
 RunResult RunCellCached(const CellSpec& cell);
 RunResult RunCellCached(const CellSpec& cell, CellProfile* profile);
 
@@ -150,12 +151,14 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile);
 /// Exposed for tests; RunCellCached calls it after each store.
 void EnforceDiskCacheBound(const std::string& dir, std::uint64_t max_bytes);
 
-/// On-disk cache entry format version; feeds SimFingerprint so bumping it
-/// invalidates every existing entry.
-/// v2: per-workload canaries, histogram serialization, seed/max_cycles in key.
+/// On-disk cache entry format version, stored in every entry's header so
+/// bumping it invalidates every existing entry.
+/// v2: histogram serialization, seed/max_cycles in key.
 /// v3: binary via the common serializer (ser::Writer/Reader); the hand-rolled
 ///     text histogram format is retired and stats use StatSet::Snapshot.
-constexpr std::uint64_t kCacheFormatVersion = 3;
+/// v4: the build identity replaces the behavioral fingerprint, and a
+///     payload checksum covers exec_cycles and the stats.
+constexpr std::uint64_t kCacheFormatVersion = 4;
 
 /// RunBatch over cells with memo + disk cache; duplicate keys (shared
 /// baselines) simulate once. `results[i]` corresponds to `cells[i]`.

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "sim/batch.hpp"
 
 namespace redcache::ckpt {
@@ -13,29 +14,11 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'K', 'P'};
 
-/// Payload checksum — magic+version+checksum precede it, the checksum
-/// covers everything after itself (spec key, cycle, full state), so any
-/// flipped bit in a blob is rejected deterministically instead of
-/// depending on a section tag happening to misalign. FNV-1a folded over
-/// 8-byte little-endian words (byte-wise tail): blobs are megabytes and
-/// sampled runs checksum dozens of them, so the byte-serial variant was
-/// measurable in capture time. Not standard FNV, but self-consistent.
-std::uint64_t Fnv64(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    h ^= ser::GetU64(p + i);
-    h *= 1099511628211ull;
-  }
-  for (; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Reads magic + version + stored payload checksum; leaves the reader
-/// positioned at the payload (spec_key, cycle, state).
+/// positioned at the payload (spec_key, cycle, state). The checksum
+/// (common/hash.hpp) covers everything after itself, so any flipped bit in
+/// a blob is rejected deterministically instead of depending on a section
+/// tag happening to misalign.
 std::uint64_t ReadPreamble(ser::Reader& r) {
   for (const char c : kMagic) {
     if (r.U8() != static_cast<std::uint8_t>(c)) {

@@ -23,9 +23,8 @@ struct RunSpec {
   /// Workload size multiplier. Benches also honor the REDCACHE_REFS_SCALE
   /// environment variable (see EffectiveScale).
   double scale = 1.0;
-  /// Use `scale` exactly, ignoring REDCACHE_REFS_SCALE. The fingerprint
-  /// canaries (sim/batch.cpp) need runs that are reproducible across
-  /// environments.
+  /// Use `scale` exactly, ignoring REDCACHE_REFS_SCALE, for runs that must
+  /// be reproducible across environments (tests, benchmarks).
   bool ignore_env_scale = false;
   std::uint64_t seed = 1;
   Cycle max_cycles = ~Cycle{0};
@@ -50,7 +49,7 @@ struct RunSpec {
   /// runs are never batch-cached (the stream's content is not part of any
   /// key).
   std::string serve_path;
-  /// Observability only — excluded from cache keys, fingerprints and golden
+  /// Observability only — excluded from cache keys and golden
   /// comparisons (CellKey enumerates its fields explicitly, so these never
   /// leak in). When non-empty, RunOne attaches an EpochSampler and writes
   /// the telemetry series here: "-" or "*.ndjson" streams NDJSON records

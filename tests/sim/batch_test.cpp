@@ -1,5 +1,5 @@
 // Batch engine invariants: worker-count determinism, result ordering,
-// cell keys, the fingerprinted disk cache, and ParallelFor coverage.
+// cell keys, the build-stamped disk cache, and ParallelFor coverage.
 #include "sim/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,12 +11,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "obs/json.hpp"
 #include "sim/runner.hpp"
@@ -42,6 +44,28 @@ std::string Serialize(const RunResult& r) {
      << "\nsystem_energy=" << r.energy.SystemNj() << "\n"
      << r.stats.ToString();
   return os.str();
+}
+
+/// A disk-cache entry in the v4 layout RunCellCached writes: header with
+/// `identity`, then the checksummed payload (exec_cycles + stats).
+void WriteEntry(const std::string& path, const std::string& identity,
+                std::uint64_t exec_cycles, const StatSet& stats) {
+  ser::Writer w;
+  // One allocation; also keeps GCC 12's -Wstringop-overflow quiet.
+  w.Reserve(256);
+  w.Section("rcache");
+  w.U64(kCacheFormatVersion);
+  w.Str(identity);
+  const std::size_t checksum_off = w.buffer().size();
+  w.U64(0);
+  const std::size_t payload_off = w.buffer().size();
+  w.U64(exec_cycles);
+  stats.Snapshot(w);
+  w.PatchU64(checksum_off, Fnv64(w.buffer().data() + payload_off,
+                                 w.buffer().size() - payload_off));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(w.buffer().data()),
+            static_cast<std::streamsize>(w.buffer().size()));
 }
 
 std::vector<RunSpec> Matrix() {
@@ -124,10 +148,6 @@ TEST(Batch, CellKeyDistinguishesEverythingThatMattersToResults) {
   d.variant = "gran4";
   EXPECT_NE(CellKey(a), CellKey(d));
 
-  CellSpec e = a;
-  e.spec.preset.mem.hbm.geometry.banks_per_rank *= 2;
-  EXPECT_NE(CellKey(a), CellKey(e)) << "preset fields must feed the key";
-
   CellSpec f = a;
   f.spec.seed = a.spec.seed + 1;
   EXPECT_NE(CellKey(a), CellKey(f))
@@ -149,6 +169,93 @@ TEST(Batch, CellKeyDistinguishesEverythingThatMattersToResults) {
   for (char ch : CellKey(a)) {
     EXPECT_TRUE(ch != '/' && ch != ' ') << "unsafe char in key";
   }
+
+  // The key is the only guard for preset data (the build identity covers
+  // code), so every SimPreset field but the observability-only
+  // telemetry_epoch_cycles must move it.
+  using Tweak = std::function<void(SimPreset&)>;
+  std::vector<std::pair<std::string, Tweak>> tweaks = {
+      {"name", [](SimPreset& p) { p.name = "paper"; }},
+      {"num_cores", [](SimPreset& p) { p.hierarchy.num_cores /= 2; }},
+      {"max_outstanding", [](SimPreset& p) { p.core.max_outstanding++; }},
+      {"dependent_fraction",
+       [](SimPreset& p) { p.core.dependent_fraction += 0.125; }},
+      {"l1_hit_cost", [](SimPreset& p) { p.core.l1_hit_cost++; }},
+      {"l2_hit_cost", [](SimPreset& p) { p.core.l2_hit_cost++; }},
+      {"l3_hit_cost", [](SimPreset& p) { p.core.l3_hit_cost++; }},
+      {"retry_interval", [](SimPreset& p) { p.core.retry_interval++; }},
+      {"has_hbm", [](SimPreset& p) { p.mem.has_hbm = !p.mem.has_hbm; }},
+      {"input_queue_cap", [](SimPreset& p) { p.mem.input_queue_cap++; }},
+      {"txn_pool_size", [](SimPreset& p) { p.mem.txn_pool_size++; }},
+      {"line_blocks", [](SimPreset& p) { p.mem.line_blocks *= 2; }},
+      {"alpha_pin", [](SimPreset& p) { p.mem.alpha_pin = 2; }},
+      {"gamma_pin", [](SimPreset& p) { p.mem.gamma_pin = 2; }},
+  };
+  using SramTweak = void (*)(SramCacheConfig&);
+  const std::pair<const char*, SramTweak> sram_fields[] = {
+      {"name", [](SramCacheConfig& c) { c.name += "x"; }},
+      {"size_bytes", [](SramCacheConfig& c) { c.size_bytes *= 2; }},
+      {"ways", [](SramCacheConfig& c) { c.ways *= 2; }},
+      {"latency", [](SramCacheConfig& c) { c.latency++; }},
+  };
+  for (const auto& [level, cfg] :
+       {std::pair{"l1.", &HierarchyConfig::l1}, {"l2.", &HierarchyConfig::l2},
+        {"l3.", &HierarchyConfig::l3}}) {
+    for (const auto& [field, f] : sram_fields) {
+      tweaks.emplace_back(std::string(level) + field,
+                          [cfg, f](SimPreset& p) { f(p.hierarchy.*cfg); });
+    }
+  }
+  using DramTweak = void (*)(DramConfig&);
+  const std::pair<const char*, DramTweak> dram_fields[] = {
+      {"name", [](DramConfig& d) { d.name += "x"; }},
+      {"tRCD", [](DramConfig& d) { d.timing.tRCD++; }},
+      {"tCAS", [](DramConfig& d) { d.timing.tCAS++; }},
+      {"tCCD", [](DramConfig& d) { d.timing.tCCD++; }},
+      {"tWTR", [](DramConfig& d) { d.timing.tWTR++; }},
+      {"tWR", [](DramConfig& d) { d.timing.tWR++; }},
+      {"tRTP", [](DramConfig& d) { d.timing.tRTP++; }},
+      {"tBL", [](DramConfig& d) { d.timing.tBL++; }},
+      {"tCWD", [](DramConfig& d) { d.timing.tCWD++; }},
+      {"tRP", [](DramConfig& d) { d.timing.tRP++; }},
+      {"tRRD", [](DramConfig& d) { d.timing.tRRD++; }},
+      {"tRAS", [](DramConfig& d) { d.timing.tRAS++; }},
+      {"tRC", [](DramConfig& d) { d.timing.tRC++; }},
+      {"tFAW", [](DramConfig& d) { d.timing.tFAW++; }},
+      {"tREFI", [](DramConfig& d) { d.timing.tREFI++; }},
+      {"tRFC", [](DramConfig& d) { d.timing.tRFC++; }},
+      {"tRTW_bubble", [](DramConfig& d) { d.timing.tRTW_bubble++; }},
+      {"channels", [](DramConfig& d) { d.geometry.channels *= 2; }},
+      {"ranks", [](DramConfig& d) { d.geometry.ranks_per_channel *= 2; }},
+      {"banks", [](DramConfig& d) { d.geometry.banks_per_rank *= 2; }},
+      {"row_bytes", [](DramConfig& d) { d.geometry.row_bytes *= 2; }},
+      {"capacity", [](DramConfig& d) { d.geometry.capacity_bytes *= 2; }},
+      {"bus_bits", [](DramConfig& d) { d.geometry.bus_bits *= 2; }},
+      {"burst_bytes", [](DramConfig& d) { d.geometry.burst_bytes *= 2; }},
+      {"sideband", [](DramConfig& d) { d.geometry.sideband_bytes += 8; }},
+      {"queue_depth", [](DramConfig& d) { d.controller.queue_depth++; }},
+      {"starvation", [](DramConfig& d) { d.controller.starvation_cycles++; }},
+  };
+  for (const auto& [device, cfg] :
+       {std::pair{"hbm.", &MemControllerConfig::hbm},
+        {"mainmem.", &MemControllerConfig::mainmem}}) {
+    for (const auto& [field, f] : dram_fields) {
+      tweaks.emplace_back(std::string(device) + field,
+                          [cfg, f](SimPreset& p) { f(p.mem.*cfg); });
+    }
+  }
+  std::set<std::string> keys = {CellKey(a)};
+  for (const auto& [field, tweak] : tweaks) {
+    CellSpec t = a;
+    tweak(t.spec.preset);
+    EXPECT_TRUE(keys.insert(CellKey(t)).second)
+        << "preset field " << field << " does not feed the key";
+  }
+
+  CellSpec telemetry = a;
+  telemetry.spec.preset.telemetry_epoch_cycles *= 2;
+  EXPECT_EQ(CellKey(a), CellKey(telemetry))
+      << "telemetry pacing is observability only";
 }
 
 TEST(Batch, ThresholdPinsJoinCellKeyOnlyWhenSet) {
@@ -169,22 +276,6 @@ TEST(Batch, ThresholdPinsJoinCellKeyOnlyWhenSet) {
   EXPECT_NE(CellKey(alpha), plain);
 }
 
-TEST(Batch, FingerprintTracksPresetBehavior) {
-  const SimPreset base = EvalPreset();
-  const std::uint64_t fp = SimFingerprint(base, "RDX");
-  EXPECT_EQ(fp, SimFingerprint(base, "RDX"))
-      << "must be stable within a process";
-
-  SimPreset tweaked = base;
-  tweaked.mem.hbm.timing.tRCD += 1;  // behaviorally meaningful change
-  EXPECT_NE(fp, SimFingerprint(tweaked, "RDX"));
-
-  // Per-workload canaries: a change confined to one workload's trace
-  // generator must not hide behind a shared canary workload.
-  EXPECT_NE(fp, SimFingerprint(base, "LU"));
-  EXPECT_NE(SimFingerprint(base, "LU"), SimFingerprint(base, "HIST"));
-}
-
 TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   char tmpl[] = "/tmp/redcache_batch_test_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
@@ -202,8 +293,8 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   const RunResult first = RunCellCached(cell);
   const std::string path = dir + "/" + CellKey(cell) + ".stats";
   {
-    // The entry is a v3 binary blob framed by the common serializer:
-    // section tag, format version, behavioral fingerprint.
+    // The entry is a v4 binary blob framed by the common serializer:
+    // section tag, format version, build identity, payload checksum.
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << "expected cache file at " << path;
     std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -211,7 +302,12 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
     ser::Reader r(bytes);
     ASSERT_NO_THROW(r.Section("rcache"));
     EXPECT_EQ(r.U64(), kCacheFormatVersion);
-    EXPECT_EQ(r.U64(), SimFingerprint(s.preset, s.workload));
+    EXPECT_EQ(r.Str(), CacheIdentity());
+    const std::uint64_t checksum = r.U64();
+    EXPECT_EQ(checksum,
+              Fnv64(reinterpret_cast<const std::uint8_t*>(bytes.data()) +
+                        (bytes.size() - r.remaining()),
+                    r.remaining()));
     EXPECT_EQ(r.U64(), first.exec_cycles);
   }
 
@@ -220,37 +316,28 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   const RunResult again = RunCellCached(cell);
   EXPECT_EQ(Serialize(first), Serialize(again));
 
-  // Rewrite the entry with a wrong fingerprint (structurally valid v3):
-  // the loader must refuse it and re-simulate rather than serve stale
-  // numbers.
-  {
-    ser::Writer w;
-    w.Section("rcache");
-    w.U64(kCacheFormatVersion);
-    w.U64(0);  // fingerprint that matches no preset
-    w.U64(1);
-    StatSet empty;
-    empty.Snapshot(w);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(w.buffer().data()),
-              static_cast<std::streamsize>(w.buffer().size()));
-  }
-  // The in-process memo still holds the result; a fresh key forces a miss.
+  // An entry from another build (structurally valid v4, checksum intact,
+  // foreign identity) must miss and re-simulate rather than serve stale
+  // numbers. The in-process memo holds the first key, so use a fresh one.
   CellSpec cell2{s, "disk2"};
-  const RunResult fresh = RunCellCached(cell2);
+  const std::string path2 = dir + "/" + CellKey(cell2) + ".stats";
+  WriteEntry(path2, "another-build", 1, StatSet{});
+  CellProfile prof;
+  const RunResult fresh = RunCellCached(cell2, &prof);
+  EXPECT_FALSE(prof.disk_hit);
   EXPECT_EQ(fresh.exec_cycles, first.exec_cycles)
       << "identical spec under a different key must re-derive the same run";
 
   ::unsetenv("REDCACHE_CACHE_DIR");
   std::remove(path.c_str());
-  std::remove((dir + "/" + CellKey(cell2) + ".stats").c_str());
+  std::remove(path2.c_str());
   ::rmdir(dir.c_str());
 }
 
 TEST(Batch, DiskCacheRoundTripsHistograms) {
   // No current workload emits histograms, so exercise the load path with a
-  // hand-written entry in the v3 binary format: fingerprint + exec_cycles
-  // + a StatSet holding counters and one histogram. RunCellCached must
+  // hand-written entry in the v4 binary format: exec_cycles + a StatSet
+  // holding counters and one histogram. RunCellCached must
   // serve it (memo-cold key) with the histogram restored exactly.
   char tmpl[] = "/tmp/redcache_batch_hist_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
@@ -276,17 +363,7 @@ TEST(Batch, DiskCacheRoundTripsHistograms) {
   src_h.Add(1000);            // overflow
 
   const std::string path = dir + "/" + CellKey(cell) + ".stats";
-  {
-    ser::Writer w;
-    w.Section("rcache");
-    w.U64(kCacheFormatVersion);
-    w.U64(SimFingerprint(s.preset, s.workload));
-    w.U64(4242);
-    source.Snapshot(w);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(w.buffer().data()),
-              static_cast<std::streamsize>(w.buffer().size()));
-  }
+  WriteEntry(path, CacheIdentity(), 4242, source);
 
   const RunResult r = RunCellCached(cell);
   EXPECT_TRUE(r.completed);
@@ -317,10 +394,11 @@ TEST(Batch, DiskCacheRoundTripsHistograms) {
 }
 
 TEST(Batch, DiskCacheCorruptEntryIsMissAndRepaired) {
-  // Satellite negative test for the v3 binary format: a truncated or
-  // bit-flipped entry must load as a miss (never fault, never serve
-  // garbage), the cell re-simulates, and the bad file is overwritten with
-  // a valid entry that then round-trips.
+  // Negative test for the v4 binary format: a truncated or bit-flipped
+  // entry must load as a miss (never fault, never serve garbage), the cell
+  // re-simulates, and the bad file is overwritten with a valid entry that
+  // then round-trips. Flips inside stored values parse cleanly, so only
+  // the payload checksum can catch them.
   char tmpl[] = "/tmp/redcache_batch_corrupt_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
@@ -369,10 +447,30 @@ TEST(Batch, DiskCacheCorruptEntryIsMissAndRepaired) {
     std::remove(path.c_str());
   };
 
+  // Offsets of the payload's values: exec_cycles, then the first counter's
+  // value (after the stats section tag, the counter count and its name).
+  ser::Reader r(good_bytes);
+  r.Section("rcache");
+  r.U64();
+  r.Str();
+  r.U64();
+  const std::size_t exec_off = good_bytes.size() - r.remaining();
+  ASSERT_EQ(r.U64(), truth.exec_cycles);
+  r.Section("stats");
+  ASSERT_GT(r.U64(), 0u) << "the run exported no counters";
+  r.Str();
+  const std::size_t counter_off = good_bytes.size() - r.remaining();
+
+  const auto flip = [&](std::size_t off, std::uint8_t mask) {
+    std::string bytes = good_bytes;
+    bytes[off] = static_cast<char>(bytes[off] ^ mask);
+    return bytes;
+  };
   damage("truncated", good_bytes.substr(0, good_bytes.size() / 3));
-  std::string flipped = good_bytes;
-  flipped[4] ^= 0x01;  // format-version byte
-  damage("version-flip", flipped);
+  damage("version-flip", flip(4, 0x01));
+  damage("exec-cycles-flip", flip(exec_off, 0x01));
+  damage("exec-cycles-high-flip", flip(exec_off + 5, 0x80));
+  damage("counter-value-flip", flip(counter_off, 0x04));
   damage("garbage", "this is not a cache entry at all");
   damage("empty", "");
 
@@ -468,20 +566,11 @@ TEST(Batch, DiskCacheHitRefreshesRecencyAndProfilesAsDiskHit) {
   s.seed = 19;
   CellSpec cell{s, "lru_touch"};  // memo-cold key: must go to disk
 
-  const std::uint64_t fp = SimFingerprint(s.preset, s.workload);
   const std::string path = dir + "/" + CellKey(cell) + ".stats";
   {
-    ser::Writer w;
-    w.Section("rcache");
-    w.U64(kCacheFormatVersion);
-    w.U64(fp);
-    w.U64(777);
     StatSet stats;
     stats.Counter("hbm.reads") = 5;
-    stats.Snapshot(w);
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(w.buffer().data()),
-              static_cast<std::streamsize>(w.buffer().size()));
+    WriteEntry(path, CacheIdentity(), 777, stats);
   }
   const auto stale = fs::file_time_type::clock::now() - std::chrono::hours(1);
   fs::last_write_time(path, stale);
@@ -544,6 +633,61 @@ TEST(Batch, RunCellsFillsBatchReport) {
   EXPECT_DOUBLE_EQ(summary->Find("memo_hits")->number, 1.0);
   EXPECT_DOUBLE_EQ(summary->Find("simulated")->number, 2.0);
   EXPECT_EQ(doc.Find("cells")->array.size(), 3u);
+}
+
+TEST(Batch, CacheEnvironmentParsesStrictly) {
+  // A typo in a worker count or a cache bound must fail loudly, naming the
+  // variable, instead of meaning "unbounded" or "default".
+  for (const char* bad :
+       {"abc", "-1", "3x", " 3", "+3", "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_EQ(::setenv("REDCACHE_JOBS", bad, 1), 0);
+    try {
+      ResolveJobs(0);
+      ADD_FAILURE() << "REDCACHE_JOBS accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("REDCACHE_JOBS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(::setenv("REDCACHE_JOBS", "4294967296", 1), 0);  // > UINT_MAX
+  EXPECT_THROW(ResolveJobs(0), std::invalid_argument);
+  ::unsetenv("REDCACHE_JOBS");
+
+  char tmpl[] = "/tmp/redcache_batch_env_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
+  RunSpec s;
+  s.policy = "No-HBM";
+  s.workload = "LU";
+  s.scale = 0.01;
+  s.ignore_env_scale = true;
+  // MiB beyond 2^64 bytes used to wrap around to a tiny bound.
+  for (const char* bad : {"abc", "-5", "1.5", "17592186044416"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_EQ(::setenv("REDCACHE_CACHE_MAX_MB", bad, 1), 0);
+    CellSpec cell{s, std::string("env-") + bad};
+    try {
+      RunCellCached(cell);
+      ADD_FAILURE() << "REDCACHE_CACHE_MAX_MB accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("REDCACHE_CACHE_MAX_MB"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // 0 and unset keep meaning unbounded.
+  for (const char* ok : {"0", ""}) {
+    SCOPED_TRACE(ok);
+    ASSERT_EQ(::setenv("REDCACHE_CACHE_MAX_MB", ok, 1), 0);
+    CellSpec cell{s, std::string("env-ok-") + ok};
+    EXPECT_TRUE(RunCellCached(cell).completed);
+  }
+  ::unsetenv("REDCACHE_CACHE_MAX_MB");
+  ::unsetenv("REDCACHE_CACHE_DIR");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Batch, ResolveJobsHonorsEnvAndFloor) {

@@ -1,6 +1,6 @@
 // Mix cells in the batch engine: the cache key must incorporate the whole
 // mix descriptor, results must be deterministic across worker counts, the
-// fingerprinted disk cache must round-trip tenant counters, and the batch
+// build-stamped disk cache must round-trip tenant counters, and the batch
 // report JSON must carry the per-tenant QoS rows.
 #include "sim/batch.hpp"
 
@@ -130,8 +130,8 @@ TEST(MixBatch, DiskCacheRoundTripsTenantCounters) {
   ASSERT_TRUE(std::ifstream(path).good()) << path;
 
   // The in-process memo would mask the disk path for the same key; copy the
-  // entry under a memo-cold key (the variant is not part of the stored
-  // fingerprint) and it must be served from disk, tenant counters intact.
+  // entry under a memo-cold key (an entry stores the build identity, not
+  // its key) and it must be served from disk, tenant counters intact.
   CellSpec cold = cell;
   cold.variant = "mixdisk2";
   const std::string cold_path = dir + "/" + CellKey(cold) + ".stats";
@@ -140,7 +140,7 @@ TEST(MixBatch, DiskCacheRoundTripsTenantCounters) {
   CellProfile profile;
   const RunResult loaded = RunCellCached(cold, &profile);
   EXPECT_TRUE(profile.disk_hit)
-      << "fingerprint mismatch: the mix entry was recomputed, not loaded";
+      << "identity mismatch: the mix entry was recomputed, not loaded";
   const auto want = tenant::QosFromStats(first.stats);
   const auto got = tenant::QosFromStats(loaded.stats);
   ASSERT_EQ(got.size(), want.size());

@@ -497,7 +497,7 @@ void PrintQos(FILE* out, const tenant::MixSpec& mix,
 }
 
 /// --sweep: the (policy x workload) evaluation matrix on the batch engine.
-/// Cells go through the fingerprinted cache when REDCACHE_CACHE_DIR is set.
+/// Cells go through the disk cache when REDCACHE_CACHE_DIR is set.
 int RunSweep(const CliOptions& opt) {
   std::vector<std::string> policies;
   if (opt.sweep_policies.empty()) {
