@@ -23,10 +23,12 @@ std::vector<RcuManager::Entry> RcuManager::Insert(Addr block,
   }
   if (entries_.size() >= capacity_) {
     evicted.push_back(entries_.front());
+    Unpark(entries_.front().loc.channel);
     entries_.pop_front();
     capacity_flushes_++;
   }
   entries_.push_back({block, loc});
+  Park(loc.channel);
   return evicted;
 }
 
@@ -44,6 +46,7 @@ bool RcuManager::Contains(Addr block) {
 void RcuManager::Remove(Addr block) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->block == block) {
+      Unpark(it->loc.channel);
       entries_.erase(it);
       return;
     }
@@ -55,6 +58,7 @@ std::vector<RcuManager::Entry> RcuManager::MatchIndex(const DramAddress& loc) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->loc.SameRowAs(loc)) {
       out.push_back(*it);
+      Unpark(it->loc.channel);
       it = entries_.erase(it);
       merged_flushes_++;
     } else {
@@ -66,6 +70,8 @@ std::vector<RcuManager::Entry> RcuManager::MatchIndex(const DramAddress& loc) {
 
 std::vector<RcuManager::Entry> RcuManager::PopChannel(std::uint32_t channel) {
   std::vector<Entry> out;
+  if (parked_[channel] == 0) return out;
+  parked_[channel] = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->loc.channel == channel) {
       out.push_back(*it);
@@ -81,6 +87,7 @@ std::vector<RcuManager::Entry> RcuManager::PopChannel(std::uint32_t channel) {
 std::vector<RcuManager::Entry> RcuManager::PopAll() {
   std::vector<Entry> out(entries_.begin(), entries_.end());
   entries_.clear();
+  parked_.assign(parked_.size(), 0);
   return out;
 }
 

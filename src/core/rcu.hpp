@@ -14,6 +14,7 @@
 // tiny block cache that can serve repeat reads without touching HBM.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -31,7 +32,10 @@ class RcuManager {
     DramAddress loc;
   };
 
-  explicit RcuManager(std::size_t capacity = 32) : capacity_(capacity) {}
+  /// `channels`: the HBM channel count; every entry's loc.channel is below
+  /// it.
+  explicit RcuManager(std::size_t capacity = 32, std::uint32_t channels = 1)
+      : capacity_(capacity), parked_(channels, 0) {}
 
   /// Park an update for `block`. If the queue is full the oldest entry is
   /// evicted and returned (condition 3) — the caller must write it to HBM.
@@ -54,6 +58,12 @@ class RcuManager {
   std::vector<Entry> PopAll();
 
   std::size_t size() const { return entries_.size(); }
+  const std::deque<Entry>& entries() const { return entries_; }
+  /// Entries parked for `channel`: condition 2 can drain something only
+  /// while this is non-zero, so the controller tests it before PopChannel.
+  std::uint32_t parked(std::uint32_t channel) const {
+    return parked_[channel];
+  }
   bool full() const { return entries_.size() >= capacity_; }
 
   std::uint64_t inserts() const { return inserts_; }
@@ -98,8 +108,15 @@ class RcuManager {
   void Restore(ser::Reader& r) {
     r.Section("rcu");
     entries_.clear();
+    parked_.assign(parked_.size(), 0);
     const std::size_t n = r.SeqLen(32);
-    for (std::size_t i = 0; i < n; ++i) entries_.push_back(RestoreEntry(r));
+    for (std::size_t i = 0; i < n; ++i) {
+      entries_.push_back(RestoreEntry(r));
+      if (entries_.back().loc.channel >= parked_.size()) {
+        throw ser::SerializeError("RCU entry channel out of range");
+      }
+      Park(entries_.back().loc.channel);
+    }
     inserts_ = r.U64();
     updates_in_place_ = r.U64();
     searches_ = r.U64();
@@ -110,8 +127,16 @@ class RcuManager {
   }
 
  private:
+  void Park(std::uint32_t channel) {
+    assert(channel < parked_.size() && "RCU entry on an unknown channel");
+    parked_[channel]++;
+  }
+  void Unpark(std::uint32_t channel) { parked_[channel]--; }
+
   std::size_t capacity_;
   std::deque<Entry> entries_;  ///< front = oldest
+  /// Per-channel count of entries_, maintained by every insert and removal.
+  std::vector<std::uint32_t> parked_;
 
   std::uint64_t inserts_ = 0;
   std::uint64_t updates_in_place_ = 0;

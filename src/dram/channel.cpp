@@ -45,8 +45,19 @@ DramChannel::DramChannel(const DramConfig& cfg, std::uint32_t channel_index)
   summary_lut_.assign(std::size_t{lanes_.num_ranks()} * 8, 0);
 }
 
-void DramChannel::Enqueue(const DramRequest& req) {
+void DramChannel::Enqueue(const DramRequest& req, bool slot_ticked) {
   assert(CanAccept());
+  // A new request voids the issue-time pre-pass. If its slot's pass has not
+  // run yet, that pass must now see the request, so the sleep target the
+  // pre-pass set ahead of time is taken back.
+  if (prepass_slot_ != kNever) {
+    if (prepass_due_ == 0 &&
+        (req.arrival < prepass_slot_ ||
+         (req.arrival == prepass_slot_ && !slot_ticked))) {
+      sleep_until_ = prepass_saved_sleep_;
+    }
+    prepass_slot_ = kNever;
+  }
   const std::int32_t s = free_slots_.back();
   free_slots_.pop_back();
   Pending& p = slots_[static_cast<std::size_t>(s)];
@@ -384,6 +395,30 @@ void DramChannel::IssuePrecharge(std::uint32_t bank_idx, Cycle now) {
   RefreshBankSummary(bank_idx);
 }
 
+void DramChannel::PrepassNextSlot() {
+  // The next slot's pass would run MaybeRefresh's fast path, skip the
+  // starved-head branch and then this same pre-pass, on inputs that only an
+  // Enqueue (which discards the result) can change before then.
+  const Cycle slot = next_cmd_slot_;
+  if (q_slot_.empty() || slot >= refresh_wake_ ||
+      q_arrival_[0] + cfg_.controller.starvation_cycles < slot) {
+    return;
+  }
+  Cycle min_ready = refresh_wake_;
+  prepass_due_ = SummarizeBanks(slot, min_ready);
+  prepass_slot_ = slot;
+  if (prepass_due_ != 0) {
+    // Some bank is due: the slot's pass reuses the flags and this minimum.
+    prepass_min_ = min_ready;
+    return;
+  }
+  // Nothing is due: sleep exactly as the slot's pass would, and skip it.
+  prepass_saved_sleep_ = sleep_until_;
+  sleep_until_ = min_ready == kNever
+                     ? slot + kCpuCyclesPerDramCycle
+                     : std::max(min_ready, slot + kCpuCyclesPerDramCycle);
+}
+
 bool DramChannel::MaybeRefresh(Cycle now, Cycle& min_ready) {
   // Fast path: nothing refresh-related can happen before refresh_wake_.
   if (now < refresh_wake_) {
@@ -468,6 +503,10 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
   if (now % kCpuCyclesPerDramCycle != 0) return;
   if (now < next_cmd_slot_ || now < sleep_until_) return;
 
+  // A pre-pass kept from the previous issue is valid for its slot only.
+  const bool kept = now == prepass_slot_;
+  prepass_slot_ = kNever;
+
   Cycle min_ready = kNever;
   if (MaybeRefresh(now, min_ready)) return;
 
@@ -497,6 +536,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
       } else {
         IssuePrecharge(q_bank_[0], now);
       }
+      PrepassNextSlot();
       return;
     }
     min_ready = std::min(min_ready, head_ready);
@@ -506,8 +546,15 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
 
   // Per-bank pre-pass over the flat lanes: if no bank can issue at `now`,
   // the exact sleep target is already in min_ready and the queue is never
-  // touched.
-  if (SummarizeBanks(now, min_ready) == 0) {
+  // touched. The previous issue may have run it for this slot already.
+  std::uint32_t due;
+  if (kept) {
+    due = prepass_due_;
+    min_ready = std::min(min_ready, prepass_min_);
+  } else {
+    due = SummarizeBanks(now, min_ready);
+  }
+  if (due == 0) {
     sleep_until_ = min_ready == kNever
                        ? now + kCpuCyclesPerDramCycle
                        : std::max(min_ready, now + kCpuCyclesPerDramCycle);
@@ -539,6 +586,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
       if (q_write_[i] == 0 || drain_writes) {
         // FR-FCFS: the oldest ready row-hit (read-first) wins.
         IssueColumn(i, now);
+        PrepassNextSlot();
         return;
       }
       if (write_pick == q_size) write_pick = i;
@@ -559,6 +607,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
 
   if (write_pick != q_size) {
     IssueColumn(write_pick, now);
+    PrepassNextSlot();
     return;
   }
   if (open_pick != q_size) {
@@ -567,6 +616,7 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
     } else {
       IssuePrecharge(q_bank_[open_pick], now);
     }
+    PrepassNextSlot();
     return;
   }
 
@@ -616,6 +666,10 @@ void DramChannel::Snapshot(ser::Writer& w) const {
   w.U64(next_cmd_slot_);
   w.U64(sleep_until_);
   w.U64(refresh_wake_);
+  // Only a pre-pass that moved sleep_until_ is state; a kept due count is
+  // a cache the slot's pass recomputes.
+  w.U64(prepass_due_ == 0 ? prepass_slot_ : kNever);
+  w.U64(prepass_saved_sleep_);
   w.U64(refresh_epoch_);
   w.I64(cont_slot_);
   w.U32(cont_bank_);
@@ -703,6 +757,9 @@ void DramChannel::Restore(ser::Reader& r) {
   next_cmd_slot_ = r.U64();
   sleep_until_ = r.U64();
   refresh_wake_ = r.U64();
+  prepass_slot_ = r.U64();
+  prepass_saved_sleep_ = r.U64();
+  prepass_due_ = 0;
   refresh_epoch_ = r.U64();
   cont_slot_ = static_cast<std::int32_t>(r.I64());
   cont_bank_ = r.U32();

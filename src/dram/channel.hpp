@@ -50,8 +50,10 @@ class DramChannel {
   bool QueueEmpty() const { return q_slot_.empty() && pending_done_.empty(); }
   std::size_t QueueSize() const { return q_slot_.size(); }
 
-  /// Enqueue a transaction (caller checked CanAccept).
-  void Enqueue(const DramRequest& req);
+  /// Enqueue a transaction (caller checked CanAccept). `slot_ticked` says
+  /// the channel's owner already ticked it at `req.arrival` this cycle, so
+  /// the request arrives after that cycle's scheduler pass.
+  void Enqueue(const DramRequest& req, bool slot_ticked = false);
 
   /// Advance to CPU cycle `now`; may issue at most one command per DRAM
   /// clock. Completed transactions are appended to `done`.
@@ -128,6 +130,12 @@ class DramChannel {
   void IssuePrecharge(std::uint32_t bank_idx, Cycle now);
   /// Handles refresh duty. Returns true if a command slot was consumed.
   bool MaybeRefresh(Cycle now, Cycle& min_ready);
+  /// Issue-time pre-pass (DESIGN.md §12): after a scheduler command, run
+  /// the next command slot's per-bank pre-pass now. If no bank is due
+  /// there, set sleep_until_ as that slot's pass would; otherwise keep the
+  /// result for it. Skipped when that pass could take another branch
+  /// (empty queue, refresh bookkeeping due, starved head).
+  void PrepassNextSlot();
 
   /// Remove queue position `i` (compacting the arrival-order lanes) and
   /// return its slot to the free pool.
@@ -158,6 +166,14 @@ class DramChannel {
   mutable Cycle idle_hint_ = 0;
   mutable std::uint64_t idle_hint_epoch_ = ~std::uint64_t{0};
   std::uint64_t refresh_epoch_ = 0;  ///< bumped on every StartRefresh
+  /// Issue-time pre-pass result for command slot prepass_slot_ (kNever when
+  /// none): the due count, and either the min over banks not due (due > 0,
+  /// with bank_due_ holding the flags) or the sleep_until_ it replaced
+  /// (due == 0), restored if an Enqueue lands before that slot's pass.
+  Cycle prepass_slot_ = ~Cycle{0};
+  Cycle prepass_min_ = 0;
+  Cycle prepass_saved_sleep_ = 0;
+  std::uint32_t prepass_due_ = 0;
   /// Queue lane of cold-state indices into slots_; declared here (not with
   /// its sibling lanes below) because its header's empty() test is on the
   /// every-visit path.

@@ -36,7 +36,8 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
   req.tenant = tenant;
   req.user_tag = user_tag;
   assert(channels_[req.loc.channel]->CanAccept());
-  channels_[req.loc.channel]->Enqueue(req);
+  channels_[req.loc.channel]->Enqueue(req,
+                                      /*slot_ticked=*/ticked_through_ > now);
   inflight_++;
   // New work re-arms the channel's wake. EnqueueWake (not NextEventHint):
   // when the enqueue lands before this visit's device tick the channel may
@@ -47,6 +48,7 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
 }
 
 void DramSystem::Tick(Cycle now) {
+  ticked_through_ = now + 1;
   // Fixed-latency completions (functional mode, or the tail of one after a
   // restore into detailed timing): stable compacting drain, like a channel's
   // pending-done pass.
@@ -184,6 +186,7 @@ void DramSystem::Restore(ser::Reader& r) {
   func_min_ = r.U64();
   for (auto& ch : channels_) ch->Restore(r);
   wakes_.Reset(channels_.size());  // all due: spurious visits are no-ops
+  ticked_through_ = 0;
 }
 
 }  // namespace redcache

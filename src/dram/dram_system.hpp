@@ -128,6 +128,10 @@ class DramSystem {
   /// Enqueue; between those, channel state cannot change, so the stored
   /// hint stays exact.
   WakeList wakes_;
+  /// One past the last cycle Tick ran for: an Enqueue at `now` below it
+  /// lands after this cycle's channel passes (a skipped channel included).
+  /// Zero after a restore, which is always taken at a cycle boundary.
+  Cycle ticked_through_ = 0;
 };
 
 }  // namespace redcache

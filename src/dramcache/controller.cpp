@@ -137,13 +137,17 @@ void ControllerBase::RouteCompletions(DramSystem& dev, bool from_hbm,
 }
 
 Cycle ControllerBase::Tick(Cycle now) {
-  PumpDeferred(now);
+  // Every step below is skipped inline when it has nothing to do; the
+  // order of the steps is the behaviour.
+  if (HasDeferred()) PumpDeferred(now);
   if (hbm_ != nullptr) hbm_->Tick(now);
   mm_->Tick(now);
-  if (hbm_ != nullptr) RouteCompletions(*hbm_, true, now);
-  RouteCompletions(*mm_, false, now);
+  if (hbm_ != nullptr && !hbm_->completions().empty()) {
+    RouteCompletions(*hbm_, true, now);
+  }
+  if (!mm_->completions().empty()) RouteCompletions(*mm_, false, now);
   PolicyTick(now);
-  PumpDeferred(now);
+  if (HasDeferred()) PumpDeferred(now);
   while (!input_.empty() && HasFreeTxn()) {
     const Input in = input_.front();
     input_.pop_front();
@@ -151,7 +155,7 @@ Cycle ControllerBase::Tick(Cycle now) {
     TenantScope scope(*this, t.addr);
     StartTxn(t, now);
   }
-  PumpDeferred(now);
+  if (HasDeferred()) PumpDeferred(now);
   return NextEventHint(now);
 }
 

@@ -309,6 +309,9 @@ class ControllerBase : public MemController, protected ColumnCommandObserver {
   }
 
   bool HasFreeTxn() const { return !free_txns_.empty(); }
+  bool HasDeferred() const {
+    return !deferred_hbm_.empty() || !deferred_mm_.empty();
+  }
   Txn& AllocTxn(const Input& in);
   void PumpDeferred(Cycle now);
   void RouteCompletions(DramSystem& dev, bool from_hbm, Cycle now);

@@ -147,7 +147,7 @@ RedCacheController::RedCacheController(MemControllerConfig cfg,
             cfg.hbm.geometry.channels),
       alpha_(opt_.alpha),
       gamma_(opt_.gamma),
-      rcu_(opt_.rcu_entries),
+      rcu_(opt_.rcu_entries, cfg.hbm.geometry.channels),
       recent_invalidations_(16384, ~Addr{0}) {
   assert(cfg.line_blocks == 1 && "RedCache is a fine-grained (64 B) cache");
 }
@@ -497,7 +497,7 @@ void RedCacheController::PolicyTick(Cycle now) {
   // Condition 2: drain parked updates into idle channels.
   if (rcu_.size() != 0) {
     for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (hbm_->ChannelTransactionQueueEmpty(ch)) {
+      if (IdleWithParked(ch)) {
         FlushRcuEntries(rcu_.PopChannel(ch), now, obs::kRcuFlushIdle);
       }
     }
@@ -509,15 +509,18 @@ Cycle RedCacheController::PolicyWake(Cycle now) const {
     return kNeverWake;
   }
   // Updates parked after this tick's drain (RCU-served reads insert during
-  // admission) can flush on the very next cycle if a channel is idle; keep
-  // the run loop visiting while that condition holds. Merged flushes
-  // (pending_rcu_flushes_) never persist across ticks — the observer fills
-  // them during the device tick and PolicyTick drains them — but guard them
-  // anyway so a future reordering cannot silently strand one.
+  // admission) flush on the very next cycle if their own channel is idle.
+  // An update parked for a busy channel needs no wake: that channel's queue
+  // empties only inside its own device tick, which runs in the same
+  // ControllerBase::Tick before PolicyTick and is covered by the device
+  // hint. Merged flushes (pending_rcu_flushes_) never persist across ticks
+  // — the observer fills them during the device tick and PolicyTick drains
+  // them — but guard them anyway so a future reordering cannot silently
+  // strand one.
   if (!pending_rcu_flushes_.empty()) return now + 1;
   if (rcu_.size() != 0) {
     for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (hbm_->ChannelTransactionQueueEmpty(ch)) return now + 1;
+      if (IdleWithParked(ch)) return now + 1;
     }
   }
   return kNeverWake;

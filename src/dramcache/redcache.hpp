@@ -132,6 +132,11 @@ class RedCacheController : public ControllerBase {
   void RouteToMainMemory(Txn& txn, Cycle now);
   /// Mean r-count of blocks that left the cache this epoch.
   void MaybeRetune(Cycle now);
+  /// RCU drain condition 2 holds for `ch`: updates are parked for it and
+  /// its transaction queue is empty.
+  bool IdleWithParked(std::uint32_t ch) const {
+    return rcu_.parked(ch) != 0 && hbm_->ChannelTransactionQueueEmpty(ch);
+  }
 
   RedCacheOptions opt_;
   const char* display_name_;

@@ -24,7 +24,7 @@ namespace redcache::ckpt {
 
 /// Bump when the blob layout (header or any component's Snapshot encoding)
 /// changes; a version mismatch on restore throws instead of misreading.
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 struct CheckpointMeta {
   std::uint32_t version = 0;

@@ -65,6 +65,7 @@ RunResult System::Run(Cycle max_cycles) {
     ticks_executed_ = 0;
     cycles_skipped_ = 0;
   }
+  core_walk_due_ = true;
 
   while (now <= max_cycles) {
     // Checkpoint emission happens before anything else in the iteration:
@@ -100,30 +101,39 @@ RunResult System::Run(Cycle max_cycles) {
       assert(core < cores_.size());
       cores_[core]->OnMemComplete(c.tag, std::max(now, c.done));
       poll_[core] = 1;
+      core_walk_due_ = true;
     }
     completions.clear();
 
-    bool all_done = true;
-    Cycle next = Core::kWaiting;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      if (cores_[i]->Finished()) continue;
-      if (poll_[i] == 0 && hints_[i] > now) {
-        all_done = false;
-        next = std::min(next, hints_[i]);
-        continue;
+    // The cores' minimum hint and all-done flag change only when a core is
+    // polled, so the walk runs only when a completion marked a core or the
+    // earliest hint is due; otherwise every core would be skipped anyway.
+    if (core_walk_due_ || core_min_ <= now) {
+      cores_done_ = true;
+      core_min_ = Core::kWaiting;
+      for (std::size_t i = 0; i < cores_.size(); ++i) {
+        if (cores_[i]->Finished()) continue;
+        if (poll_[i] == 0 && hints_[i] > now) {
+          cores_done_ = false;
+          core_min_ = std::min(core_min_, hints_[i]);
+          continue;
+        }
+        hints_[i] = cores_[i]->Progress(now);
+        poll_[i] = 0;
+        // Re-check after Progress: a core that retired its last reference
+        // this visit must not hold the loop open, or the exit test only
+        // passes one visit later — which under skip-ahead can be a refresh
+        // interval away and inflates exec_cycles past the true quiesce
+        // point.
+        if (cores_[i]->Finished()) continue;
+        cores_done_ = false;
+        core_min_ = std::min(core_min_, hints_[i]);
       }
-      hints_[i] = cores_[i]->Progress(now);
-      poll_[i] = 0;
-      // Re-check after Progress: a core that retired its last reference this
-      // visit must not hold the loop open, or the exit test only passes one
-      // visit later — which under skip-ahead can be a refresh interval away
-      // and inflates exec_cycles past the true quiesce point.
-      if (cores_[i]->Finished()) continue;
-      all_done = false;
-      next = std::min(next, hints_[i]);
+      core_walk_due_ = false;
     }
+    Cycle next = core_min_;
 
-    if (all_done && wb_queue_.empty() && controller_->Idle()) {
+    if (cores_done_ && wb_queue_.empty() && controller_->Idle()) {
       result.completed = true;
       break;
     }
@@ -152,6 +162,12 @@ RunResult System::Run(Cycle max_cycles) {
     // result.stats — enabling checkpoints never changes reported stats.
     if (ckpt_hook_ && target > ckpt_next_) {
       target = std::max(now + 1, ckpt_next_);
+    }
+    // A truncated run stops at the first cycle past max_cycles, whatever
+    // the pacing: its exec_cycles must not depend on how far the last jump
+    // would have gone.
+    if (max_cycles != ~Cycle{0} && target > max_cycles + 1) {
+      target = max_cycles + 1;
     }
     cycles_skipped_ += target - now - 1;
     now = target;
@@ -225,6 +241,7 @@ void System::Restore(ser::Reader& r) {
     throw ser::SerializeError("checkpoint core count mismatch");
   }
   for (char& p : poll_) p = static_cast<char>(r.U8());
+  core_walk_due_ = true;
   wb_queue_.clear();
   const std::size_t n_wb = r.SeqLen(8);
   for (std::size_t i = 0; i < n_wb; ++i) wb_queue_.push_back(r.U64());

@@ -149,6 +149,13 @@ class System : private MemoryPort {
   std::vector<Cycle> hints_;
   std::vector<char> poll_;
   Cycle ctrl_wake_ = 0;
+  /// Derived from hints_/poll_ by the last core walk (not checkpointed;
+  /// Run entry and Restore force a fresh walk): the minimum hint over the
+  /// unfinished cores, whether every core has finished, and whether a
+  /// completion marked a core for polling since that walk.
+  Cycle core_min_ = 0;
+  bool cores_done_ = false;
+  bool core_walk_due_ = true;
   /// Resume support: the cycle Run() enters the loop at, and whether the
   /// tick/skip counters were restored (and must not be reset by Run).
   Cycle resume_now_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 namespace redcache {
 namespace {
 
@@ -38,7 +41,7 @@ TEST(Rcu, CapacityEvictsOldest) {
 }
 
 TEST(Rcu, MatchIndexPopsSameRowOnly) {
-  RcuManager rcu(8);
+  RcuManager rcu(8, /*channels=*/2);
   (void)rcu.Insert(0x1, Loc(0, 1, 7));
   (void)rcu.Insert(0x2, Loc(0, 1, 7));
   (void)rcu.Insert(0x3, Loc(0, 1, 8));   // other row
@@ -50,7 +53,7 @@ TEST(Rcu, MatchIndexPopsSameRowOnly) {
 }
 
 TEST(Rcu, PopChannelDrainsOnlyThatChannel) {
-  RcuManager rcu(8);
+  RcuManager rcu(8, /*channels=*/2);
   (void)rcu.Insert(0x1, Loc(0, 0, 1));
   (void)rcu.Insert(0x2, Loc(1, 0, 1));
   (void)rcu.Insert(0x3, Loc(0, 2, 9));
@@ -134,6 +137,61 @@ TEST(Rcu, FullFlag) {
   (void)rcu.Insert(0x1, Loc(0, 0, 1));
   (void)rcu.Insert(0x2, Loc(0, 0, 2));
   EXPECT_TRUE(rcu.full());
+}
+
+TEST(Rcu, ParkedCountsMatchScanUnderRandomOps) {
+  // Every mutation path keeps the per-channel counts equal to a scan of the
+  // entries: inserts (with and without a capacity eviction), removals,
+  // merged and idle drains, PopAll and a checkpoint round trip.
+  constexpr std::uint32_t kChannels = 4;
+  std::mt19937_64 rng(20261017);
+  RcuManager rcu(8, kChannels);
+  const auto check = [&rcu](int step) {
+    for (std::uint32_t ch = 0; ch < kChannels; ++ch) {
+      const auto scanned = std::count_if(
+          rcu.entries().begin(), rcu.entries().end(),
+          [ch](const RcuManager::Entry& e) { return e.loc.channel == ch; });
+      ASSERT_EQ(rcu.parked(ch), static_cast<std::uint32_t>(scanned))
+          << "channel " << ch << " after step " << step;
+    }
+  };
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  for (int step = 0; step < 5000; ++step) {
+    const std::uint64_t op = pick(100);
+    const Addr block = pick(24) * 64;
+    const DramAddress loc =
+        Loc(static_cast<std::uint32_t>(pick(kChannels)),
+            static_cast<std::uint32_t>(pick(2)), pick(3));
+    if (op < 50) {
+      (void)rcu.Insert(block, loc);
+    } else if (op < 65) {
+      rcu.Remove(block);
+    } else if (op < 78) {
+      (void)rcu.MatchIndex(loc);
+    } else if (op < 92) {
+      (void)rcu.PopChannel(loc.channel);
+    } else if (op < 94) {
+      (void)rcu.PopAll();
+    } else {
+      ser::Writer w;
+      rcu.Snapshot(w);
+      RcuManager restored(8, kChannels);
+      ser::Reader r(w.buffer().data(), w.buffer().size());
+      restored.Restore(r);
+      rcu = restored;
+    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+}
+
+TEST(Rcu, RestoreRejectsEntryOnUnknownChannel) {
+  RcuManager wide(8, /*channels=*/4);
+  (void)wide.Insert(0x40, Loc(3, 0, 1));
+  ser::Writer w;
+  wide.Snapshot(w);
+  RcuManager narrow(8, /*channels=*/2);
+  ser::Reader r(w.buffer().data(), w.buffer().size());
+  EXPECT_THROW(narrow.Restore(r), ser::SerializeError);
 }
 
 }  // namespace

@@ -32,11 +32,13 @@ using Param = std::tuple<std::string, std::string>;
 
 class NoSkipDifferential : public ::testing::TestWithParam<Param> {};
 
-// Recorded skip-ahead economics: cycles_skipped per differential cell as
-// measured before the SoA timing-core refactor (PR 7). The refactor tightened
-// NextEventHint, so skipping must never get *worse* than these floors —
-// a decrease means a wake hint regressed to "poll every slot" somewhere.
-// Regenerate (intentional pacing changes only) with
+// Recorded skip-ahead economics per differential cell: a floor on
+// cycles_skipped and a ceiling on ticks_executed (loop visits). Both
+// counters are deterministic, so the gate is exact on any host. Skipping
+// must never get *worse* than these — fewer skipped cycles or more visits
+// means a wake hint regressed towards polling somewhere. Floors may only
+// rise and ceilings only fall. Regenerate (intentional pacing changes
+// only) with
 //   REDCACHE_UPDATE_SKIP_BASELINE=1 ./build/tests/sim/sim_tests
 //     --gtest_filter='SkipBaseline.Regenerate'
 std::string SkipBaselinePath() { return REDCACHE_SKIP_BASELINE_FILE; }
@@ -47,16 +49,23 @@ const std::vector<std::string>& BaselinePolicies() {
   return kPolicies;
 }
 
-std::map<std::string, std::uint64_t> LoadSkipBaseline() {
-  std::map<std::string, std::uint64_t> table;
+struct SkipBaselineRow {
+  std::uint64_t skipped_floor = 0;
+  std::uint64_t visits_ceiling = 0;
+};
+
+std::map<std::string, SkipBaselineRow> LoadSkipBaseline() {
+  std::map<std::string, SkipBaselineRow> table;
   std::ifstream in(SkipBaselinePath());
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
     std::string key;
-    std::uint64_t skipped = 0;
-    if (fields >> key >> skipped) table[key] = skipped;
+    SkipBaselineRow row;
+    if (fields >> key >> row.skipped_floor >> row.visits_ceiling) {
+      table[key] = row;
+    }
   }
   return table;
 }
@@ -96,19 +105,48 @@ TEST_P(NoSkipDifferential, IdenticalStats) {
   EXPECT_EQ(skip.ticks_executed + skip.cycles_skipped,
             step.ticks_executed + step.cycles_skipped);
 
-  // Skip-economics floor: at least as many cycles skipped as the recorded
-  // pre-refactor baseline for this cell (see SkipBaselinePath above).
+  // Skip economics: at least as many cycles skipped and at most as many
+  // loop visits as the recorded baseline for this cell (see
+  // SkipBaselinePath above).
   static const auto baseline = LoadSkipBaseline();
   const auto it = baseline.find(policy + "/" + wl);
   if (it != baseline.end()) {
-    EXPECT_GE(skip.cycles_skipped, it->second)
+    EXPECT_GE(skip.cycles_skipped, it->second.skipped_floor)
         << "wake hints got less exact: " << policy << "/" << wl
         << " skipped fewer cycles than the recorded baseline";
+    EXPECT_LE(skip.ticks_executed, it->second.visits_ceiling)
+        << "wake hints got less exact: " << policy << "/" << wl
+        << " made more loop visits than the recorded baseline";
   }
 }
 
-/// Regenerates the cycles_skipped floor file; only runs when
-/// REDCACHE_UPDATE_SKIP_BASELINE is set.
+// A truncated run stops at max_cycles + 1 in both pacing modes: the last
+// jump is clamped like telemetry and checkpoint jumps, so exec_cycles and
+// every counter of a cut-short run are mode-independent too.
+TEST(NoSkipDifferential, TruncatedRunIdenticalStats) {
+  RunSpec spec = Spec("RedCache", "LU");
+  const RunResult full = RunOne(spec);
+  ASSERT_TRUE(full.completed);
+  spec.max_cycles = full.exec_cycles / 2;
+
+  const RunResult skip = RunOne(spec);
+  RunResult step;
+  {
+    ScopedNoSkip no_skip;
+    step = RunOne(spec);
+  }
+  ASSERT_FALSE(skip.completed);
+  ASSERT_FALSE(step.completed);
+  EXPECT_EQ(skip.exec_cycles, spec.max_cycles + 1);
+  EXPECT_EQ(skip.exec_cycles, step.exec_cycles);
+  EXPECT_EQ(skip.stats.counters(), step.stats.counters());
+  EXPECT_EQ(skip.ticks_executed + skip.cycles_skipped,
+            step.ticks_executed + step.cycles_skipped);
+}
+
+/// Regenerates the skip baseline file (cycles_skipped floors and
+/// ticks_executed ceilings); only runs when REDCACHE_UPDATE_SKIP_BASELINE
+/// is set.
 TEST(SkipBaseline, Regenerate) {
   const char* env = std::getenv("REDCACHE_UPDATE_SKIP_BASELINE");
   if (env == nullptr || env[0] == '\0' || std::string(env) == "0") {
@@ -117,15 +155,18 @@ TEST(SkipBaseline, Regenerate) {
   }
   std::ofstream out(SkipBaselinePath());
   ASSERT_TRUE(out.good());
-  out << "# cycles_skipped floor per skip/no-skip differential cell\n"
-      << "# (policy/workload  cycles_skipped), spec: scale=0.02 eval preset\n"
-      << "# 4 cores. Regenerate: REDCACHE_UPDATE_SKIP_BASELINE=1 sim_tests\n"
+  out << "# cycles_skipped floor and ticks_executed ceiling per skip/no-skip\n"
+      << "# differential cell (policy/workload  cycles_skipped  "
+         "ticks_executed),\n"
+      << "# spec: scale=0.02 eval preset, 4 cores. Regenerate:\n"
+      << "#   REDCACHE_UPDATE_SKIP_BASELINE=1 sim_tests\n"
       << "#   --gtest_filter='SkipBaseline.Regenerate'\n";
   for (const std::string& policy : BaselinePolicies()) {
     for (const std::string& wl : WorkloadLabels()) {
       const RunResult skip = RunOne(Spec(policy, wl));
       ASSERT_TRUE(skip.completed) << policy << "/" << wl;
-      out << policy << "/" << wl << " " << skip.cycles_skipped << "\n";
+      out << policy << "/" << wl << " " << skip.cycles_skipped << " "
+          << skip.ticks_executed << "\n";
     }
   }
   std::printf("wrote %zu cells to %s\n",
