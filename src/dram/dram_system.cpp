@@ -20,9 +20,9 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
   if (functional_latency_ != 0) {
     const RequestId id = next_id_++;
     const Cycle done = now + functional_latency_;
+    assert(func_pending_.empty() || func_pending_.back().done <= done);
     func_pending_.push_back(
         {id, BlockAlign(addr), is_write, done, tenant, user_tag});
-    func_min_ = std::min(func_min_, done);
     inflight_++;
     return id;
   }
@@ -50,22 +50,22 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
 void DramSystem::Tick(Cycle now) {
   ticked_through_ = now + 1;
   // Fixed-latency completions (functional mode, or the tail of one after a
-  // restore into detailed timing): stable compacting drain, like a channel's
-  // pending-done pass.
-  if (func_min_ <= now) {
-    std::size_t keep = 0;
-    Cycle next_min = ~Cycle{0};
-    for (std::size_t i = 0; i < func_pending_.size(); ++i) {
-      if (func_pending_[i].done <= now) {
-        completions_.push_back(func_pending_[i]);
-        inflight_--;
-      } else {
-        next_min = std::min(next_min, func_pending_[i].done);
-        func_pending_[keep++] = func_pending_[i];
-      }
+  // restore into detailed timing): the list is sorted by `done`, so the due
+  // entries are a prefix.
+  if (!func_pending_.empty() && func_pending_[func_head_].done <= now) {
+    do {
+      completions_.push_back(func_pending_[func_head_++]);
+      inflight_--;
+    } while (func_head_ < func_pending_.size() &&
+             func_pending_[func_head_].done <= now);
+    // Erase the delivered prefix once it is half the list. The entries
+    // moved are never more than the ones delivered, so the drain stays
+    // amortized O(due).
+    if (2 * func_head_ >= func_pending_.size()) {
+      func_pending_.erase(func_pending_.begin(),
+                          func_pending_.begin() + func_head_);
+      func_head_ = 0;
     }
-    func_pending_.resize(keep);
-    func_min_ = next_min;
   }
   if (wakes_.NoneDue(now)) return;  // nothing can happen yet
   const std::size_t before = completions_.size();
@@ -139,16 +139,18 @@ Cycle DramSystem::NextEventHint(Cycle now) const {
   // `now` means a not-yet-ticked channel; returning it (<= now) tells the
   // caller to keep visiting, exactly like the old fresh recomputation.
   (void)now;
-  return std::min(func_min_, wakes_.Min());
+  return std::min(FuncMin(), wakes_.Min());
 }
 
 void DramSystem::Snapshot(ser::Writer& w) const {
   w.Section("dram");
   w.U64(next_id_);
   w.U64(inflight_);
-  auto completion_list = [&w](const std::vector<DramCompletion>& list) {
-    w.U64(list.size());
-    for (const DramCompletion& d : list) {
+  auto completion_list = [&w](const std::vector<DramCompletion>& list,
+                              std::size_t first) {
+    w.U64(list.size() - first);
+    for (std::size_t i = first; i < list.size(); ++i) {
+      const DramCompletion& d = list[i];
       w.U64(d.id);
       w.U64(d.addr);
       w.Bool(d.is_write);
@@ -157,9 +159,9 @@ void DramSystem::Snapshot(ser::Writer& w) const {
       w.U64(d.user_tag);
     }
   };
-  completion_list(completions_);
-  completion_list(func_pending_);
-  w.U64(func_min_);
+  completion_list(completions_, 0);
+  completion_list(func_pending_, func_head_);
+  w.U64(FuncMin());
   for (const auto& ch : channels_) ch->Snapshot(w);
 }
 
@@ -183,7 +185,14 @@ void DramSystem::Restore(ser::Reader& r) {
   };
   completion_list(completions_);
   completion_list(func_pending_);
-  func_min_ = r.U64();
+  func_head_ = 0;
+  for (std::size_t i = 1; i < func_pending_.size(); ++i) {
+    if (func_pending_[i].done < func_pending_[i - 1].done) {
+      throw ser::SerializeError(
+          "functional completions out of completion-cycle order");
+    }
+  }
+  (void)r.U64();  // the earliest pending done, which the list implies
   for (auto& ch : channels_) ch->Restore(r);
   wakes_.Reset(channels_.size());  // all due: spurious visits are no-ops
   ticked_through_ = 0;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/serialize.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -94,7 +95,13 @@ class DramSystem {
   /// never blocks. 0 restores detailed timing. Policy/tag state stays warm
   /// because the owning controller still sees every access; only the device
   /// timing is approximated, and the FF pass's timing stats are discarded.
+  /// The latency cannot change while completions are pending: the pending
+  /// list stays sorted by completion cycle only because every entry is
+  /// `now + latency` for one latency.
   void SetFunctionalTiming(Cycle fixed_latency) {
+    REDCACHE_CHECK(fixed_latency == functional_latency_ ||
+                       func_pending_.empty(),
+                   "functional latency changed with completions pending");
     functional_latency_ = fixed_latency;
   }
   bool functional_timing() const { return functional_latency_ != 0; }
@@ -115,13 +122,21 @@ class DramSystem {
   RequestId next_id_ = 1;
   std::uint64_t inflight_ = 0;
   /// Functional-mode state: fixed completion latency (0 = detailed) and the
-  /// not-yet-delivered fixed-latency completions, earliest-done memo first.
-  /// A checkpoint taken mid-fast-forward restores these into detailed mode
+  /// fixed-latency completions in enqueue order, which is also `done` order
+  /// (`now` never decreases and the latency is fixed). Entries before
+  /// `func_head_` are delivered; Tick delivers the due prefix after it. The
+  /// delivered prefix is erased once it is half the list, so the list is
+  /// empty exactly when nothing is pending. A checkpoint taken
+  /// mid-fast-forward restores the undelivered entries into detailed mode
   /// as a transient boundary effect (the requests complete at their fixed
   /// times, then the detailed scheduler takes over).
   Cycle functional_latency_ = 0;
   std::vector<DramCompletion> func_pending_;
-  Cycle func_min_ = ~Cycle{0};
+  std::size_t func_head_ = 0;
+  /// Earliest undelivered fixed-latency completion (~0 if none).
+  Cycle FuncMin() const {
+    return func_pending_.empty() ? ~Cycle{0} : func_pending_[func_head_].done;
+  }
   /// Per-channel wake cycles (event core): Tick visits only channels whose
   /// wake is due, and NextEventHint is the stored minimum. A channel's wake
   /// is refreshed from its NextEventHint after every real tick and on

@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/batch.hpp"
@@ -30,6 +36,159 @@ struct IntervalMeasure {
   Cycle span = 0;
   std::int64_t refs = 0;
   std::map<std::string, std::int64_t> delta;
+};
+
+/// Detailed replay of one interval: restore `blob` into a fresh System and
+/// run `interval` cycles with full timing. The blob is freed once restored.
+IntervalMeasure ReplayInterval(const RunSpec& spec,
+                               const std::string& spec_key, std::string blob,
+                               Cycle interval) {
+  auto sys = BuildSystem(spec);
+  const ckpt::CheckpointMeta meta = ckpt::RestoreInto(*sys, blob, spec_key);
+  std::string().swap(blob);
+  const StatSet before = sys->CumulativeStats(meta.cycle);
+  const RunResult r = sys->Run(meta.cycle + interval - 1);
+  // exec_cycles is the loop's final cycle: the true finish when the
+  // workload completed inside the interval, else the (possibly slightly
+  // overshot) cycle the event loop stopped at. Deltas cover exactly the
+  // activity inside [meta.cycle, span).
+  IntervalMeasure m;
+  m.span = r.exec_cycles > meta.cycle ? r.exec_cycles - meta.cycle : Cycle{1};
+  for (const auto& [name, value] : r.stats.counters()) {
+    if (IsGaugeName(name) || name == "sys.exec_cycles") continue;
+    const std::uint64_t base = before.GetCounter(name);
+    m.delta[name] =
+        static_cast<std::int64_t>(value) - static_cast<std::int64_t>(base);
+  }
+  m.refs = m.delta.count("core.refs") ? m.delta.at("core.refs") : 0;
+  return m;
+}
+
+/// A captured candidate interval. `blob` and `measure` are guarded by the
+/// pipeline's mutex; `cycle` never changes after capture.
+struct Candidate {
+  Cycle cycle = 0;
+  std::string blob;  ///< freed once restored for replay, or when dropped
+  std::optional<IntervalMeasure> measure;
+  bool dropped = false;
+};
+
+/// Replays candidates while the fast-forward is still capturing them.
+/// Worker threads take queued candidates in capture order, so a blob lives
+/// only until a worker reaches it, not until the fast-forward ends. A
+/// replay is speculative: thinning or selection may drop its candidate
+/// later, and the measure is then discarded. The first error (from a
+/// replay or reported through Fail) stops the queue; Finish rethrows it.
+class ReplayPipeline {
+ public:
+  ReplayPipeline(const RunSpec& spec, const std::string& spec_key,
+                 Cycle interval)
+      : spec_(spec), spec_key_(spec_key), interval_(interval) {}
+  ~ReplayPipeline() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopped_ = true;
+    }
+    cv_.notify_all();
+    Join();
+  }
+
+  void Start(unsigned workers) {
+    threads_.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t) {
+      threads_.emplace_back([this] { Work(); });
+    }
+  }
+
+  /// Queue a captured candidate. Rethrows a failed replay's error, which
+  /// stops the fast-forward at its next capture.
+  Candidate* Add(Cycle cycle, std::string blob) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (error_) std::rethrow_exception(error_);
+    Candidate& c = all_.emplace_back();
+    c.cycle = cycle;
+    c.blob = std::move(blob);
+    queue_.push_back(&c);
+    cv_.notify_one();
+    return &c;
+  }
+
+  /// Free a candidate's blob and discard its measure. A queued candidate
+  /// is never replayed; a running one's measure is discarded on arrival.
+  void Drop(Candidate* c) {
+    std::lock_guard<std::mutex> lock(mu_);
+    c->dropped = true;
+    std::string().swap(c->blob);
+    c->measure.reset();
+    queue_.erase(std::remove(queue_.begin(), queue_.end(), c), queue_.end());
+  }
+
+  /// Record `e` unless an earlier error is recorded, and stop the queue.
+  void Fail(std::exception_ptr e) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::move(e);
+      stopped_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// No more captures: replay what is still queued on the calling thread
+  /// and every worker, join them, and rethrow the first error.
+  void Finish() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    cv_.notify_all();
+    Work();
+    Join();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  void Work() {
+    for (;;) {
+      Candidate* c = nullptr;
+      std::string blob;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock,
+                 [this] { return stopped_ || closed_ || !queue_.empty(); });
+        if (stopped_ || queue_.empty()) return;
+        c = queue_.front();
+        queue_.pop_front();
+        blob = std::move(c->blob);
+      }
+      try {
+        IntervalMeasure m =
+            ReplayInterval(spec_, spec_key_, std::move(blob), interval_);
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!c->dropped) c->measure = std::move(m);
+      } catch (...) {
+        Fail(std::current_exception());
+        return;
+      }
+    }
+  }
+
+  void Join() {
+    for (std::thread& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  const RunSpec& spec_;
+  const std::string& spec_key_;
+  const Cycle interval_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Candidate> all_;      ///< every capture; addresses are stable
+  std::deque<Candidate*> queue_;   ///< captured, not yet taken by a worker
+  bool closed_ = false;            ///< the fast-forward has ended
+  bool stopped_ = false;           ///< an error or teardown: take no more
+  std::exception_ptr error_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace
@@ -66,83 +225,102 @@ SamplingEstimate RunSampled(const RunSpec& spec,
   // measurement set is chosen afterward, once the compressed timeline's
   // true length is known. To bound memory (a blob is a full System
   // snapshot), the candidate list thins itself: whenever it reaches
-  // kMaxCandidates, every other blob is dropped and the capture stride
-  // doubles, so total captures stay O(kMaxCandidates) however long the run
-  // is, while spacing stays uniform.
-  struct Candidate {
-    Cycle cycle = 0;
-    std::string blob;
-  };
+  // kMaxCandidates, every other candidate is dropped and the capture
+  // stride doubles, so total captures stay O(kMaxCandidates) however long
+  // the run is, while spacing stays uniform. Meanwhile jobs - 1 workers
+  // replay each candidate as soon as it is captured and free its blob.
   constexpr std::size_t kMaxCandidates = 48;
   const auto t_ff = std::chrono::steady_clock::now();
-  Cycle ff_exec = 0;
-  std::vector<Candidate> cands;
-  {
-    auto ff = BuildSystem(spec);
-    ff->SetFunctionalTiming(opts.functional_latency);
-    System* sys = ff.get();
-    Cycle cap_stride = interval;
-    Cycle next_due = 0;
-    ff->SetCheckpointHook(0, interval, [&](Cycle now) {
-      if (now < next_due) return;
-      cands.push_back({now, ckpt::Capture(*sys, now, spec_key)});
-      next_due = now + cap_stride;
-      if (cands.size() >= kMaxCandidates) {
-        std::vector<Candidate> kept;
-        kept.reserve(cands.size() / 2 + 1);
-        for (std::size_t i = 0; i < cands.size(); i += 2) {
-          kept.push_back(std::move(cands[i]));
+  auto t_pass = t_ff;
+  ReplayPipeline pipe(spec, spec_key, interval);
+  std::vector<Candidate*> picked;
+  try {
+    pipe.Start(ResolveJobs(opts.jobs) - 1);
+    Cycle ff_exec = 0;
+    std::vector<Candidate*> cands;
+    {
+      auto ff = BuildSystem(spec);
+      ff->SetFunctionalTiming(opts.functional_latency);
+      System* sys = ff.get();
+      Cycle cap_stride = interval;
+      Cycle next_due = 0;
+      ff->SetCheckpointHook(0, interval, [&](Cycle now) {
+        if (now < next_due) return;
+        cands.push_back(pipe.Add(now, ckpt::Capture(*sys, now, spec_key)));
+        next_due = now + cap_stride;
+        if (cands.size() >= kMaxCandidates) {
+          std::vector<Candidate*> kept;
+          kept.reserve(cands.size() / 2 + 1);
+          for (std::size_t i = 0; i < cands.size(); ++i) {
+            if (i % 2 == 0) {
+              kept.push_back(cands[i]);
+            } else {
+              pipe.Drop(cands[i]);
+            }
+          }
+          cands.swap(kept);
+          cap_stride *= 2;
+          next_due = cands.back()->cycle + cap_stride;
         }
-        cands.swap(kept);
-        cap_stride *= 2;
-        next_due = cands.back().cycle + cap_stride;
-      }
-    });
-    const RunResult r = ff->Run(spec.max_cycles);
-    ff_exec = r.exec_cycles;
-    est.total_refs = r.stats.GetCounter("core.refs");
-  }
-  est.functional_seconds = Seconds(t_ff);
-
-  // Measurement set: honor the requested fraction of the (functional)
-  // timeline, but never fewer than kMinIntervals when the run is long
-  // enough to hold them — a t-based CI over 2-3 intervals is noise.
-  constexpr std::uint64_t kMinIntervals = 8;
-  const std::uint64_t fit = ff_exec / interval;
-  std::uint64_t n_target = 1;
-  if (fit > 1) {
-    const auto want = static_cast<std::uint64_t>(std::llround(
-        opts.fraction * static_cast<double>(ff_exec) /
-        static_cast<double>(interval)));
-    n_target = std::clamp<std::uint64_t>(want, std::min(kMinIntervals, fit),
-                                         fit);
-  }
-  n_target = std::min<std::uint64_t>(n_target, cands.size());
-
-  // Systematic subselection with a seed-derived phase: every run of the
-  // same spec measures the same intervals (deterministic), different
-  // seeds measure different phases of the candidate stride.
-  std::vector<Candidate> blobs;
-  if (n_target > 0) {
-    // idx_i = floor((i + u) * N / n) spans the whole candidate range for
-    // any phase u in [0, 1) — a truncated integer step would leave the
-    // timeline's tail systematically unsampled.
-    const double u =
-        static_cast<double>((spec.seed * 2654435761ull) % 1024u) / 1024.0;
-    blobs.reserve(n_target);
-    std::size_t prev = cands.size();  // sentinel: no index taken yet
-    for (std::uint64_t i = 0; i < n_target; ++i) {
-      const auto idx = static_cast<std::size_t>(
-          (static_cast<double>(i) + u) * static_cast<double>(cands.size()) /
-          static_cast<double>(n_target));
-      if (idx == prev || idx >= cands.size()) continue;
-      blobs.push_back(std::move(cands[idx]));
-      prev = idx;
+      });
+      const RunResult r = ff->Run(spec.max_cycles);
+      ff_exec = r.exec_cycles;
+      est.total_refs = r.stats.GetCounter("core.refs");
     }
-  }
-  cands.clear();
+    t_pass = std::chrono::steady_clock::now();
 
-  if (blobs.empty()) {
+    // Measurement set: honor the requested fraction of the (functional)
+    // timeline, but never fewer than kMinIntervals when the run is long
+    // enough to hold them — a t-based CI over 2-3 intervals is noise.
+    constexpr std::uint64_t kMinIntervals = 8;
+    const std::uint64_t fit = ff_exec / interval;
+    std::uint64_t n_target = 1;
+    if (fit > 1) {
+      const auto want = static_cast<std::uint64_t>(std::llround(
+          opts.fraction * static_cast<double>(ff_exec) /
+          static_cast<double>(interval)));
+      n_target = std::clamp<std::uint64_t>(want, std::min(kMinIntervals, fit),
+                                           fit);
+    }
+    n_target = std::min<std::uint64_t>(n_target, cands.size());
+
+    // Systematic subselection with a seed-derived phase: every run of the
+    // same spec measures the same intervals (deterministic), different
+    // seeds measure different phases of the candidate stride.
+    std::vector<bool> selected(cands.size(), false);
+    if (n_target > 0) {
+      // idx_i = floor((i + u) * N / n) spans the whole candidate range for
+      // any phase u in [0, 1) — a truncated integer step would leave the
+      // timeline's tail systematically unsampled.
+      const double u =
+          static_cast<double>((spec.seed * 2654435761ull) % 1024u) / 1024.0;
+      picked.reserve(n_target);
+      std::size_t prev = cands.size();  // sentinel: no index taken yet
+      for (std::uint64_t i = 0; i < n_target; ++i) {
+        const auto idx = static_cast<std::size_t>(
+            (static_cast<double>(i) + u) * static_cast<double>(cands.size()) /
+            static_cast<double>(n_target));
+        if (idx == prev || idx >= cands.size()) continue;
+        picked.push_back(cands[idx]);
+        selected[idx] = true;
+        prev = idx;
+      }
+    }
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (!selected[i]) pipe.Drop(cands[i]);
+    }
+  } catch (...) {
+    pipe.Fail(std::current_exception());
+  }
+  est.functional_seconds =
+      std::chrono::duration<double>(t_pass - t_ff).count();
+
+  // Pass 2: the selected intervals the workers have not measured yet
+  // replay on every thread, the calling one included.
+  pipe.Finish();
+  est.replay_seconds = Seconds(t_pass);
+
+  if (picked.empty()) {
     // Defensive: the hook captures at cycle 0, so this only triggers if
     // the run executed zero cycles. Fall back to one full detailed run
     // reported as a zero-CI estimate.
@@ -157,32 +335,9 @@ SamplingEstimate RunSampled(const RunSpec& spec,
     est.est_stats.Counter("gauge.sampling.intervals") = 1;
     return est;
   }
-
-  // Pass 2: parallel detailed replay of each measurement interval.
-  const auto t_replay = std::chrono::steady_clock::now();
-  std::vector<IntervalMeasure> measures(blobs.size());
-  ParallelFor(blobs.size(), opts.jobs, [&](std::size_t i) {
-    auto sys = BuildSystem(spec);
-    const ckpt::CheckpointMeta meta =
-        ckpt::RestoreInto(*sys, blobs[i].blob, spec_key);
-    const StatSet before = sys->CumulativeStats(meta.cycle);
-    const RunResult r = sys->Run(meta.cycle + interval - 1);
-    // exec_cycles is the loop's final cycle: the true finish when the
-    // workload completed inside the interval, else the (possibly slightly
-    // overshot) cycle the event loop stopped at. Deltas cover exactly the
-    // activity inside [meta.cycle, span).
-    IntervalMeasure& m = measures[i];
-    m.span = r.exec_cycles > meta.cycle ? r.exec_cycles - meta.cycle
-                                        : Cycle{1};
-    for (const auto& [name, value] : r.stats.counters()) {
-      if (IsGaugeName(name) || name == "sys.exec_cycles") continue;
-      const std::uint64_t base = before.GetCounter(name);
-      m.delta[name] = static_cast<std::int64_t>(value) -
-                      static_cast<std::int64_t>(base);
-    }
-    m.refs = m.delta.count("core.refs") ? m.delta.at("core.refs") : 0;
-  });
-  est.replay_seconds = Seconds(t_replay);
+  std::vector<IntervalMeasure> measures;
+  measures.reserve(picked.size());
+  for (Candidate* c : picked) measures.push_back(std::move(*c->measure));
 
   // Ratio estimation over the per-interval reference rates.
   const std::size_t n = measures.size();

@@ -17,11 +17,16 @@
 //     subselection of the candidates sized to `fraction`. This pass also
 //     yields the exact total reference count (the trace replays fully).
 //
-//  2. Parallel detailed replay: each checkpoint restores into a fresh
-//     System (batch worker pool, ParallelFor) and runs `interval_cycles`
-//     with full timing. The restored DramSystem starts in detailed mode;
-//     in-flight functional completions drain at their fixed latency as a
-//     short warming transient at the interval head.
+//  2. Detailed replay, pipelined with pass 1: jobs - 1 worker threads take
+//     each candidate as soon as it is captured, restore it into a fresh
+//     System, free the blob and run `interval_cycles` with full timing.
+//     The restored DramSystem starts in detailed mode; in-flight
+//     functional completions drain at their fixed latency as a short
+//     warming transient at the interval head. Thinning or selection may
+//     later drop a candidate, and its measure is then discarded. After
+//     pass 1, the selected candidates still unmeasured replay on all
+//     `jobs` threads. The estimator reads measures in selection order, so
+//     the estimate does not depend on `jobs` or on thread timing.
 //
 // Estimation is per-interval IPC-style: each interval yields a rate
 // r_i = delta_refs / span. The run-length estimate is the ratio estimator
@@ -48,7 +53,8 @@ struct SamplingOptions {
   Cycle interval_cycles = 200000;
   /// Fixed memory latency (cycles) for the functional fast-forward pass.
   Cycle functional_latency = 40;
-  /// Detailed-replay worker count (0 = REDCACHE_JOBS / hardware).
+  /// Detailed-replay thread count, the calling thread included
+  /// (0 = REDCACHE_JOBS / hardware).
   unsigned jobs = 0;
 };
 
@@ -64,7 +70,8 @@ struct SamplingEstimate {
   /// Ratio-scaled counter estimates plus sys.exec_cycles (rounded
   /// est_exec_cycles), gauge.sampling.ci_pct and gauge.sampling.intervals.
   StatSet est_stats;
-  /// Wall-clock split, for speedup reporting.
+  /// Wall-clock split, for speedup reporting: the functional pass (with
+  /// the replays that overlap it) and the replay time left after it.
   double functional_seconds = 0.0;
   double replay_seconds = 0.0;
   /// True when sampling degenerated to one full detailed run (the run was

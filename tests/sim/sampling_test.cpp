@@ -9,6 +9,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/serialize.hpp"
 #include "sim/runner.hpp"
 
 namespace redcache {
@@ -86,16 +87,45 @@ TEST(Sampling, EstimateBracketsFullRun) {
 }
 
 TEST(Sampling, DeterministicForFixedSeed) {
+  // A 512-cycle interval makes the ~68k-cycle fast-forward thin its
+  // candidate list twice, so workers replay candidates that thinning later
+  // drops. The estimate must not depend on how many threads replay, or on
+  // which candidates they reached before the fast-forward ended.
   const RunSpec spec = TinySpec("RedCache", "LREG");
   SamplingOptions opts;
-  opts.interval_cycles = 4096;
+  opts.interval_cycles = 512;
   opts.fraction = 0.2;
+  opts.jobs = 1;
   const SamplingEstimate a = RunSampled(spec, opts);
+  opts.jobs = 4;
   const SamplingEstimate b = RunSampled(spec, opts);
-  EXPECT_EQ(a.intervals, b.intervals);
-  EXPECT_EQ(a.total_refs, b.total_refs);
-  EXPECT_DOUBLE_EQ(a.est_exec_cycles, b.est_exec_cycles);
-  EXPECT_DOUBLE_EQ(a.ci_pct, b.ci_pct);
+  const SamplingEstimate c = RunSampled(spec, opts);
+  for (const SamplingEstimate* other : {&b, &c}) {
+    EXPECT_EQ(a.intervals, other->intervals);
+    EXPECT_EQ(a.total_refs, other->total_refs);
+    EXPECT_EQ(a.est_exec_cycles, other->est_exec_cycles);
+    EXPECT_EQ(a.ci_pct, other->ci_pct);
+    EXPECT_EQ(a.est_stats.counters(), other->est_stats.counters());
+  }
+  // Pinned bit for bit to the two-phase sampler that replayed only after
+  // the fast-forward: pipelining the replays must not move the estimate,
+  // nor the order the estimator sums the intervals in.
+  EXPECT_EQ(a.intervals, 27u);
+  EXPECT_EQ(a.est_stats.GetCounter("sys.exec_cycles"), 387861u);
+  EXPECT_EQ(a.est_exec_cycles, 387860.98019896657);
+  EXPECT_EQ(a.ci_pct, 35.436324961564353);
+}
+
+TEST(Sampling, FastForwardErrorJoinsWorkers) {
+  // The ShadowChecker refuses the fast-forward's first capture. The error
+  // must reach the caller after the replay workers are joined; a joinable
+  // std::thread destroyed during unwinding would call std::terminate.
+  RunSpec spec = TinySpec("RedCache", "LREG");
+  spec.verify = true;
+  SamplingOptions opts;
+  opts.interval_cycles = 4096;
+  opts.jobs = 4;
+  EXPECT_THROW(RunSampled(spec, opts), ser::SerializeError);
 }
 
 TEST(Sampling, ShortRunCollapsesToOneExactInterval) {

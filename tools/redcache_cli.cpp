@@ -684,7 +684,7 @@ void PrintSummary(const CliOptions& opt, const std::string& run,
                  static_cast<unsigned long long>(est->intervals),
                  static_cast<unsigned long long>(est->total_refs));
     std::fprintf(out,
-                 "sampling passes: functional %.2fs + parallel replay "
+                 "sampling passes: functional %.2fs + replay after it "
                  "%.2fs\n",
                  est->functional_seconds, est->replay_seconds);
   } else {
