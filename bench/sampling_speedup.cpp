@@ -2,8 +2,8 @@
 // full detail, then through RunSampled at 1% / 5% / 10% sampling fractions.
 // Reports wall-clock speedup (functional fast-forward + parallel replay vs.
 // the detailed run), the run-length estimate's error against the detailed
-// truth, and the estimator's own 95% CI. Writes results/BENCH_sampling.json
-// for trend tracking; perf-smoke uploads it next to BENCH_perf.json.
+// truth, and the estimator's own 95% CI. Writes results/BENCH_sampling.json.
+// A diagnostic: perfbench's `sampled` workload is the tracked benchmark.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

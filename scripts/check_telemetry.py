@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Validate a RedCache NDJSON telemetry stream (schema 1).
+"""Validate a RedCache NDJSON telemetry stream (schema 2).
 
 The simulator emits one self-contained JSON object per line the moment an
 epoch closes (`--telemetry -` / `--telemetry out.ndjson`, DESIGN.md
 section 14). This validator is the consumer-side contract check, used by
 tests and the `telemetry-live` CI job:
 
-  header   first line; schema == 1, run identity, epoch pacing
+  header   first line; schema == 2, run identity, epoch pacing
   epoch    seq strictly increasing from 0; begin == previous end;
            end > begin; delta/derived/gauges objects present
   end      last line; num_epochs matches the epoch lines seen, and for
@@ -70,9 +70,9 @@ def validate_stream(lines, name="<stdin>"):
         if header is None:
             _require(kind == "header", lineno,
                      f"first record must be a header, got {kind!r}")
-            _require(rec.get("schema") == 1, lineno,
+            _require(rec.get("schema") == 2, lineno,
                      f"unsupported schema {rec.get('schema')!r}")
-            for key in ("arch", "workload", "policy", "epoch_cycles"):
+            for key in ("workload", "policy", "epoch_cycles"):
                 _require(key in rec, lineno, f"header missing {key!r}")
             if rec.get("adaptive"):
                 _require(

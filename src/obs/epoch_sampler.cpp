@@ -223,8 +223,7 @@ namespace {
 
 void AppendMetaJsonFields(std::ostringstream& os, const TelemetryMeta& meta,
                           const EpochSampler& sampler) {
-  os << "\"arch\":\"" << JsonEscape(meta.arch) << "\",\"workload\":\""
-     << JsonEscape(meta.workload) << "\",\"preset\":\""
+  os << "\"workload\":\"" << JsonEscape(meta.workload) << "\",\"preset\":\""
      << JsonEscape(meta.preset) << "\",\"policy\":\""
      << JsonEscape(meta.policy) << "\",\"mix\":\"" << JsonEscape(meta.mix)
      << "\",\"epoch_cycles\":" << sampler.epoch_cycles();
@@ -293,8 +292,7 @@ std::string TelemetryCsv(const EpochSampler& sampler,
   std::sort(deltas.begin(), deltas.end(), NaturalNameLess);
 
   std::ostringstream os;
-  os << "# arch=" << CsvMetaValue(meta.arch)
-     << " workload=" << CsvMetaValue(meta.workload)
+  os << "# workload=" << CsvMetaValue(meta.workload)
      << " preset=" << CsvMetaValue(meta.preset)
      << " policy=" << CsvMetaValue(meta.policy)
      << " mix=" << CsvMetaValue(meta.mix)

@@ -180,11 +180,9 @@ class EpochSampler {
 
 /// Run identification embedded in the serialized artifacts.
 struct TelemetryMeta {
-  std::string arch;
   std::string workload;
   std::string preset;
-  /// Registry policy name. Runs built from a RunSpec set `arch` to the
-  /// same name; both keys stay in the artifacts for their readers.
+  /// Registry policy name.
   std::string policy;
   /// Canonical mix descriptor (MixSpec::Describe) when a multi-tenant mix
   /// was active; empty for single-tenant runs.

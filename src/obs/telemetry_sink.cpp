@@ -103,8 +103,7 @@ bool StreamingTelemetryPath(const std::string& path) {
 std::string NdjsonHeaderLine(const TelemetryMeta& meta,
                              const EpochSampler& sampler) {
   std::ostringstream os;
-  os << "{\"type\":\"header\",\"schema\":1,\"arch\":\""
-     << JsonEscape(meta.arch) << "\",\"workload\":\""
+  os << "{\"type\":\"header\",\"schema\":2,\"workload\":\""
      << JsonEscape(meta.workload) << "\",\"preset\":\""
      << JsonEscape(meta.preset) << "\",\"policy\":\""
      << JsonEscape(meta.policy) << "\",\"mix\":\"" << JsonEscape(meta.mix)

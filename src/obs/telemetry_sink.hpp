@@ -9,7 +9,7 @@
 // can be piped straight into `jq`, a dashboard, or scripts/
 // check_telemetry.py while the simulation is still running.
 //
-// Record stream layout (schema 1):
+// Record stream layout (schema 2):
 //   {"type":"header", run identity, epoch pacing}          -- first line
 //   {"type":"epoch","seq":K,"begin":..,"end":..,
 //    "derived":{..},"gauges":{..},"delta":{..}}            -- per epoch

@@ -454,7 +454,7 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
   const std::string key = CellKey(cell);
   if (profile != nullptr) {
     profile->key = key;
-    profile->arch = PolicyNameOf(cell.spec);
+    profile->policy = PolicyNameOf(cell.spec);
     profile->workload = cell.spec.workload;
   }
   // Serve cells replay an external stream whose content no key covers, and
@@ -602,7 +602,7 @@ std::string BatchReportJson(const BatchReport& report) {
     if (!first) out += ",";
     first = false;
     out += "{\"key\":\"" + obs::JsonEscape(c.key) + "\"";
-    out += ",\"arch\":\"" + obs::JsonEscape(c.arch) + "\"";
+    out += ",\"policy\":\"" + obs::JsonEscape(c.policy) + "\"";
     out += ",\"workload\":\"" + obs::JsonEscape(c.workload) + "\"";
     std::snprintf(buf, sizeof(buf), ",\"wall_seconds\":%.6f", c.wall_seconds);
     out += buf;

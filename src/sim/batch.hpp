@@ -34,7 +34,7 @@ namespace redcache {
 /// layer served the result.
 struct CellProfile {
   std::string key;        ///< CellKey (cache filename stem)
-  std::string arch;
+  std::string policy;
   std::string workload;
   double wall_seconds = 0.0;         ///< total time inside RunCellCached
   /// Deriving the disk entry's build-identity stamp and path (0 without

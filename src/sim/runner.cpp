@@ -104,7 +104,6 @@ std::unique_ptr<System> BuildSystem(const RunSpec& spec) {
 
 obs::TelemetryMeta TelemetryMetaOf(const RunSpec& spec) {
   obs::TelemetryMeta meta;
-  meta.arch = PolicyNameOf(spec);
   meta.workload = spec.mix.active()
                       ? spec.mix.Describe()
                       : (!spec.serve_path.empty() ? "serve:" + spec.serve_path

@@ -10,6 +10,9 @@
 //   * duplicate_every_nth_completion — replays every Nth read completion
 //     (a double completion; surfaces as a not-outstanding tag).
 //
+// With default Options it injects nothing and only counts Tick calls
+// (ticks()), which the skip-ahead gate in tests/sim holds to a ceiling.
+//
 // Never use outside tests.
 #pragma once
 
@@ -48,6 +51,7 @@ class FaultInjector final : public MemController {
     inner_->SubmitWriteback(addr, now);
   }
   Cycle Tick(Cycle now) override {
+    ticks_++;
     const Cycle wake = inner_->Tick(now);
     if (opt_.duplicate_every_nth_completion != 0) {
       auto& done = inner_->read_completions();
@@ -78,6 +82,7 @@ class FaultInjector final : public MemController {
     return inner_->underlying();
   }
 
+  std::uint64_t ticks() const { return ticks_; }
   std::uint64_t dropped_writebacks() const { return dropped_writebacks_; }
   std::uint64_t duplicated_completions() const {
     return duplicated_completions_;
@@ -86,6 +91,7 @@ class FaultInjector final : public MemController {
  private:
   std::unique_ptr<MemController> inner_;
   Options opt_;
+  std::uint64_t ticks_ = 0;
   std::uint64_t writebacks_ = 0;
   std::uint64_t completions_ = 0;
   std::uint64_t dropped_writebacks_ = 0;

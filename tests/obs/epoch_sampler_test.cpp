@@ -113,9 +113,9 @@ TEST(TelemetryJson, ParsesAndCarriesDerivedMetrics) {
   sampler.Sample(100, s);
 
   TelemetryMeta meta;
-  meta.arch = "RedCache";
   meta.workload = "LU";
   meta.preset = "eval";
+  meta.policy = "RedCache";
   meta.exec_cycles = 100;
   const std::string json = TelemetryJson(sampler, meta);
   JsonValue doc;
@@ -124,7 +124,8 @@ TEST(TelemetryJson, ParsesAndCarriesDerivedMetrics) {
 
   const JsonValue* m = doc.Find("meta");
   ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->Find("arch")->string, "RedCache");
+  EXPECT_EQ(m->Find("policy")->string, "RedCache");
+  EXPECT_EQ(m->Find("arch"), nullptr);
   EXPECT_DOUBLE_EQ(m->Find("num_epochs")->number, 1.0);
 
   const JsonValue* epochs = doc.Find("epochs");
@@ -151,7 +152,6 @@ TEST(TelemetryCsv, HeaderUnionInNaturalOrderWithEmptyCells) {
   sampler.Sample(20, b);
 
   TelemetryMeta meta;
-  meta.arch = "RedCache";
   meta.workload = "LU";
   const std::string csv = TelemetryCsv(sampler, meta);
   std::istringstream is(csv);
@@ -160,7 +160,7 @@ TEST(TelemetryCsv, HeaderUnionInNaturalOrderWithEmptyCells) {
   ASSERT_TRUE(std::getline(is, header));
   ASSERT_TRUE(std::getline(is, row1));
   ASSERT_TRUE(std::getline(is, row2));
-  EXPECT_EQ(comment.rfind("# arch=RedCache", 0), 0u);
+  EXPECT_EQ(comment.rfind("# workload=LU", 0), 0u);
   EXPECT_EQ(header,
             "begin,end,hit_rate,bypass_rate,bw_bytes_per_cycle,"
             "gauge.rcu_depth,hbm.chan2.activates,hbm.chan10.activates");
@@ -175,13 +175,13 @@ TEST(TelemetryCsv, MetaLineCarriesPolicyAndEscapesMixDescriptor) {
   a.Counter("ctrl.cache_hits") = 1;
   sampler.Sample(10, a);
   TelemetryMeta meta;
-  meta.arch = "RedCache";
   meta.workload = "LU";
   meta.policy = "RedCache";
   meta.mix = "LU:2,RDX:1@8/offset";  // commas would break key=value parsing
   const std::string csv = TelemetryCsv(sampler, meta);
   const std::string comment = csv.substr(0, csv.find('\n'));
   EXPECT_NE(comment.find("policy=RedCache"), std::string::npos);
+  EXPECT_EQ(comment.find("arch="), std::string::npos);
   EXPECT_NE(comment.find("mix=\"LU:2,RDX:1@8/offset\""), std::string::npos);
 }
 
@@ -191,7 +191,6 @@ TEST(TelemetryJson, MetaCarriesPolicyAndMix) {
   a.Counter("ctrl.cache_hits") = 1;
   sampler.Sample(10, a);
   TelemetryMeta meta;
-  meta.arch = "banshee";
   meta.policy = "Banshee";
   meta.mix = "LU:1,FT:1/interleave";
   JsonValue doc;

@@ -82,7 +82,6 @@ TEST(TelemetryIntegration, EpochDeltasSumToFinalCounters) {
   obs::JsonValue doc;
   std::string err;
   obs::TelemetryMeta meta;
-  meta.arch = "RedCache";
   meta.workload = "LU";
   meta.preset = "eval";
   meta.exec_cycles = r.exec_cycles;

@@ -28,7 +28,6 @@ StatSet Snap(std::uint64_t hits, std::uint64_t misses) {
 
 TelemetryMeta Meta() {
   TelemetryMeta meta;
-  meta.arch = "RedCache";
   meta.workload = "LU";
   meta.preset = "eval";
   meta.policy = "RedCache";
@@ -66,8 +65,9 @@ TEST(NdjsonRecords, StreamTelescopesToEndTotals) {
   std::vector<JsonValue> docs = ParseLines(sink.lines);
 
   EXPECT_EQ(docs.front().Find("type")->string, "header");
-  EXPECT_EQ(docs.front().Find("schema")->number, 1.0);
+  EXPECT_EQ(docs.front().Find("schema")->number, 2.0);
   EXPECT_EQ(docs.front().Find("policy")->string, "RedCache");
+  EXPECT_EQ(docs.front().Find("arch"), nullptr);
   EXPECT_EQ(docs.front().Find("epoch_cycles")->number, 100.0);
 
   double hit_sum = 0.0, miss_sum = 0.0;
@@ -229,7 +229,9 @@ TEST(TelemetrySession, CloseWritesCsvOrJsonForNonStreamingPaths) {
   std::ifstream csv(csv_path);
   std::string first;
   ASSERT_TRUE(std::getline(csv, first));
-  EXPECT_EQ(first.rfind("# arch=RedCache", 0), 0u);
+  EXPECT_EQ(first.rfind("# workload=LU", 0), 0u);
+  EXPECT_NE(first.find(" policy=RedCache"), std::string::npos);
+  EXPECT_EQ(first.find("arch="), std::string::npos);
 
   std::ifstream json(json_path);
   std::stringstream body;
@@ -238,6 +240,7 @@ TEST(TelemetrySession, CloseWritesCsvOrJsonForNonStreamingPaths) {
   std::string err;
   ASSERT_TRUE(ParseJson(body.str(), doc, &err)) << err;
   EXPECT_EQ(doc.Find("meta")->Find("policy")->string, "RedCache");
+  EXPECT_EQ(doc.Find("meta")->Find("arch"), nullptr);
   ASSERT_TRUE(doc.Find("epochs")->is_array());
   EXPECT_EQ(doc.Find("epochs")->array.size(), 1u);
   std::remove(csv_path.c_str());

@@ -69,9 +69,9 @@ void WriteEntry(const std::string& path, const std::string& identity,
 }
 
 std::vector<RunSpec> Matrix() {
-  // 6 policies x 3 workloads, tiny but nonzero runs.
-  const char* policies[] = {"No-HBM", "IDEAL",     "Alloy",
-                            "Bear",   "Red-Alpha", "RedCache"};
+  // 8 policies x 3 workloads, tiny but nonzero runs.
+  const char* policies[] = {"No-HBM",    "IDEAL",    "Alloy",   "Bear",
+                            "Red-Alpha", "RedCache", "Banshee", "TicToc"};
   const char* wls[] = {"LU", "RDX", "HIST"};
   std::vector<RunSpec> specs;
   for (const char* policy : policies) {

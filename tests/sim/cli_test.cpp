@@ -160,6 +160,10 @@ const Case kCases[] = {
     {"--policy Footprint-2KB " TINY, 0, "Footprint-2KB on IS"},
     {"--ways 4 --sweep", 2, "unknown option: --ways"},
     {"--footprint", 2, "unknown option: --footprint"},
+    // The policy has one name on the command line: the --arch aliases are
+    // gone.
+    {"--arch RedCache", 2, "unknown option: --arch"},
+    {"--sweep --archs RedCache", 2, "unknown option: --archs"},
     // A sweep applies result-shaping flags to every cell, rejects the rest.
     {"--sweep --alpha 2 --policies RedCache,Red-Basic --workloads IS "
      "--scale 0.01 --jobs 1",

@@ -12,11 +12,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
+#include "dramcache/policy_registry.hpp"
 #include "sim/runner.hpp"
+#include "verify/fault_injector.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace redcache {
@@ -33,38 +37,49 @@ using Param = std::tuple<std::string, std::string>;
 class NoSkipDifferential : public ::testing::TestWithParam<Param> {};
 
 // Recorded skip-ahead economics per differential cell: a floor on
-// cycles_skipped and a ceiling on ticks_executed (loop visits). Both
-// counters are deterministic, so the gate is exact on any host. Skipping
-// must never get *worse* than these — fewer skipped cycles or more visits
-// means a wake hint regressed towards polling somewhere. Floors may only
-// rise and ceilings only fall. Regenerate (intentional pacing changes
-// only) with
+// cycles_skipped, a ceiling on ticks_executed (loop visits) and a ceiling
+// on MemController::Tick calls. All three counters are deterministic, so
+// the gate is exact on any host; it is CI's perf gate. Skipping must never
+// get *worse* than these — fewer skipped cycles, more visits or more
+// controller ticks means a wake hint regressed towards polling somewhere.
+// Floors may only rise and ceilings only fall. Every differential cell
+// needs a row. Regenerate (intentional pacing changes only) with
 //   REDCACHE_UPDATE_SKIP_BASELINE=1 ./build/tests/sim/sim_tests
 //     --gtest_filter='SkipBaseline.Regenerate'
 std::string SkipBaselinePath() { return REDCACHE_SKIP_BASELINE_FILE; }
 
-const std::vector<std::string>& BaselinePolicies() {
-  static const std::vector<std::string> kPolicies = {"Alloy", "Bear",
-                                                     "RedCache"};
+const std::vector<std::string>& DifferentialPolicies() {
+  static const std::vector<std::string> kPolicies = {
+      "Alloy", "Bear", "RedCache", "Banshee", "TicToc"};
   return kPolicies;
 }
 
 struct SkipBaselineRow {
   std::uint64_t skipped_floor = 0;
   std::uint64_t visits_ceiling = 0;
+  std::uint64_t ctrl_ticks_ceiling = 0;
 };
 
+/// Throws on an unreadable file or a malformed or duplicate row, so a
+/// broken baseline fails every differential cell instead of passing them.
 std::map<std::string, SkipBaselineRow> LoadSkipBaseline() {
-  std::map<std::string, SkipBaselineRow> table;
   std::ifstream in(SkipBaselinePath());
+  if (!in) {
+    throw std::runtime_error("cannot read skip baseline " +
+                             SkipBaselinePath());
+  }
+  std::map<std::string, SkipBaselineRow> table;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
-    std::string key;
+    std::string key, extra;
     SkipBaselineRow row;
-    if (fields >> key >> row.skipped_floor >> row.visits_ceiling) {
-      table[key] = row;
+    if (!(fields >> key >> row.skipped_floor >> row.visits_ceiling >>
+          row.ctrl_ticks_ceiling) ||
+        fields >> extra || !table.emplace(key, row).second) {
+      throw std::runtime_error("malformed skip baseline row: \"" + line +
+                               "\"");
     }
   }
   return table;
@@ -81,10 +96,35 @@ RunSpec Spec(const std::string& policy, const std::string& wl) {
   return spec;
 }
 
+struct SkipRun {
+  RunResult result;
+  std::uint64_t ctrl_ticks = 0;  ///< MemController::Tick calls
+};
+
+// The skip-ahead run, built as BuildSystem would but with the policy
+// wrapped in a fault-free FaultInjector that counts controller ticks.
+// IdenticalStats compares it with the undecorated no-skip run, which is
+// what proves the wrapper transparent.
+SkipRun RunSkipCountingTicks(const RunSpec& spec) {
+  WorkloadBuildParams wp;
+  wp.num_cores = spec.preset.hierarchy.num_cores;
+  wp.scale = spec.scale;
+  auto injector = std::make_unique<FaultInjector>(
+      MakePolicy(spec.policy, spec.preset.mem), FaultInjector::Options{});
+  const FaultInjector& counter = *injector;
+  System system(spec.preset.hierarchy, spec.preset.core, std::move(injector),
+                MakeWorkload(spec.workload, wp), spec.seed);
+  SkipRun run;
+  run.result = RunBuilt(system, spec);
+  run.ctrl_ticks = counter.ticks();
+  return run;
+}
+
 TEST_P(NoSkipDifferential, IdenticalStats) {
   const auto [policy, wl] = GetParam();
 
-  const RunResult skip = RunOne(Spec(policy, wl));
+  const SkipRun skip_run = RunSkipCountingTicks(Spec(policy, wl));
+  const RunResult& skip = skip_run.result;
   ASSERT_TRUE(skip.completed);
 
   RunResult step;
@@ -105,19 +145,23 @@ TEST_P(NoSkipDifferential, IdenticalStats) {
   EXPECT_EQ(skip.ticks_executed + skip.cycles_skipped,
             step.ticks_executed + step.cycles_skipped);
 
-  // Skip economics: at least as many cycles skipped and at most as many
-  // loop visits as the recorded baseline for this cell (see
-  // SkipBaselinePath above).
+  // Skip economics: at least as many cycles skipped, at most as many loop
+  // visits and at most as many controller ticks as the recorded baseline
+  // for this cell (see SkipBaselinePath above).
   static const auto baseline = LoadSkipBaseline();
-  const auto it = baseline.find(policy + "/" + wl);
-  if (it != baseline.end()) {
-    EXPECT_GE(skip.cycles_skipped, it->second.skipped_floor)
-        << "wake hints got less exact: " << policy << "/" << wl
-        << " skipped fewer cycles than the recorded baseline";
-    EXPECT_LE(skip.ticks_executed, it->second.visits_ceiling)
-        << "wake hints got less exact: " << policy << "/" << wl
-        << " made more loop visits than the recorded baseline";
-  }
+  const std::string cell = policy + "/" + wl;
+  const auto it = baseline.find(cell);
+  ASSERT_NE(it, baseline.end())
+      << "no skip baseline row for " << cell << " in " << SkipBaselinePath();
+  EXPECT_GE(skip.cycles_skipped, it->second.skipped_floor)
+      << "wake hints got less exact: " << cell
+      << " skipped fewer cycles than the recorded baseline";
+  EXPECT_LE(skip.ticks_executed, it->second.visits_ceiling)
+      << "wake hints got less exact: " << cell
+      << " made more loop visits than the recorded baseline";
+  EXPECT_LE(skip_run.ctrl_ticks, it->second.ctrl_ticks_ceiling)
+      << "wake hints got less exact: " << cell
+      << " ticked the controller more often than the recorded baseline";
 }
 
 // A truncated run stops at max_cycles + 1 in both pacing modes: the last
@@ -144,9 +188,9 @@ TEST(NoSkipDifferential, TruncatedRunIdenticalStats) {
             step.ticks_executed + step.cycles_skipped);
 }
 
-/// Regenerates the skip baseline file (cycles_skipped floors and
-/// ticks_executed ceilings); only runs when REDCACHE_UPDATE_SKIP_BASELINE
-/// is set.
+/// Regenerates the skip baseline file (cycles_skipped floors,
+/// ticks_executed and controller-tick ceilings); only runs when
+/// REDCACHE_UPDATE_SKIP_BASELINE is set.
 TEST(SkipBaseline, Regenerate) {
   const char* env = std::getenv("REDCACHE_UPDATE_SKIP_BASELINE");
   if (env == nullptr || env[0] == '\0' || std::string(env) == "0") {
@@ -155,29 +199,28 @@ TEST(SkipBaseline, Regenerate) {
   }
   std::ofstream out(SkipBaselinePath());
   ASSERT_TRUE(out.good());
-  out << "# cycles_skipped floor and ticks_executed ceiling per skip/no-skip\n"
-      << "# differential cell (policy/workload  cycles_skipped  "
-         "ticks_executed),\n"
+  out << "# cycles_skipped floor, ticks_executed (loop visit) ceiling and\n"
+      << "# MemController::Tick ceiling per skip/no-skip differential cell\n"
+      << "# (policy/workload  cycles_skipped  ticks_executed  ctrl_ticks),\n"
       << "# spec: scale=0.02 eval preset, 4 cores. Regenerate:\n"
       << "#   REDCACHE_UPDATE_SKIP_BASELINE=1 sim_tests\n"
       << "#   --gtest_filter='SkipBaseline.Regenerate'\n";
-  for (const std::string& policy : BaselinePolicies()) {
+  for (const std::string& policy : DifferentialPolicies()) {
     for (const std::string& wl : WorkloadLabels()) {
-      const RunResult skip = RunOne(Spec(policy, wl));
-      ASSERT_TRUE(skip.completed) << policy << "/" << wl;
-      out << policy << "/" << wl << " " << skip.cycles_skipped << " "
-          << skip.ticks_executed << "\n";
+      const SkipRun run = RunSkipCountingTicks(Spec(policy, wl));
+      ASSERT_TRUE(run.result.completed) << policy << "/" << wl;
+      out << policy << "/" << wl << " " << run.result.cycles_skipped << " "
+          << run.result.ticks_executed << " " << run.ctrl_ticks << "\n";
     }
   }
   std::printf("wrote %zu cells to %s\n",
-              BaselinePolicies().size() * WorkloadLabels().size(),
+              DifferentialPolicies().size() * WorkloadLabels().size(),
               SkipBaselinePath().c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     TableII, NoSkipDifferential,
-    ::testing::Combine(::testing::Values("Alloy", "Bear", "RedCache",
-                                         "Banshee", "TicToc"),
+    ::testing::Combine(::testing::ValuesIn(DifferentialPolicies()),
                        ::testing::ValuesIn(WorkloadLabels())),
     [](const ::testing::TestParamInfo<Param>& info) {
       std::string name = std::get<0>(info.param) + "_" +

@@ -98,7 +98,7 @@ void PrintUsage() {
   std::printf(
       "usage: redcache_cli [options]\n"
       "  --policy NAME      registered cache policy (--list shows them;\n"
-      "                     default RedCache). --arch is an alias.\n"
+      "                     default RedCache)\n"
       "  --workload LABEL   Table II label (default LU)\n"
       "  --replay FILE      replay a captured trace instead of a workload\n"
       "  --capture FILE     write the workload's trace to FILE and exit\n"
@@ -154,7 +154,7 @@ void PrintUsage() {
       "  --telemetry-dir D  with --sweep: stream each simulated cell's\n"
       "                     NDJSON series to D/<cell-key>.ndjson\n"
       "  --policies A,B,..  policies for --sweep (default: every policy\n"
-      "                     registered with sweep=true). --archs is an alias.\n"
+      "                     registered with sweep=true)\n"
       "  --workloads X,Y,.. workloads for --sweep (default: all Table II)\n"
       "  --jobs N           worker threads for --sweep/--sample (default:\n"
       "                     REDCACHE_JOBS, then hardware concurrency)\n"
@@ -232,7 +232,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
   constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
   const std::map<std::string, Setter> values = {
       {"--policy", text(opt.policy)},
-      {"--arch", text(opt.policy)},
       {"--workload", text(opt.workload)},
       {"--replay", text(opt.replay_path)},
       {"--capture", text(opt.capture_path)},
@@ -245,7 +244,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
       {"--checkpoint", text(opt.checkpoint_path)},
       {"--restore", text(opt.restore_path)},
       {"--policies", text(opt.sweep_policies)},
-      {"--archs", text(opt.sweep_policies)},
       {"--workloads", text(opt.sweep_workloads)},
       {"--scale", number("X in (0, 1e6]", std::numeric_limits<double>::min(),
                          1e6, opt.scale)},
@@ -728,7 +726,7 @@ bool WriteSampleReport(const CliOptions& opt, const RunSpec& spec,
   report.wall_seconds = est.functional_seconds + est.replay_seconds;
   CellProfile prof;
   prof.key = CellKey(CellSpec{spec, ""});
-  prof.arch = spec.policy;
+  prof.policy = spec.policy;
   prof.workload = spec.workload;
   prof.wall_seconds = report.wall_seconds;
   prof.sim_seconds = report.wall_seconds;
