@@ -1,6 +1,14 @@
 #include "common/types.hpp"
 
+#include <sys/mman.h>
+
+#include <cstdlib>
+
 namespace redcache {
+
+namespace {
+constexpr std::size_t kMapZeroedBytes = std::size_t{64} << 10;
+}  // namespace
 
 const char* ToString(AccessType t) {
   switch (t) {
@@ -12,6 +20,21 @@ const char* ToString(AccessType t) {
       return "writeback";
   }
   return "?";
+}
+
+void* AllocateZeroed(std::size_t bytes) {
+  if (bytes < kMapZeroedBytes) return std::calloc(1, bytes);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  return p == MAP_FAILED ? nullptr : p;
+}
+
+void FreeZeroed(void* p, std::size_t bytes) noexcept {
+  if (bytes < kMapZeroedBytes) {
+    std::free(p);
+  } else {
+    munmap(p, bytes);
+  }
 }
 
 }  // namespace redcache

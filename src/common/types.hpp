@@ -6,8 +6,12 @@
 // DRAM model takes care of that internally.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace redcache {
 
@@ -54,6 +58,44 @@ constexpr Addr BlockAlign(Addr a) { return a & ~Addr{kBlockBytes - 1}; }
 constexpr Addr BlockIndex(Addr a) { return a >> kBlockShift; }
 /// Page index (address / 4096).
 constexpr Addr PageIndex(Addr a) { return a >> kPageShift; }
+
+/// Zeroed storage for ZeroedAllocator: 64 KiB or more is mapped straight
+/// from the OS, smaller sizes come from calloc. Returns nullptr on failure.
+/// Free with FreeZeroed and the same `bytes`.
+void* AllocateZeroed(std::size_t bytes);
+void FreeZeroed(void* p, std::size_t bytes) noexcept;
+
+/// std::vector allocator for cache tag arrays whose value-initialized
+/// element is all zero bytes. Storage arrives zeroed, so value-initialization
+/// writes nothing, and the large arrays never enter the malloc heap:
+/// building a System touches none of their pages, and its cost does not
+/// depend on whether malloc trimmed the previous System's memory back to
+/// the OS. Size such a vector once, from empty: growing it again after a
+/// shrink would expose stale elements.
+template <class T>
+struct ZeroedAllocator {
+  using value_type = T;
+  ZeroedAllocator() = default;
+  template <class U>
+  ZeroedAllocator(const ZeroedAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    if (void* p = AllocateZeroed(n * sizeof(T))) return static_cast<T*>(p);
+    throw std::bad_alloc();
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    FreeZeroed(p, n * sizeof(T));
+  }
+  template <class U>
+  void construct(U*) noexcept {
+    static_assert(std::is_trivially_destructible_v<U> &&
+                  (std::is_aggregate_v<U> || std::is_scalar_v<U>));
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  friend bool operator==(ZeroedAllocator, ZeroedAllocator) { return true; }
+};
 
 /// Common size literals.
 constexpr std::uint64_t operator""_KiB(unsigned long long v) { return v << 10; }

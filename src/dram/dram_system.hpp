@@ -55,9 +55,6 @@ class DramSystem {
   bool Refreshing(Addr addr, Cycle now) const;
 
   bool TransactionQueuesEmpty() const;
-  bool ChannelQueueEmpty(std::uint32_t channel) const {
-    return channels_[channel]->QueueEmpty();
-  }
   /// True when the channel's transaction queue has no requests (in-flight
   /// data that already left the queue does not count) — the RCU manager's
   /// "transaction queue becomes empty" drain condition.

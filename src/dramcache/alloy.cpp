@@ -1,20 +1,6 @@
 #include "dramcache/alloy.hpp"
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    alloy, {.name = "Alloy",
-            .summary = "MICRO'12 Alloy cache: direct-mapped TAD, "
-                       "always-install fills",
-            .family = "alloy",
-            .differential = true,
-            .golden = true,
-            .sweep = true,
-            .make = [](const MemControllerConfig& cfg) {
-              return std::make_unique<AlloyController>(cfg);
-            }});
 
 namespace {
 enum State {

@@ -3,21 +3,7 @@
 #include <bit>
 #include <cassert>
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    banshee, {.name = "Banshee",
-              .summary = "frequency-gated page cache: SRAM tags, footprint "
-                         "bitmaps, challenger-based replacement",
-              .family = "page",
-              .differential = true,
-              .golden = true,
-              .sweep = true,
-              .make = [](const MemControllerConfig& cfg) {
-                return std::make_unique<BansheeController>(cfg);
-              }});
 
 namespace {
 enum State {

@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    bear, {.name = "Bear",
-           .summary = "ISCA'15 BEAR: Alloy + bandwidth-aware bypass, "
-                      "presence filter, write-miss bypass",
-           .family = "alloy",
-           .differential = true,
-           .golden = true,
-           .sweep = true,
-           .make = [](const MemControllerConfig& cfg) {
-             return std::make_unique<BearController>(cfg);
-           }});
 
 namespace {
 enum State {
@@ -27,7 +13,7 @@ enum State {
 }  // namespace
 
 PresenceFilter::PresenceFilter(std::size_t buckets, std::uint32_t hashes)
-    : counters_(buckets < 64 ? 64 : buckets, 0), hashes_(hashes) {}
+    : counters_(buckets < 64 ? 64 : buckets), hashes_(hashes) {}
 
 std::size_t PresenceFilter::Slot(Addr line_addr, std::uint32_t i) const {
   return static_cast<std::size_t>(Mix64(line_addr * 2654435761u + i * 40503u)) %

@@ -50,7 +50,7 @@ class PresenceFilter {
  private:
   std::size_t Slot(Addr line_addr, std::uint32_t i) const;
 
-  std::vector<std::uint8_t> counters_;
+  std::vector<std::uint8_t, ZeroedAllocator<std::uint8_t>> counters_;
   std::uint32_t hashes_;
   mutable std::uint64_t checks_ = 0;
   mutable std::uint64_t absences_ = 0;

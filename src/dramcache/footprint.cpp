@@ -2,21 +2,7 @@
 
 #include <cassert>
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    footprint_2kb, {.name = "Footprint-2KB",
-                    .summary = "coarse-grained 2 KiB page cache with SRAM "
-                               "tags and footprint bitmaps",
-                    .family = "page",
-                    .differential = false,
-                    .golden = false,
-                    .sweep = false,
-                    .make = [](const MemControllerConfig& cfg) {
-                      return std::make_unique<FootprintCacheController>(cfg);
-                    }});
 
 namespace {
 enum State {

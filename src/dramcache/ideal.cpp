@@ -1,19 +1,6 @@
 #include "dramcache/ideal.hpp"
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    ideal, {.name = "IDEAL",
-            .summary = "perfect HBM cache: every block resident, 100% hits",
-            .family = "bound",
-            .differential = true,
-            .golden = false,
-            .sweep = false,
-            .make = [](const MemControllerConfig& cfg) {
-              return std::make_unique<IdealController>(cfg);
-            }});
 
 namespace {
 enum State { kProbe = 0 };

@@ -1,19 +1,6 @@
 #include "dramcache/no_hbm.hpp"
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    no_hbm, {.name = "No-HBM",
-             .summary = "off-package DDR4 only (no DRAM cache)",
-             .family = "bound",
-             .differential = true,
-             .golden = false,
-             .sweep = false,
-             .make = [](const MemControllerConfig& cfg) {
-               return std::make_unique<NoHbmController>(cfg);
-             }});
 
 NoHbmController::NoHbmController(MemControllerConfig cfg)
     : ControllerBase((cfg.has_hbm = false, cfg)) {}

@@ -1,173 +1,194 @@
 #include "dramcache/policy_registry.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
+
+#include "dramcache/alloy.hpp"
+#include "dramcache/banshee.hpp"
+#include "dramcache/bear.hpp"
+#include "dramcache/footprint.hpp"
+#include "dramcache/ideal.hpp"
+#include "dramcache/no_hbm.hpp"
+#include "dramcache/redcache.hpp"
+#include "dramcache/tictoc.hpp"
 
 namespace redcache {
 
 namespace {
 
-// Anchor declarations: one per builtin policy translation unit. Referencing
-// the registration function forces the linker to keep the archive member
-// (and with it the policy's static registrar) in every binary that touches
-// the registry, whether or not the binary names the policy class itself.
-#define REDCACHE_DECLARE_BUILTIN(ident) void RedcachePolicyRegister_##ident()
-#define REDCACHE_ANCHOR_BUILTIN(ident) RedcachePolicyRegister_##ident()
-
-}  // namespace
-
-REDCACHE_DECLARE_BUILTIN(no_hbm);
-REDCACHE_DECLARE_BUILTIN(ideal);
-REDCACHE_DECLARE_BUILTIN(alloy);
-REDCACHE_DECLARE_BUILTIN(bear);
-REDCACHE_DECLARE_BUILTIN(red_alpha);
-REDCACHE_DECLARE_BUILTIN(red_gamma);
-REDCACHE_DECLARE_BUILTIN(red_basic);
-REDCACHE_DECLARE_BUILTIN(red_insitu);
-REDCACHE_DECLARE_BUILTIN(redcache_full);
-REDCACHE_DECLARE_BUILTIN(redcache_2way);
-REDCACHE_DECLARE_BUILTIN(redcache_4way);
-REDCACHE_DECLARE_BUILTIN(redcache_8way);
-REDCACHE_DECLARE_BUILTIN(footprint_2kb);
-REDCACHE_DECLARE_BUILTIN(banshee);
-REDCACHE_DECLARE_BUILTIN(tictoc);
-
-namespace {
-
-void EnsureBuiltinsRegistered() {
-  static const bool done = [] {
-    REDCACHE_ANCHOR_BUILTIN(no_hbm);
-    REDCACHE_ANCHOR_BUILTIN(ideal);
-    REDCACHE_ANCHOR_BUILTIN(alloy);
-    REDCACHE_ANCHOR_BUILTIN(bear);
-    REDCACHE_ANCHOR_BUILTIN(red_alpha);
-    REDCACHE_ANCHOR_BUILTIN(red_gamma);
-    REDCACHE_ANCHOR_BUILTIN(red_basic);
-    REDCACHE_ANCHOR_BUILTIN(red_insitu);
-    REDCACHE_ANCHOR_BUILTIN(redcache_full);
-    REDCACHE_ANCHOR_BUILTIN(redcache_2way);
-    REDCACHE_ANCHOR_BUILTIN(redcache_4way);
-    REDCACHE_ANCHOR_BUILTIN(redcache_8way);
-    REDCACHE_ANCHOR_BUILTIN(footprint_2kb);
-    REDCACHE_ANCHOR_BUILTIN(banshee);
-    REDCACHE_ANCHOR_BUILTIN(tictoc);
-    return true;
-  }();
-  (void)done;
+template <class Controller>
+std::unique_ptr<MemController> Make(const MemControllerConfig& cfg) {
+  return std::make_unique<Controller>(cfg);
 }
 
-}  // namespace
+// RedCacheController display names (its name() and stats label).
+constexpr char kRedAlpha[] = "red-alpha";
+constexpr char kRedGamma[] = "red-gamma";
+constexpr char kRedBasic[] = "red-basic";
+constexpr char kRedInSitu[] = "red-insitu";
+constexpr char kRedCache[] = "redcache";
+constexpr char kRedCache2way[] = "redcache-2way";
+constexpr char kRedCache4way[] = "redcache-4way";
+constexpr char kRedCache8way[] = "redcache-8way";
 
-struct PolicyRegistry::Impl {
-  mutable std::mutex mu;
-  std::map<std::string, PolicyInfo> policies;  // sorted by name
+template <RedCacheOptions (*kOptions)(), const char* kDisplayName,
+          std::uint32_t kWays = 1>
+std::unique_ptr<MemController> MakeRedCache(const MemControllerConfig& cfg) {
+  return std::make_unique<RedCacheController>(cfg, kOptions(), kDisplayName,
+                                              kWays);
+}
+
+using Opt = RedCacheOptions;
+
+/// Every policy, in name order.
+constexpr PolicyInfo kPolicies[] = {
+    {.name = "Alloy",
+     .summary = "MICRO'12 Alloy cache: direct-mapped TAD, always-install fills",
+     .family = "alloy",
+     .differential = true,
+     .golden = true,
+     .sweep = true,
+     .make = Make<AlloyController>},
+    {.name = "Banshee",
+     .summary = "frequency-gated page cache: SRAM tags, footprint bitmaps, "
+                "challenger-based replacement",
+     .family = "page",
+     .differential = true,
+     .golden = true,
+     .sweep = true,
+     .make = Make<BansheeController>},
+    {.name = "Bear",
+     .summary = "ISCA'15 BEAR: Alloy + bandwidth-aware bypass, presence "
+                "filter, write-miss bypass",
+     .family = "alloy",
+     .differential = true,
+     .golden = true,
+     .sweep = true,
+     .make = Make<BearController>},
+    {.name = "Footprint-2KB",
+     .summary = "coarse-grained 2 KiB page cache with SRAM tags and "
+                "footprint bitmaps",
+     .family = "page",
+     .make = Make<FootprintCacheController>},
+    {.name = "IDEAL",
+     .summary = "perfect HBM cache: every block resident, 100% hits",
+     .family = "bound",
+     .differential = true,
+     .make = Make<IdealController>},
+    {.name = "No-HBM",
+     .summary = "off-package DDR4 only (no DRAM cache)",
+     .family = "bound",
+     .differential = true,
+     .make = Make<NoHbmController>},
+    {.name = "Red-Alpha",
+     .summary = "direct-mapped cache + alpha admission only",
+     .family = "redcache",
+     .sweep = true,
+     .make = MakeRedCache<Opt::AlphaOnly, kRedAlpha>},
+    {.name = "Red-Basic",
+     .summary = "alpha + gamma with immediate r-count updates (no RCU)",
+     .family = "redcache",
+     .differential = true,
+     .sweep = true,
+     .make = MakeRedCache<Opt::Basic, kRedBasic>},
+    {.name = "Red-Gamma",
+     .summary = "Alloy + in-DRAM gamma last-write counting only",
+     .family = "redcache",
+     .sweep = true,
+     .make = MakeRedCache<Opt::GammaOnly, kRedGamma>},
+    {.name = "Red-InSitu",
+     .summary = "alpha + gamma with free in-DRAM updates (upper bound)",
+     .family = "redcache",
+     .sweep = true,
+     .make = MakeRedCache<Opt::InSitu, kRedInSitu>},
+    {.name = "RedCache",
+     .summary = "full proposal: alpha + gamma + RCU + bypass-on-refresh",
+     .family = "redcache",
+     .differential = true,
+     .golden = true,
+     .sweep = true,
+     .make = MakeRedCache<Opt::Full, kRedCache>},
+    {.name = "RedCache-2way",
+     .summary = "2-way LRU RedCache (R-Cache direction extension)",
+     .family = "redcache",
+     .make = MakeRedCache<Opt::Full, kRedCache2way, 2>},
+    {.name = "RedCache-4way",
+     .summary = "4-way LRU RedCache (R-Cache direction extension)",
+     .family = "redcache",
+     .differential = true,
+     .make = MakeRedCache<Opt::Full, kRedCache4way, 4>},
+    {.name = "RedCache-8way",
+     .summary = "8-way LRU RedCache (R-Cache direction extension)",
+     .family = "redcache",
+     .make = MakeRedCache<Opt::Full, kRedCache8way, 8>},
+    {.name = "TicToc",
+     .summary = "bandwidth-aware Alloy: duty-gated fills, deferred metadata "
+                "writes, last-write routing to MM",
+     .family = "alloy",
+     .differential = true,
+     .golden = true,
+     .sweep = true,
+     .make = Make<TicTocController>},
 };
 
-PolicyRegistry::Impl& PolicyRegistry::impl() const {
-  static Impl instance;
-  return instance;
-}
+static_assert(ValidPolicyTable(kPolicies),
+              "policy table: names must be unique and in name order, and "
+              "every row needs a name, a summary and a family");
 
-PolicyRegistry& PolicyRegistry::Instance() {
-  static PolicyRegistry registry;
-  return registry;
-}
-
-void PolicyRegistry::Register(PolicyInfo info) {
-  if (info.name.empty()) {
-    throw std::invalid_argument("policy registration with an empty name");
+std::vector<std::string> NamesWhere(bool PolicyInfo::*flag) {
+  std::vector<std::string> names;
+  for (const PolicyInfo& row : kPolicies) {
+    if (flag == nullptr || row.*flag) names.emplace_back(row.name);
   }
-  if (!info.make) {
-    throw std::invalid_argument("policy '" + info.name +
-                                "' registered without a factory");
-  }
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  if (!im.policies.emplace(info.name, std::move(info)).second) {
-    throw std::invalid_argument("duplicate policy registration: " +
-                                im.policies.find(info.name)->first);
-  }
+  return names;
 }
 
-bool PolicyRegistry::Has(const std::string& name) const {
-  EnsureBuiltinsRegistered();
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  return im.policies.count(name) != 0;
-}
+}  // namespace
 
-PolicyInfo PolicyRegistry::Get(const std::string& name) const {
-  EnsureBuiltinsRegistered();
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  const auto it = im.policies.find(name);
-  if (it != im.policies.end()) return it->second;
-  std::string msg = "unknown policy '" + name + "'; registered policies:";
-  for (const auto& [n, info] : im.policies) {
+std::span<const PolicyInfo> Policies() { return kPolicies; }
+
+const PolicyInfo& GetPolicy(std::string_view name) {
+  for (const PolicyInfo& row : kPolicies) {
+    if (row.name == name) return row;
+  }
+  std::string msg = "unknown policy '" + std::string(name) +
+                    "'; registered policies:";
+  for (const PolicyInfo& row : kPolicies) {
     msg += ' ';
-    msg += n;
+    msg += row.name;
   }
   throw std::invalid_argument(msg);
 }
 
-std::vector<std::string> PolicyRegistry::Names() const {
-  EnsureBuiltinsRegistered();
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  std::vector<std::string> names;
-  names.reserve(im.policies.size());
-  for (const auto& [n, info] : im.policies) names.push_back(n);
-  return names;
+std::vector<std::string> PolicyNames() { return NamesWhere(nullptr); }
+
+std::vector<std::string> DifferentialPolicyNames() {
+  return NamesWhere(&PolicyInfo::differential);
 }
 
-std::vector<PolicyInfo> PolicyRegistry::Infos() const {
-  EnsureBuiltinsRegistered();
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  std::vector<PolicyInfo> infos;
-  infos.reserve(im.policies.size());
-  for (const auto& [n, info] : im.policies) infos.push_back(info);
-  return infos;
+std::vector<std::string> GoldenPolicyNames() {
+  return NamesWhere(&PolicyInfo::golden);
 }
 
-namespace {
-
-std::vector<std::string> FilterNames(const PolicyRegistry& reg,
-                                     bool PolicyInfo::*flag) {
-  std::vector<std::string> names;
-  for (const PolicyInfo& info : reg.Infos()) {
-    if (info.*flag) names.push_back(info.name);
-  }
-  return names;
+std::vector<std::string> SweepPolicyNames() {
+  return NamesWhere(&PolicyInfo::sweep);
 }
 
-}  // namespace
-
-std::vector<std::string> PolicyRegistry::DifferentialNames() const {
-  return FilterNames(*this, &PolicyInfo::differential);
-}
-
-std::vector<std::string> PolicyRegistry::GoldenNames() const {
-  return FilterNames(*this, &PolicyInfo::golden);
-}
-
-std::vector<std::string> PolicyRegistry::SweepNames() const {
-  return FilterNames(*this, &PolicyInfo::sweep);
+bool AcceptsThresholdPins(const PolicyInfo& info) {
+  return info.family == "redcache";
 }
 
 const std::vector<std::string>& EvaluationPolicies() {
-  static const std::vector<std::string> kPolicies = {
+  static const std::vector<std::string> kEvaluation = {
       "Alloy",     "Bear",       "Red-Alpha", "Red-Gamma",
       "Red-Basic", "Red-InSitu", "RedCache",
   };
-  return kPolicies;
+  return kEvaluation;
 }
 
 std::vector<std::string> DefaultSweepPolicies() {
   std::vector<std::string> policies = EvaluationPolicies();
-  for (const std::string& name : PolicyRegistry::Instance().SweepNames()) {
+  for (const std::string& name : SweepPolicyNames()) {
     if (std::find(policies.begin(), policies.end(), name) == policies.end()) {
       policies.push_back(name);
     }
@@ -177,7 +198,7 @@ std::vector<std::string> DefaultSweepPolicies() {
 
 std::unique_ptr<MemController> MakePolicy(const std::string& name,
                                           const MemControllerConfig& cfg) {
-  return PolicyRegistry::Instance().Get(name).make(cfg);
+  return GetPolicy(name).make(cfg);
 }
 
 }  // namespace redcache

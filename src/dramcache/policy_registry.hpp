@@ -1,51 +1,48 @@
-// Policy plugin registry: name-based construction of DRAM-cache policies.
+// Policy table: name-based construction of DRAM-cache policies.
 //
-// Every memory-controller policy registers itself under a stable name via
-// REDCACHE_REGISTER_POLICY in its own translation unit; the rest of the
+// Every memory-controller policy the simulator ships is one row of the
+// constant, name-sorted table in policy_registry.cpp; the rest of the
 // system (runner, batch engine, CLI, differential fuzzer, golden-stats
 // harness) looks policies up by name and never names a concrete class.
-// Adding a policy is a one-file exercise:
+// Adding a policy is: subclass ControllerBase, then add one table row
 //
-//   // src/dramcache/mypolicy.cpp
-//   REDCACHE_REGISTER_POLICY(mypolicy, {
-//       .name = "MyPolicy",
-//       .summary = "one-line description for --list and error messages",
-//       .family = "mypolicy",
-//       .differential = true,   // include in the N-policy differential set
-//       .golden = true,         // pin Table II golden stats for it
-//       .sweep = true,          // include in the default --sweep matrix
-//       .make = [](const MemControllerConfig& cfg) {
-//         return std::make_unique<MyPolicyController>(cfg);
-//       }})
+//   {.name = "MyPolicy",
+//    .summary = "one-line description for --list and error messages",
+//    .family = "mypolicy",
+//    .differential = true,   // include in the N-policy differential set
+//    .golden = true,         // pin Table II golden stats for it
+//    .sweep = true,          // include in the default --sweep matrix
+//    .make = Make<MyPolicyController>},
 //
-// plus one anchor line in policy_registry.cpp's builtin list (required
-// because the policies live in a static library: an unreferenced
-// translation unit would be dropped by the linker and its registration
-// would never run; the anchor reference forces the member in). Policy
-// translation units compiled directly into an executable (tests) need no
-// anchor — their static registrar runs at load time.
+// in name order. A duplicate, unsorted or incomplete row fails the build:
+// the factory is a function reference, so a row cannot omit it, and a
+// static_assert over ValidPolicyTable checks the rest.
 //
-// Registration obligations (DESIGN.md section 11): honor the MemController
-// wake contract (conservative Tick/NextEventHint/PolicyWake), export
+// Policy obligations (DESIGN.md section 11): honor the MemController wake
+// contract (conservative Tick/NextEventHint/PolicyWake), export
 // "ctrl."-prefixed stats (and, where meaningful, the fill-conservation
 // triple fills/evictions/resident_lines the differential fuzzer
 // cross-checks), and call the VerifySink hooks so the reference memory
 // model can replay the policy's data movement.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dramcache/controller.hpp"
 
 namespace redcache {
 
+using PolicyFactory =
+    std::unique_ptr<MemController>(const MemControllerConfig&);
+
 struct PolicyInfo {
-  std::string name;     ///< canonical lookup key (also the CellKey label)
-  std::string summary;  ///< one line for --list and unknown-name errors
-  std::string family;   ///< mechanism family ("alloy", "redcache", ...)
+  std::string_view name;     ///< canonical lookup key (also the CellKey label)
+  std::string_view summary;  ///< one line for --list and unknown-name errors
+  std::string_view family;   ///< mechanism family ("alloy", "redcache", ...)
   /// Cross-checked against the reference memory model by the N-policy
   /// differential fuzzer (src/verify/differential.cpp).
   bool differential = false;
@@ -53,38 +50,40 @@ struct PolicyInfo {
   bool golden = false;
   /// Part of the default `redcache_cli --sweep` evaluation matrix.
   bool sweep = false;
-  std::function<std::unique_ptr<MemController>(const MemControllerConfig&)>
-      make;
+  PolicyFactory& make;
 };
 
-class PolicyRegistry {
- public:
-  /// The process-wide registry (builtins are registered on first access).
-  static PolicyRegistry& Instance();
+/// The table's invariants: names non-empty and strictly increasing (so
+/// unique), and every row has a summary and a family (the factory
+/// reference cannot be left out).
+constexpr bool ValidPolicyTable(std::span<const PolicyInfo> rows) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PolicyInfo& row = rows[i];
+    if (row.name.empty() || row.summary.empty() || row.family.empty()) {
+      return false;
+    }
+    if (i > 0 && !(rows[i - 1].name < row.name)) return false;
+  }
+  return true;
+}
 
-  /// Throws std::invalid_argument on a duplicate name or a null factory.
-  void Register(PolicyInfo info);
+/// Every policy, sorted by name.
+std::span<const PolicyInfo> Policies();
 
-  bool Has(const std::string& name) const;
-  /// Throws std::invalid_argument listing every registered name when
-  /// `name` is unknown.
-  PolicyInfo Get(const std::string& name) const;
+/// Throws std::invalid_argument listing every policy when `name` is
+/// unknown.
+const PolicyInfo& GetPolicy(std::string_view name);
 
-  /// All registered names, sorted (deterministic across runs).
-  std::vector<std::string> Names() const;
-  /// All registered infos, sorted by name.
-  std::vector<PolicyInfo> Infos() const;
+/// All policy names, sorted.
+std::vector<std::string> PolicyNames();
+/// Sorted names with the given capability flag set.
+std::vector<std::string> DifferentialPolicyNames();
+std::vector<std::string> GoldenPolicyNames();
+std::vector<std::string> SweepPolicyNames();
 
-  /// Sorted names with the given capability flag set.
-  std::vector<std::string> DifferentialNames() const;
-  std::vector<std::string> GoldenNames() const;
-  std::vector<std::string> SweepNames() const;
-
- private:
-  PolicyRegistry() = default;
-  struct Impl;
-  Impl& impl() const;
-};
+/// Whether --alpha/--gamma threshold pins apply to the policy: they tune
+/// RedCache's alpha/gamma, so only the redcache family takes them.
+bool AcceptsThresholdPins(const PolicyInfo& info);
 
 /// The paper's Fig. 9-11 comparison, in its order: Alloy (the baseline
 /// every figure normalizes against), Bear, the four RedCache ablations,
@@ -93,36 +92,12 @@ const std::vector<std::string>& EvaluationPolicies();
 
 /// The default sweep columns: EvaluationPolicies() in the paper's order,
 /// then every other sweep-enabled policy (rivals like Banshee and TicToc)
-/// in registry order.
+/// in name order.
 std::vector<std::string> DefaultSweepPolicies();
 
-/// Construct the policy registered under `name`. Unknown names throw
-/// std::invalid_argument with the full list of registered policies.
+/// Construct the policy named `name`. Unknown names throw
+/// std::invalid_argument with the full list of policies.
 std::unique_ptr<MemController> MakePolicy(const std::string& name,
                                           const MemControllerConfig& cfg);
-
-/// Registration helper used by REDCACHE_REGISTER_POLICY. Registration is
-/// idempotent per call site (safe to run both via the static registrar and
-/// via the builtin anchor list).
-struct PolicyRegistrar {
-  explicit PolicyRegistrar(void (*register_fn)()) { register_fn(); }
-};
-
-/// Self-registering policy translation unit. `ident` must be a unique C
-/// identifier; the remaining arguments brace-initialize a PolicyInfo.
-#define REDCACHE_REGISTER_POLICY(ident, ...)                             \
-  void RedcachePolicyRegister_##ident() {                                \
-    static const bool redcache_registered_once_ = [] {                   \
-      ::redcache::PolicyRegistry::Instance().Register(                   \
-          ::redcache::PolicyInfo __VA_ARGS__);                           \
-      return true;                                                       \
-    }();                                                                 \
-    (void)redcache_registered_once_;                                     \
-  }                                                                      \
-  namespace {                                                            \
-  const ::redcache::PolicyRegistrar redcache_policy_registrar_##ident{   \
-      &RedcachePolicyRegister_##ident};                                  \
-  }                                                                      \
-  static_assert(true, "")
 
 }  // namespace redcache

@@ -2,100 +2,9 @@
 
 #include <cassert>
 
-#include "dramcache/policy_registry.hpp"
 #include "obs/trace_macros.hpp"
 
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    red_alpha, {.name = "Red-Alpha",
-                .summary = "direct-mapped cache + alpha admission only",
-                .family = "redcache",
-                .differential = false,
-                .golden = false,
-                .sweep = true,
-                .make = [](const MemControllerConfig& cfg) {
-                  return std::make_unique<RedCacheController>(
-                      cfg, RedCacheOptions::AlphaOnly(), "red-alpha");
-                }});
-
-REDCACHE_REGISTER_POLICY(
-    red_gamma, {.name = "Red-Gamma",
-                .summary = "Alloy + in-DRAM gamma last-write counting only",
-                .family = "redcache",
-                .differential = false,
-                .golden = false,
-                .sweep = true,
-                .make = [](const MemControllerConfig& cfg) {
-                  return std::make_unique<RedCacheController>(
-                      cfg, RedCacheOptions::GammaOnly(), "red-gamma");
-                }});
-
-REDCACHE_REGISTER_POLICY(
-    red_basic, {.name = "Red-Basic",
-                .summary = "alpha + gamma with immediate r-count updates "
-                           "(no RCU)",
-                .family = "redcache",
-                .differential = true,
-                .golden = false,
-                .sweep = true,
-                .make = [](const MemControllerConfig& cfg) {
-                  return std::make_unique<RedCacheController>(
-                      cfg, RedCacheOptions::Basic(), "red-basic");
-                }});
-
-REDCACHE_REGISTER_POLICY(
-    red_insitu, {.name = "Red-InSitu",
-                 .summary = "alpha + gamma with free in-DRAM updates "
-                            "(upper bound)",
-                 .family = "redcache",
-                 .differential = false,
-                 .golden = false,
-                 .sweep = true,
-                 .make = [](const MemControllerConfig& cfg) {
-                   return std::make_unique<RedCacheController>(
-                       cfg, RedCacheOptions::InSitu(), "red-insitu");
-                 }});
-
-REDCACHE_REGISTER_POLICY(
-    redcache_full, {.name = "RedCache",
-                    .summary = "full proposal: alpha + gamma + RCU + "
-                               "bypass-on-refresh",
-                    .family = "redcache",
-                    .differential = true,
-                    .golden = true,
-                    .sweep = true,
-                    .make = [](const MemControllerConfig& cfg) {
-                      return std::make_unique<RedCacheController>(
-                          cfg, RedCacheOptions::Full(), "redcache");
-                    }});
-
-namespace {
-PolicyInfo WaysInfo(const char* name, std::uint32_t ways,
-                    const char* display_name, bool differential) {
-  return {.name = name,
-          .summary = std::to_string(ways) +
-                     "-way LRU RedCache (R-Cache direction extension)",
-          .family = "redcache",
-          .differential = differential,
-          .golden = false,
-          .sweep = false,
-          .make = [ways, display_name](const MemControllerConfig& cfg) {
-            return std::make_unique<RedCacheController>(
-                cfg, RedCacheOptions::Full(), display_name, ways);
-          }};
-}
-}  // namespace
-
-REDCACHE_REGISTER_POLICY(redcache_2way,
-                         (WaysInfo("RedCache-2way", 2, "redcache-2way",
-                                   /*differential=*/false)));
-REDCACHE_REGISTER_POLICY(redcache_4way,
-                         (WaysInfo("RedCache-4way", 4, "redcache-4way",
-                                   /*differential=*/true)));
-REDCACHE_REGISTER_POLICY(redcache_8way,
-                         (WaysInfo("RedCache-8way", 8, "redcache-8way",
-                                   /*differential=*/false)));
 
 namespace {
 /// Policy-decision trace event (policy device renders on one track).

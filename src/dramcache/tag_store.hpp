@@ -204,7 +204,7 @@ class TagStore {
   std::uint32_t channels_;
   std::uint64_t line_bytes_;
   std::uint64_t num_sets_;
-  std::vector<Line> lines_;
+  std::vector<Line, ZeroedAllocator<Line>> lines_;
   /// Per-line LRU stamps; empty when direct-mapped.
   std::vector<std::uint64_t> lru_;
   std::uint64_t tick_ = 0;

@@ -1,20 +1,6 @@
 #include "dramcache/tictoc.hpp"
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
-
-REDCACHE_REGISTER_POLICY(
-    tictoc, {.name = "TicToc",
-             .summary = "bandwidth-aware Alloy: duty-gated fills, deferred "
-                        "metadata writes, last-write routing to MM",
-             .family = "alloy",
-             .differential = true,
-             .golden = true,
-             .sweep = true,
-             .make = [](const MemControllerConfig& cfg) {
-               return std::make_unique<TicTocController>(cfg);
-             }});
 
 namespace {
 enum State {

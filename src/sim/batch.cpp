@@ -208,68 +208,6 @@ void SaveCached(const std::string& path, const std::string& identity,
             static_cast<std::streamsize>(buf.size()));
 }
 
-// Shared worker-pool driver: runs task(0..n-1) with results keyed by index,
-// printing per-completion progress/ETA.
-std::vector<RunResult> RunIndexed(
-    std::size_t n, const BatchOptions& opts,
-    const std::function<RunResult(std::size_t)>& task,
-    const std::function<std::string(std::size_t)>& describe) {
-  std::vector<RunResult> results(n);
-  if (n == 0) return results;
-  const bool progress = opts.progress && ProgressEnvEnabled();
-  const unsigned jobs =
-      static_cast<unsigned>(std::min<std::size_t>(ResolveJobs(opts.jobs), n));
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::mutex io_mu;
-  // A task() exception must not escape a worker thread (std::terminate);
-  // record the first one, drain the pool, and rethrow from the caller.
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-
-  auto worker = [&]() {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      try {
-        results[i] = task(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const std::size_t d = done.fetch_add(1) + 1;
-      if (progress) {
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        const double eta =
-            elapsed / static_cast<double>(d) * static_cast<double>(n - d);
-        std::lock_guard<std::mutex> lock(io_mu);
-        std::fprintf(stderr, "[%s %zu/%zu] %s done (%.1fs elapsed, ETA %.1fs)\n",
-                     opts.label.c_str(), d, n, describe(i).c_str(), elapsed,
-                     eta);
-      }
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
 std::string DescribeSpec(const RunSpec& spec) {
   return PolicyNameOf(spec) + "/" + spec.workload;
 }
@@ -277,6 +215,31 @@ std::string DescribeSpec(const RunSpec& spec) {
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// Batch loop over ParallelFor: runs task(0..n-1) with results keyed by
+// index, printing per-completion progress/ETA.
+std::vector<RunResult> RunIndexed(
+    std::size_t n, const BatchOptions& opts,
+    const std::function<RunResult(std::size_t)>& task,
+    const std::function<std::string(std::size_t)>& describe) {
+  std::vector<RunResult> results(n);
+  const bool progress = opts.progress && ProgressEnvEnabled();
+  std::atomic<std::size_t> done{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::mutex io_mu;
+  ParallelFor(n, opts.jobs, [&](std::size_t i) {
+    results[i] = task(i);
+    if (!progress) return;
+    const std::size_t d = done.fetch_add(1) + 1;
+    const double elapsed = SecondsSince(start);
+    const double eta =
+        elapsed / static_cast<double>(d) * static_cast<double>(n - d);
+    std::lock_guard<std::mutex> lock(io_mu);
+    std::fprintf(stderr, "[%s %zu/%zu] %s done (%.1fs elapsed, ETA %.1fs)\n",
+                 opts.label.c_str(), d, n, describe(i).c_str(), elapsed, eta);
+  });
+  return results;
 }
 
 /// The whole number in environment variable `name`, or 0 when it is unset

@@ -63,13 +63,6 @@ class WakeList {
     }
   }
 
-  /// Mark component `i` due immediately (new work arrived).
-  void WakeNow(std::size_t i) {
-    wakes_[i] = 0;
-    min_ = 0;
-    dirty_ = false;
-  }
-
   /// Earliest wake across all components (kNever when empty).
   Cycle Min() const {
     if (dirty_) {

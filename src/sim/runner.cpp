@@ -78,11 +78,12 @@ std::unique_ptr<System> BuildSystem(const RunSpec& spec) {
 
   MemControllerConfig mem = spec.preset.mem;
   if (spec.alpha_pin || spec.gamma_pin) {
-    const PolicyInfo info = PolicyRegistry::Instance().Get(spec.policy);
-    if (info.family != "redcache") {
+    const PolicyInfo& info = GetPolicy(spec.policy);
+    if (!AcceptsThresholdPins(info)) {
       throw std::invalid_argument(
           "alpha/gamma pins apply only to redcache-family policies; " +
-          info.name + " is family \"" + info.family + "\"");
+          std::string(info.name) + " is family \"" + std::string(info.family) +
+          "\"");
     }
     mem.alpha_pin = spec.alpha_pin;
     mem.gamma_pin = spec.gamma_pin;

@@ -39,14 +39,6 @@ struct RunResult {
   // Convenience accessors over `stats`.
   std::uint64_t HbmBytes() const { return stats.GetCounter("hbm.bytes_transferred"); }
   std::uint64_t MmBytes() const { return stats.GetCounter("ddr4.bytes_transferred"); }
-  std::uint64_t TotalBytes() const { return HbmBytes() + MmBytes(); }
-  /// Aggregate consumed bandwidth over both interfaces, bytes per CPU cycle.
-  double AggregateBandwidth() const {
-    return exec_cycles == 0
-               ? 0.0
-               : static_cast<double>(TotalBytes()) /
-                     static_cast<double>(exec_cycles);
-  }
 };
 
 class System : private MemoryPort {

@@ -115,7 +115,7 @@ class SramCache {
 
   SramCacheConfig cfg_;
   std::uint64_t sets_;
-  std::vector<Line> lines_;  // sets_ * ways, set-major
+  std::vector<Line, ZeroedAllocator<Line>> lines_;  // sets_ * ways, set-major
   std::uint64_t tick_ = 0;   // LRU clock
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

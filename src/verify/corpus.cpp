@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "dramcache/policy_registry.hpp"
-
 namespace redcache {
 
 namespace {

@@ -12,7 +12,7 @@
 namespace redcache {
 
 std::vector<std::string> DifferentialPolicies() {
-  return PolicyRegistry::Instance().DifferentialNames();
+  return DifferentialPolicyNames();
 }
 
 namespace {

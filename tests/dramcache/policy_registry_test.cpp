@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "controller_harness.hpp"
 
@@ -15,7 +16,7 @@ bool Contains(const std::vector<std::string>& names, const std::string& n) {
 }
 
 TEST(PolicyRegistry, AllBuiltinsRegistered) {
-  const auto names = PolicyRegistry::Instance().Names();
+  const auto names = PolicyNames();
   for (const char* expected :
        {"No-HBM", "IDEAL", "Alloy", "Bear", "Red-Alpha", "Red-Gamma",
         "Red-Basic", "Red-InSitu", "RedCache", "RedCache-2way",
@@ -27,7 +28,7 @@ TEST(PolicyRegistry, AllBuiltinsRegistered) {
 }
 
 TEST(PolicyRegistry, EveryRegisteredPolicyServesTrivialTraffic) {
-  for (const std::string& name : PolicyRegistry::Instance().Names()) {
+  for (const std::string& name : PolicyNames()) {
     ControllerHarness h(MakePolicy(name, SmallMemConfig()));
     EXPECT_STRNE(h.ctrl().name(), "") << name;
     h.Read(0x1000);
@@ -45,42 +46,57 @@ TEST(PolicyRegistry, UnknownNameErrorListsEveryPolicy) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("bogus-policy"), std::string::npos) << msg;
-    for (const std::string& name : PolicyRegistry::Instance().Names()) {
+    for (const std::string& name : PolicyNames()) {
       EXPECT_NE(msg.find(name), std::string::npos)
           << "error message omits registered policy " << name << ": " << msg;
     }
   }
 }
 
+std::unique_ptr<MemController> MakeAlloy(const MemControllerConfig& cfg) {
+  return MakePolicy("Alloy", cfg);
+}
+
+PolicyInfo Row(std::string_view name) {
+  return {.name = name, .summary = "s", .family = "f", .make = MakeAlloy};
+}
+
 TEST(PolicyRegistry, DuplicateRegistrationRejected) {
-  PolicyInfo dup;
-  dup.name = "Alloy";  // already taken by the builtin
-  dup.make = [](const MemControllerConfig& cfg) {
-    return MakePolicy("Alloy", cfg);
-  };
-  EXPECT_THROW(PolicyRegistry::Instance().Register(dup),
-               std::invalid_argument);
+  // The shipped table has strictly increasing, hence unique, names; the
+  // invariant the build asserts rejects a repeated or out-of-order row.
+  EXPECT_TRUE(ValidPolicyTable(Policies()));
+  const PolicyInfo dup[] = {Row("Alloy"), Row("Alloy")};
+  EXPECT_FALSE(ValidPolicyTable(dup));
+  const PolicyInfo unsorted[] = {Row("Bear"), Row("Alloy")};
+  EXPECT_FALSE(ValidPolicyTable(unsorted));
+  const PolicyInfo sorted[] = {Row("Alloy"), Row("Bear")};
+  EXPECT_TRUE(ValidPolicyTable(sorted));
 }
 
 TEST(PolicyRegistry, InvalidInfosRejected) {
-  PolicyInfo no_factory;
-  no_factory.name = "test-only-no-factory";
-  EXPECT_THROW(PolicyRegistry::Instance().Register(no_factory),
-               std::invalid_argument);
-
-  PolicyInfo no_name;
-  no_name.make = [](const MemControllerConfig& cfg) {
-    return MakePolicy("Alloy", cfg);
-  };
-  EXPECT_THROW(PolicyRegistry::Instance().Register(no_name),
-               std::invalid_argument);
+  for (const PolicyInfo& row : Policies()) {
+    EXPECT_FALSE(row.name.empty());
+    EXPECT_FALSE(row.summary.empty()) << row.name;
+    EXPECT_FALSE(row.family.empty()) << row.name;
+  }
+  // A row without a factory does not compile: `make` is a reference.
+  static_assert(!std::is_default_constructible_v<PolicyInfo>);
+  PolicyInfo no_name = Row("");
+  PolicyInfo no_summary = Row("a");
+  no_summary.summary = {};
+  PolicyInfo no_family = Row("a");
+  no_family.family = {};
+  for (const PolicyInfo& bad : {no_name, no_summary, no_family}) {
+    const PolicyInfo table[] = {bad};
+    EXPECT_FALSE(ValidPolicyTable(table)) << bad.name;
+  }
 }
 
 TEST(PolicyRegistry, CapabilitySetsAreConsistentSubsets) {
-  const auto& reg = PolicyRegistry::Instance();
-  const auto names = reg.Names();
+  const auto names = PolicyNames();
+  const auto differential = DifferentialPolicyNames();
   for (const auto& subset :
-       {reg.DifferentialNames(), reg.GoldenNames(), reg.SweepNames()}) {
+       {differential, GoldenPolicyNames(), SweepPolicyNames()}) {
     EXPECT_TRUE(std::is_sorted(subset.begin(), subset.end()));
     for (const std::string& n : subset) {
       EXPECT_TRUE(Contains(names, n)) << n;
@@ -88,16 +104,15 @@ TEST(PolicyRegistry, CapabilitySetsAreConsistentSubsets) {
   }
   // Golden pinning without differential coverage would let a policy drift
   // from the reference model while still matching its own stale numbers.
-  for (const std::string& n : reg.GoldenNames()) {
-    EXPECT_TRUE(Contains(reg.DifferentialNames(), n))
+  for (const std::string& n : GoldenPolicyNames()) {
+    EXPECT_TRUE(Contains(differential, n))
         << n << " is golden-pinned but not differentially checked";
   }
 }
 
 TEST(PolicyRegistry, RivalFamiliesAreFullyEnrolled) {
-  const auto& reg = PolicyRegistry::Instance();
   for (const char* rival : {"Banshee", "TicToc"}) {
-    const PolicyInfo info = reg.Get(rival);
+    const PolicyInfo& info = GetPolicy(rival);
     EXPECT_TRUE(info.differential) << rival;
     EXPECT_TRUE(info.golden) << rival;
     EXPECT_TRUE(info.sweep) << rival;
@@ -123,7 +138,7 @@ TEST(Factory, AllArchesConstruct) {
 
 TEST(Factory, NamesRoundTrip) {
   for (const char* name : kPaperPolicies) {
-    EXPECT_EQ(PolicyRegistry::Instance().Get(name).name, name);
+    EXPECT_EQ(GetPolicy(name).name, name);
   }
   EXPECT_THROW(MakePolicy("bogus", SmallMemConfig()), std::invalid_argument);
 }

@@ -89,7 +89,7 @@ void CheckRoundTrip(const RunSpec& spec, Cycle at,
 }
 
 TEST(CheckpointDifferential, EveryRegisteredPolicyRoundTrips) {
-  for (const std::string& policy : PolicyRegistry::Instance().Names()) {
+  for (const std::string& policy : PolicyNames()) {
     SCOPED_TRACE("policy=" + policy);
     const RunSpec spec = TinySpec(policy);
     const RunResult baseline = RunOne(spec);

@@ -29,7 +29,7 @@ RunSpec TwoTenantSpec(const std::string& policy) {
 }
 
 TEST(MixSystem, TenantCountersPartitionTotalsForEveryPolicy) {
-  for (const std::string& policy : PolicyRegistry::Instance().Names()) {
+  for (const std::string& policy : PolicyNames()) {
     const RunResult r = RunOne(TwoTenantSpec(policy));
     ASSERT_TRUE(r.completed) << policy;
 

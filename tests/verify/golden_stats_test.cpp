@@ -23,7 +23,7 @@ namespace {
 constexpr double kGoldenScale = 0.02;
 
 std::vector<std::string> GoldenPolicies() {
-  return PolicyRegistry::Instance().GoldenNames();
+  return GoldenPolicyNames();
 }
 
 RunSpec SpecFor(const std::string& policy, const std::string& workload) {

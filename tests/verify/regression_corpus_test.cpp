@@ -46,7 +46,7 @@ TEST(RegressionCorpus, EveryCaseParsesAndNamesKnownPolicies) {
     EXPECT_FALSE(c.name.empty());
     ASSERT_FALSE(c.params.policies.empty()) << path;
     for (const std::string& policy : c.params.policies) {
-      EXPECT_TRUE(PolicyRegistry::Instance().Has(policy))
+      EXPECT_NO_THROW(GetPolicy(policy))
           << path << " names unregistered policy '" << policy << "'";
     }
   }

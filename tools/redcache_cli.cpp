@@ -364,12 +364,13 @@ std::string CombinationError(const CliOptions& opt) {
 /// outside the redcache family.
 bool PinsApply(const CliOptions& opt, const std::string& policy) {
   if (!opt.alpha && !opt.gamma) return true;
-  const PolicyInfo info = PolicyRegistry::Instance().Get(policy);
-  if (info.family == "redcache") return true;
+  const PolicyInfo& info = GetPolicy(policy);
+  if (AcceptsThresholdPins(info)) return true;
   std::fprintf(stderr,
-               "--alpha/--gamma pin RedCache thresholds; %s belongs to the "
-               "%s family\n",
-               info.name.c_str(), info.family.c_str());
+               "--alpha/--gamma pin RedCache thresholds; %.*s belongs to the "
+               "%.*s family\n",
+               static_cast<int>(info.name.size()), info.name.data(),
+               static_cast<int>(info.family.size()), info.family.data());
   return false;
 }
 
@@ -502,7 +503,7 @@ int RunSweep(const CliOptions& opt) {
     policies = DefaultSweepPolicies();
   } else {
     for (const std::string& name : SplitCommas(opt.sweep_policies)) {
-      PolicyRegistry::Instance().Get(name);  // fail fast with the full list
+      GetPolicy(name);  // fail fast with the full list
       policies.push_back(name);
     }
   }
@@ -862,10 +863,10 @@ int main(int argc, char** argv) {
   if (opt.list) {
     std::printf("registered policies:\n");
     TextTable table({"name", "family", "diff", "golden", "sweep", "summary"});
-    for (const PolicyInfo& info : PolicyRegistry::Instance().Infos()) {
-      table.AddRow({info.name, info.family, info.differential ? "y" : "-",
-                    info.golden ? "y" : "-", info.sweep ? "y" : "-",
-                    info.summary});
+    for (const PolicyInfo& info : Policies()) {
+      table.AddRow({std::string(info.name), std::string(info.family),
+                    info.differential ? "y" : "-", info.golden ? "y" : "-",
+                    info.sweep ? "y" : "-", std::string(info.summary)});
     }
     std::printf("%s", table.Render().c_str());
     std::printf("workloads:");
