@@ -7,7 +7,13 @@
 namespace redcache {
 
 namespace {
+#if defined(__SANITIZE_ADDRESS__)
+// Keep every array on the calloc path, where ASan puts redzones around it;
+// it has none around mmapped memory.
+constexpr std::size_t kMapZeroedBytes = ~std::size_t{0};
+#else
 constexpr std::size_t kMapZeroedBytes = std::size_t{64} << 10;
+#endif
 }  // namespace
 
 const char* ToString(AccessType t) {

@@ -60,7 +60,8 @@ constexpr Addr BlockIndex(Addr a) { return a >> kBlockShift; }
 constexpr Addr PageIndex(Addr a) { return a >> kPageShift; }
 
 /// Zeroed storage for ZeroedAllocator: 64 KiB or more is mapped straight
-/// from the OS, smaller sizes come from calloc. Returns nullptr on failure.
+/// from the OS, smaller sizes (and every size in ASan builds) come from
+/// calloc. Returns nullptr on failure.
 /// Free with FreeZeroed and the same `bytes`.
 void* AllocateZeroed(std::size_t bytes);
 void FreeZeroed(void* p, std::size_t bytes) noexcept;

@@ -10,7 +10,7 @@
 
 namespace redcache::obs {
 
-thread_local TraceBuffer* tls_active_trace = nullptr;
+constinit thread_local TraceBuffer* tls_active_trace = nullptr;
 
 const char* ToString(TraceEventType t) {
   switch (t) {

@@ -131,7 +131,7 @@ class TraceBuffer {
 
 /// The calling thread's active trace buffer; nullptr when tracing is off.
 /// Declared here (not in trace_macros.hpp) so non-macro code can test it.
-extern thread_local TraceBuffer* tls_active_trace;
+extern constinit thread_local TraceBuffer* tls_active_trace;
 inline TraceBuffer* ActiveTrace() { return tls_active_trace; }
 
 /// RAII installation of a buffer as this thread's active trace.

@@ -359,10 +359,15 @@ std::string CellKey(const CellSpec& cell) {
   // existing disk-cache entry) are unchanged.
   if (spec.alpha_pin) key += "_alpha" + std::to_string(*spec.alpha_pin);
   if (spec.gamma_pin) key += "_gamma" + std::to_string(*spec.gamma_pin);
+  // A replayed or served trace names its records, so a checkpoint blob
+  // cannot restore into a run over another trace.
+  if (!spec.serve_path.empty()) key += "_serve" + spec.serve_path;
   // The tail hash covers every remaining result-affecting input: the preset
   // fields and the cycle cap (the seed is spelled out above for legibility).
   std::uint64_t tail = PresetFieldHash(spec.preset);
   tail = FnvU64(tail, spec.max_cycles);
+  // SanitizeKey folds '/' into '-', so the raw trace path joins the hash.
+  if (!spec.serve_path.empty()) tail = FnvStr(tail, spec.serve_path);
   key += '_';
   key += HexU64(tail);
   return SanitizeKey(key);

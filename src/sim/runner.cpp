@@ -9,8 +9,8 @@
 #include "sim/checkpoint.hpp"
 #include "tenant/accounting.hpp"
 #include "tenant/mix_trace.hpp"
-#include "tenant/stream_trace.hpp"
 #include "verify/shadow_checker.hpp"
+#include "workloads/trace_file.hpp"
 
 namespace redcache {
 
@@ -36,7 +36,7 @@ std::unique_ptr<TraceSource> MakeTenantTrace(const RunSpec& spec,
       throw std::invalid_argument(
           "mix tenant \"serve\" needs a serve path (--serve)");
     }
-    return std::make_unique<tenant::StreamTraceSource>(spec.serve_path);
+    return std::make_unique<StreamTraceSource>(spec.serve_path);
   }
   return MakeWorkload(label, wp);
 }
@@ -71,7 +71,7 @@ std::unique_ptr<System> BuildSystem(const RunSpec& spec) {
     trace = std::make_unique<tenant::MixTraceSource>(
         std::move(children), spec.mix.tenants, map);
   } else if (!spec.serve_path.empty()) {
-    trace = std::make_unique<tenant::StreamTraceSource>(spec.serve_path);
+    trace = std::make_unique<StreamTraceSource>(spec.serve_path);
   } else {
     trace = MakeWorkload(spec.workload, wp);
   }

@@ -34,6 +34,7 @@ bool IsGaugeName(const std::string& name) {
 /// One replayed interval's contribution, written by exactly one worker.
 struct IntervalMeasure {
   Cycle span = 0;
+  bool completed = false;  ///< the workload finished inside the interval
   std::int64_t refs = 0;
   std::map<std::string, std::int64_t> delta;
 };
@@ -54,6 +55,7 @@ IntervalMeasure ReplayInterval(const RunSpec& spec,
   // activity inside [meta.cycle, span).
   IntervalMeasure m;
   m.span = r.exec_cycles > meta.cycle ? r.exec_cycles - meta.cycle : Cycle{1};
+  m.completed = r.completed;
   for (const auto& [name, value] : r.stats.counters()) {
     if (IsGaugeName(name) || name == "sys.exec_cycles") continue;
     const std::uint64_t base = before.GetCounter(name);
@@ -320,10 +322,12 @@ SamplingEstimate RunSampled(const RunSpec& spec,
   pipe.Finish();
   est.replay_seconds = Seconds(t_pass);
 
-  if (picked.empty()) {
-    // Defensive: the hook captures at cycle 0, so this only triggers if
-    // the run executed zero cycles. Fall back to one full detailed run
-    // reported as a zero-CI estimate.
+  // One interval carries no variance, so it is an exact answer only when
+  // it ran the workload to completion. Otherwise (or if the run executed
+  // zero cycles and nothing was captured), fall back to one full detailed
+  // run rather than report a zero-width CI around an extrapolation.
+  if (picked.empty() ||
+      (picked.size() < 2 && !picked.front()->measure->completed)) {
     const auto t_full = std::chrono::steady_clock::now();
     const RunResult full = RunOne(spec);
     est.replay_seconds = Seconds(t_full);

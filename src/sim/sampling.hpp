@@ -74,8 +74,9 @@ struct SamplingEstimate {
   /// the replays that overlap it) and the replay time left after it.
   double functional_seconds = 0.0;
   double replay_seconds = 0.0;
-  /// True when sampling degenerated to one full detailed run (the run was
-  /// too short to place any measurement interval).
+  /// True when sampling degenerated to one full detailed run: the run fit
+  /// fewer than two measurement intervals, and the one measured did not
+  /// run it to completion.
   bool degenerate = false;
 };
 

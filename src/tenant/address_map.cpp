@@ -26,14 +26,14 @@ TenantAddressMap::TenantAddressMap(Mode mode, std::uint32_t num_tenants,
     : mode_(mode),
       num_tenants_(num_tenants),
       window_bits_(window_bits),
-      tenant_bits_(num_tenants > 1 ? CeilLog2(num_tenants) : 0),
-      window_mask_((Addr{1} << window_bits) - 1) {
+      tenant_bits_(num_tenants > 1 ? CeilLog2(num_tenants) : 0) {
   if (num_tenants == 0) {
     throw std::invalid_argument("tenant map needs at least one tenant");
   }
   if (window_bits < kBlockShift || window_bits + tenant_bits_ >= 64) {
     throw std::invalid_argument("tenant window must hold at least one block");
   }
+  window_mask_ = (Addr{1} << window_bits) - 1;
 }
 
 TenantAddressMap TenantAddressMap::Plan(Mode mode, std::uint32_t num_tenants,

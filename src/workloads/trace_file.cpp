@@ -1,6 +1,11 @@
 #include "workloads/trace_file.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -10,22 +15,16 @@ namespace redcache {
 namespace {
 constexpr char kMagic[4] = {'R', 'C', 'T', 'R'};
 constexpr std::uint32_t kVersion = 1;
+constexpr std::size_t kHeaderBytes = 12;  // magic + version + num_cores
 
 struct Record {
   std::uint8_t core;
   std::uint8_t flags;
   std::uint16_t gap;
+  std::uint32_t pad;
   std::uint64_t addr;
 };
-
-void WriteU32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint32_t ReadU32(std::istream& is) {
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
+static_assert(sizeof(Record) == 16, "RCTR record layout changed");
 }  // namespace
 
 struct TraceFileWriter::Impl {
@@ -39,15 +38,17 @@ TraceFileWriter::TraceFileWriter(const std::string& path,
   if (!impl_->out) {
     throw std::runtime_error("cannot create trace file: " + path);
   }
-  impl_->out.write(kMagic, sizeof(kMagic));
-  WriteU32(impl_->out, kVersion);
-  WriteU32(impl_->out, num_cores);
+  char header[kHeaderBytes];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  std::memcpy(header + 4, &kVersion, 4);
+  std::memcpy(header + 8, &num_cores, 4);
+  impl_->out.write(header, sizeof(header));
 }
 
 TraceFileWriter::~TraceFileWriter() = default;
 
 void TraceFileWriter::Append(std::uint32_t core, const MemRef& ref) {
-  Record r;
+  Record r{};
   r.core = static_cast<std::uint8_t>(core);
   r.flags = ref.is_write ? 1 : 0;
   r.gap = static_cast<std::uint16_t>(std::min<std::uint32_t>(ref.gap, 0xffff));
@@ -72,69 +73,187 @@ void TraceFileWriter::CaptureAll(TraceSource& source) {
 
 void TraceFileWriter::Flush() { impl_->out.flush(); }
 
-FileTraceSource::FileTraceSource(const std::string& path) : name_(path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("not a RedCache trace file: " + path);
+StreamTraceSource::StreamTraceSource(const std::string& path)
+    : name_("serve:" + path) {
+  if (path == "-") {
+    fd_ = STDIN_FILENO;
+  } else {
+    fd_ = ::open(path.c_str(), O_RDONLY);
+    if (fd_ < 0) {
+      throw std::runtime_error("cannot open trace stream: " + path + ": " +
+                               std::strerror(errno));
+    }
+    owns_fd_ = true;
+    struct stat st;
+    if (::fstat(fd_, &st) == 0 && S_ISREG(st.st_mode)) {
+      regular_ = true;
+      file_bytes_ = static_cast<std::uint64_t>(st.st_size);
+    }
   }
-  const std::uint32_t version = ReadU32(in);
-  if (version != kVersion) {
-    throw std::runtime_error("unsupported trace version in " + path);
+  auto fail = [&](const char* what) {
+    if (owns_fd_) ::close(fd_);
+    throw std::runtime_error(what + path);
+  };
+
+  // Header: magic, version, num_cores. Block until all 12 bytes arrive.
+  char header[kHeaderBytes];
+  std::size_t got = 0;
+  while (got < sizeof(header)) {
+    const ssize_t n = ::read(fd_, header + got, sizeof(header) - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
   }
-  num_cores_ = ReadU32(in);
+  if (got < sizeof(header) || std::memcmp(header, kMagic, 4) != 0) {
+    fail("not a RedCache trace stream: ");
+  }
+  std::uint32_t version = 0;
+  std::memcpy(&version, header + 4, 4);
+  std::memcpy(&num_cores_, header + 8, 4);
+  if (version != kVersion) fail("unsupported trace version on stream: ");
   if (num_cores_ == 0 || num_cores_ > 256) {
-    throw std::runtime_error("implausible core count in " + path);
+    fail("implausible core count on stream: ");
   }
   per_core_.resize(num_cores_);
-  consumed_.assign(num_cores_, 0);
-
-  Addr lo = ~Addr{0}, hi = 0;
-  Record r;
-  while (in.read(reinterpret_cast<char*>(&r), sizeof(r))) {
-    if (r.core >= num_cores_) {
-      throw std::runtime_error("record with out-of-range core in " + path);
-    }
-    MemRef ref;
-    ref.addr = r.addr;
-    ref.is_write = (r.flags & 1) != 0;
-    ref.gap = std::max<std::uint16_t>(1, r.gap);
-    per_core_[r.core].push_back(ref);
-    total_records_++;
-    lo = std::min(lo, r.addr);
-    hi = std::max(hi, r.addr + kBlockBytes);
-  }
-  footprint_ = total_records_ == 0 ? 0 : hi - lo;
+  tail_.reserve(sizeof(Record));
 }
 
-bool FileTraceSource::Next(std::uint32_t core, MemRef& out) {
-  if (core >= num_cores_ || per_core_[core].empty()) return false;
-  out = per_core_[core].front();
-  per_core_[core].pop_front();
-  consumed_[core]++;
+StreamTraceSource::~StreamTraceSource() {
+  if (owns_fd_ && fd_ >= 0) ::close(fd_);
+}
+
+void StreamTraceSource::Push(const char* bytes) {
+  Record r;
+  std::memcpy(&r, bytes, sizeof(r));
+  if (r.core >= num_cores_) {
+    throw std::runtime_error("stream record with out-of-range core");
+  }
+  MemRef ref;
+  ref.addr = r.addr;
+  ref.is_write = (r.flags & 1) != 0;
+  ref.gap = std::max<std::uint16_t>(1, r.gap);
+  per_core_[r.core].push_back(ref);
+  total_records_++;
+  lo_ = std::min(lo_, r.addr);
+  hi_ = std::max(hi_, r.addr + kBlockBytes);
+  footprint_ = hi_ - lo_;
+}
+
+bool StreamTraceSource::Ingest() {
+  if (eof_) return false;
+  if (StopRequested()) {
+    eof_ = true;
+    return false;
+  }
+  char buf[16 * 1024];
+  ssize_t n;
+  do {
+    n = ::read(fd_, buf, sizeof(buf));
+  } while (n < 0 && errno == EINTR && !StopRequested());
+  if (n <= 0) {
+    // EOF, stop-interrupted, or a hard error: all drain gracefully.
+    eof_ = true;
+    return false;
+  }
+
+  const char* p = buf;
+  std::size_t left = static_cast<std::size_t>(n);
+  // Complete any partial record carried from the previous read first.
+  if (!tail_.empty()) {
+    const std::size_t take = std::min(sizeof(Record) - tail_.size(), left);
+    tail_.insert(tail_.end(), p, p + take);
+    p += take;
+    left -= take;
+    if (tail_.size() < sizeof(Record)) return true;
+    Push(tail_.data());
+    tail_.clear();
+  }
+  for (; left >= sizeof(Record); p += sizeof(Record), left -= sizeof(Record)) {
+    Push(p);
+  }
+  if (left > 0) tail_.assign(p, p + left);
   return true;
 }
 
-void FileTraceSource::Restore(ser::Reader& r) {
-  r.Section("ftrace");
-  const std::size_t n = r.SeqLen(8);
-  if (n != num_cores_) {
-    throw ser::SerializeError("trace file core-count mismatch in " + name_);
+bool StreamTraceSource::Next(std::uint32_t core, MemRef& out) {
+  if (core >= num_cores_) return false;
+  while (per_core_[core].empty()) {
+    if (!Ingest()) return false;
   }
-  // Fast-forward a freshly loaded copy of the same file to the snapshotted
-  // consumption point.
-  for (std::uint32_t c = 0; c < num_cores_; ++c) {
-    const std::uint64_t want = r.U64();
-    if (want < consumed_[c] || want - consumed_[c] > per_core_[c].size()) {
-      throw ser::SerializeError("trace file shorter than the checkpoint");
-    }
-    while (consumed_[c] < want) {
-      per_core_[c].pop_front();
-      consumed_[c]++;
+  out = per_core_[core].front();
+  per_core_[core].pop_front();
+  return true;
+}
+
+void StreamTraceSource::SampleTelemetry(StatSet& out) const {
+  out.Counter("serve.records") = total_records_;
+  std::uint64_t queued = 0;
+  for (const auto& q : per_core_) queued += q.size();
+  out.Counter("gauge.serve.queue_depth") = queued;
+  out.Counter("gauge.serve.eof") = eof_ ? 1 : 0;
+  out.Counter("gauge.serve.stop_requested") = StopRequested() ? 1 : 0;
+  out.Counter("gauge.serve.footprint_bytes") = footprint_;
+}
+
+void StreamTraceSource::Snapshot(ser::Writer& w) const {
+  if (!regular_) TraceSource::Snapshot(w);  // throws
+  w.Section("rctr");
+  w.U32(num_cores_);
+  w.U64(file_bytes_);
+  // Every byte read is a parsed record or part of the carried tail, so
+  // this is the offset of the first record not yet parsed. A tail only
+  // exists just before EOF; re-reading it after Restore is equivalent.
+  w.U64(kHeaderBytes + total_records_ * sizeof(Record));
+  for (const auto& q : per_core_) {
+    w.U64(q.size());
+    for (const MemRef& ref : q) {
+      w.U64(ref.addr);
+      w.U32(ref.gap);
+      w.Bool(ref.is_write);
     }
   }
+  w.U64(total_records_);
+  w.U64(lo_);
+  w.U64(hi_);
+  w.Bool(eof_);
+}
+
+void StreamTraceSource::Restore(ser::Reader& r) {
+  if (!regular_) TraceSource::Restore(r);  // throws
+  r.Section("rctr");
+  if (r.U32() != num_cores_) {
+    throw ser::SerializeError("trace core-count mismatch in " + name_);
+  }
+  const std::uint64_t bytes = r.U64();
+  if (bytes != file_bytes_) {
+    throw ser::SerializeError(
+        "trace " + name_ + " is " + std::to_string(file_bytes_) +
+        " bytes; the checkpoint was taken over " + std::to_string(bytes));
+  }
+  const std::uint64_t offset = r.U64();
+  if (offset > file_bytes_) {
+    throw ser::SerializeError("checkpoint read offset " +
+                              std::to_string(offset) +
+                              " is past the end of " + name_);
+  }
+  if (::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
+    throw ser::SerializeError("cannot seek " + name_ + ": " +
+                              std::strerror(errno));
+  }
+  tail_.clear();
+  for (auto& q : per_core_) {
+    q.resize(r.SeqLen(13));
+    for (MemRef& ref : q) {
+      ref.addr = r.U64();
+      ref.gap = r.U32();
+      ref.is_write = r.Bool();
+    }
+  }
+  total_records_ = r.U64();
+  lo_ = r.U64();
+  hi_ = r.U64();
+  footprint_ = total_records_ == 0 ? 0 : hi_ - lo_;
+  eof_ = r.Bool();
 }
 
 }  // namespace redcache

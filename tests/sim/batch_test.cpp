@@ -110,6 +110,32 @@ TEST(Batch, DeterministicAcrossWorkerCounts) {
   }
 }
 
+TEST(Batch, ProgressLinesFromEveryWorker) {
+  // Progress on: workers share the completion counter and print under the
+  // io mutex. Every completion prints exactly one numbered line, and the
+  // results match a quiet run.
+  std::vector<RunSpec> specs = Matrix();
+  specs.resize(6);
+  ASSERT_EQ(::setenv("REDCACHE_PROGRESS", "1", 1), 0);
+  BatchOptions loud = Quiet(3, "prog");
+  loud.progress = true;
+  testing::internal::CaptureStderr();
+  const auto results = RunBatch(specs, loud);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ::unsetenv("REDCACHE_PROGRESS");
+
+  const auto quiet = RunBatch(specs, Quiet(1));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(Serialize(results[i]), Serialize(quiet[i])) << "cell " << i;
+  }
+  for (std::size_t d = 1; d <= specs.size(); ++d) {
+    const std::string tag = "[prog " + std::to_string(d) + "/6] ";
+    const std::size_t at = err.find(tag);
+    ASSERT_NE(at, std::string::npos) << "missing " << tag << " in\n" << err;
+    EXPECT_EQ(err.find(tag, at + 1), std::string::npos) << "twice: " << tag;
+  }
+}
+
 TEST(Batch, RunCellsMatchesRunBatchAndSharesDuplicates) {
   // The same cell requested twice must produce the same object both times
   // and agree with the uncached path.
@@ -164,6 +190,15 @@ TEST(Batch, CellKeyDistinguishesEverythingThatMattersToResults) {
   h2.spec.ignore_env_scale = true;
   EXPECT_NE(CellKey(h1), CellKey(h2))
       << "scales differing below 1e-4 must not alias";
+
+  CellSpec t1 = a, t2 = a, t3 = a;
+  t1.spec.serve_path = "traces/lu.rctr";
+  t2.spec.serve_path = "traces/rdx.rctr";
+  t3.spec.serve_path = "traces-lu.rctr";  // sanitizes like t1
+  EXPECT_NE(CellKey(a), CellKey(t1));
+  EXPECT_NE(CellKey(t1), CellKey(t2))
+      << "a checkpoint must not restore into a run over another trace";
+  EXPECT_NE(CellKey(t1), CellKey(t3));
 
   // Keys are filenames: no separators or spaces.
   for (char ch : CellKey(a)) {

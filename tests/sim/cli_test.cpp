@@ -47,31 +47,42 @@ TEST(CliCheckpoint, FreshProcessRestoreIsByteIdentical) {
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
   const std::string blob = dir + "/mid.ckpt";
+  const std::string trace = dir + "/rdx.rctr";
   const std::string out_a = dir + "/capture.txt";
   const std::string out_b = dir + "/restored.txt";
-  const std::string common =
-      "--policy RedCache --workload RDX --scale 0.02 --seed 7 --stats";
-
-  ASSERT_EQ(RunCli(common + " --checkpoint " + blob + " --checkpoint-at "
-                       "100000",
+  ASSERT_EQ(RunCli("--capture " + trace + " --workload RDX --scale 0.02",
                    out_a),
             0)
       << ReadAll(out_a);
-  {
-    std::ifstream in(blob, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "checkpoint blob was not written";
+
+  // A synthetic workload, and a replayed trace file.
+  for (const std::string& common :
+       {std::string("--policy RedCache --workload RDX --scale 0.02 --seed 7 "
+                    "--stats"),
+        "--policy RedCache --replay " + trace + " --seed 7 --stats"}) {
+    SCOPED_TRACE(common);
+    ASSERT_EQ(RunCli(common + " --checkpoint " + blob + " --checkpoint-at "
+                         "100000",
+                     out_a),
+              0)
+        << ReadAll(out_a);
+    {
+      std::ifstream in(blob, std::ios::binary);
+      ASSERT_TRUE(in.good()) << "checkpoint blob was not written";
+    }
+
+    ASSERT_EQ(RunCli(common + " --restore " + blob, out_b), 0)
+        << ReadAll(out_b);
+
+    const std::string a = ReadAll(out_a);
+    const std::string b = ReadAll(out_b);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, b) << "restored process output diverged from the "
+                       "checkpointing process";
+    std::remove(blob.c_str());
   }
 
-  ASSERT_EQ(RunCli(common + " --restore " + blob, out_b), 0)
-      << ReadAll(out_b);
-
-  const std::string a = ReadAll(out_a);
-  const std::string b = ReadAll(out_b);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b) << "restored process output diverged from the "
-                     "checkpointing process";
-
-  std::remove(blob.c_str());
+  std::remove(trace.c_str());
   std::remove(out_a.c_str());
   std::remove(out_b.c_str());
   ::rmdir(dir.c_str());
@@ -182,6 +193,8 @@ const Case kCases[] = {
     {"--sample 0.1 --checkpoint c.ckpt", 2, "manages its own checkpoints"},
     {"--sample 0.1 --trace t.json", 2, "a sampled run has none"},
     {"--serve - --restore c.ckpt", 2, "cannot be checkpointed"},
+    // A replayed file can be sampled: this one fails only to open.
+    {"--replay missing.rctr --sample 0.1", 1, "cannot open trace stream"},
 };
 #undef TINY
 

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/serialize.hpp"
 #include "sim/runner.hpp"
+#include "workloads/trace_file.hpp"
 
 namespace redcache {
 namespace {
@@ -151,6 +153,64 @@ TEST(Sampling, ShortRunCollapsesToOneExactInterval) {
   // A single interval spanning the run reproduces its counters exactly.
   EXPECT_EQ(est.est_stats.GetCounter("core.refs"),
             full.stats.GetCounter("core.refs"));
+}
+
+TEST(Sampling, OneUnfinishedIntervalFallsBackToFullRun) {
+  // An interval two thirds of the functional pass fits it once, so one
+  // interval is measured, and in detail it ends long before the run does.
+  // One interval has no variance: instead of a zero-width CI around an
+  // extrapolation, sampling degenerates to the exact full run.
+  const RunSpec spec = TinySpec("RedCache", "RDX");
+  const RunResult full = RunOne(spec);
+  ASSERT_TRUE(full.completed);
+  SamplingOptions opts;
+  auto ff = BuildSystem(spec);
+  ff->SetFunctionalTiming(opts.functional_latency);
+  const Cycle ff_exec = ff->Run().exec_cycles;
+  opts.interval_cycles = (2 * ff_exec) / 3;
+  ASSERT_LT(opts.interval_cycles, full.exec_cycles);
+
+  const SamplingEstimate est = RunSampled(spec, opts);
+  EXPECT_TRUE(est.degenerate);
+  EXPECT_EQ(est.intervals, 1u);
+  EXPECT_DOUBLE_EQ(est.est_exec_cycles,
+                   static_cast<double>(full.exec_cycles));
+  EXPECT_DOUBLE_EQ(est.ci_pct, 0.0);
+  // The counters are the full run's, plus the sampling gauges.
+  StatSet expected = full.stats;
+  expected.Counter("gauge.sampling.ci_pct") = 0;
+  expected.Counter("gauge.sampling.intervals") = 1;
+  EXPECT_EQ(est.est_stats.counters(), expected.counters());
+}
+
+TEST(Sampling, ReplayedTraceMatchesSyntheticEstimate) {
+  // Sampling a captured trace checkpoints the trace reader at every
+  // candidate; the estimate must equal the synthetic generator's.
+  const RunSpec synthetic = TinySpec("RedCache", "LU");
+  const std::string path = testing::TempDir() + "/sampled_lu.rctr";
+  {
+    WorkloadBuildParams wp;
+    wp.num_cores = synthetic.preset.hierarchy.num_cores;
+    wp.scale = synthetic.scale;
+    auto source = MakeWorkload("LU", wp);
+    TraceFileWriter w(path, source->num_cores());
+    w.CaptureAll(*source);
+  }
+  RunSpec replayed = synthetic;
+  replayed.serve_path = path;
+
+  SamplingOptions opts;
+  opts.interval_cycles = 2048;
+  opts.fraction = 0.2;
+  const SamplingEstimate a = RunSampled(synthetic, opts);
+  const SamplingEstimate b = RunSampled(replayed, opts);
+  EXPECT_FALSE(b.degenerate);
+  EXPECT_GE(b.intervals, 2u);
+  EXPECT_EQ(a.intervals, b.intervals);
+  EXPECT_EQ(a.est_exec_cycles, b.est_exec_cycles);
+  EXPECT_EQ(a.ci_pct, b.ci_pct);
+  EXPECT_EQ(a.est_stats.counters(), b.est_stats.counters());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -15,6 +15,9 @@ RunResult RunSim(const std::string& policy, const std::string& wl,
   spec.policy = policy;
   spec.workload = wl;
   spec.scale = scale;
+  // The shapes emerge at this scale, not at the reduced scales CI sets
+  // through REDCACHE_REFS_SCALE to speed up other tests.
+  spec.ignore_env_scale = true;
   return RunOne(spec);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "sim/runner.hpp"
 
@@ -110,10 +112,16 @@ TEST(System, ThresholdPinsRejectOtherFamilies) {
 }
 
 TEST(System, ScaleEnvOverride) {
+  // CI jobs run the suite with REDCACHE_REFS_SCALE set: clear it for the
+  // test and put it back after.
+  const char* outer = std::getenv("REDCACHE_REFS_SCALE");
+  const std::string saved = outer != nullptr ? outer : "";
+  unsetenv("REDCACHE_REFS_SCALE");
   EXPECT_DOUBLE_EQ(EffectiveScale(2.0), 2.0);
   setenv("REDCACHE_REFS_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(EffectiveScale(2.0), 1.0);
   unsetenv("REDCACHE_REFS_SCALE");
+  if (outer != nullptr) setenv("REDCACHE_REFS_SCALE", saved.c_str(), 1);
 }
 
 }  // namespace

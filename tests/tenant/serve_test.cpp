@@ -1,8 +1,9 @@
-// Serve-mode integration: streaming a trace through a pipe must reproduce
-// the batch replay of the same records exactly, EOF mid-stream must drain
-// to the stats of the batch run over the same prefix, and the stop flag
-// must end ingestion while still draining buffered records.
-#include "tenant/stream_trace.hpp"
+// Serve-mode integration: streaming a captured trace must reproduce the
+// synthetic run that produced it exactly, EOF mid-stream on a pipe must
+// drain to the stats of a replay of the same prefix from a regular file,
+// and the stop flag must end ingestion while still draining buffered
+// records.
+#include "workloads/trace_file.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,16 +20,15 @@
 #include <thread>
 #include <vector>
 
-#include "dramcache/policy_registry.hpp"
 #include "obs/json.hpp"
 #include "sim/runner.hpp"
-#include "workloads/trace_file.hpp"
 
 namespace redcache {
 namespace {
 
 constexpr std::size_t kHeaderBytes = 12;  // magic + version + num_cores
 constexpr std::size_t kRecordBytes = 16;
+constexpr double kCaptureScale = 0.01;
 
 std::string Serialize(const RunResult& r) {
   std::ostringstream os;
@@ -41,7 +41,7 @@ std::string Serialize(const RunResult& r) {
 std::string CaptureTrace(const std::string& path) {
   WorkloadBuildParams wp;
   wp.num_cores = EvalPreset().hierarchy.num_cores;
-  wp.scale = 0.01;
+  wp.scale = kCaptureScale;
   auto source = MakeWorkload("LU", wp);
   TraceFileWriter writer(path, source->num_cores());
   writer.CaptureAll(*source);
@@ -62,15 +62,6 @@ void WritePrefix(const std::string& full, const std::string& prefix,
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Batch-style replay: the whole file loaded up front, no streaming.
-RunResult ReplayFile(const std::string& path) {
-  const SimPreset preset = EvalPreset();
-  System system(preset.hierarchy, preset.core,
-                MakePolicy("RedCache", preset.mem),
-                std::make_unique<FileTraceSource>(path));
-  return system.Run();
-}
-
 RunResult ServeFrom(const std::string& path) {
   RunSpec spec;
   spec.policy = "RedCache";
@@ -84,11 +75,16 @@ TEST(Serve, StreamedFileMatchesBatchReplayExactly) {
   const std::string dir = dir_tmpl;
   const std::string trace = CaptureTrace(dir + "/full.rctr");
 
+  // The synthetic run that produced the records is the reference.
+  RunSpec synthetic;
+  synthetic.policy = "RedCache";
+  synthetic.workload = "LU";
+  synthetic.scale = kCaptureScale;
+  synthetic.ignore_env_scale = true;
   const RunResult streamed = ServeFrom(trace);
-  const RunResult batch = ReplayFile(trace);
   ASSERT_TRUE(streamed.completed);
-  EXPECT_EQ(Serialize(streamed), Serialize(batch))
-      << "incremental ingestion changed simulation results";
+  EXPECT_EQ(Serialize(streamed), Serialize(RunOne(synthetic)))
+      << "replaying a captured trace changed simulation results";
 
   std::remove(trace.c_str());
   ::rmdir(dir.c_str());
@@ -124,10 +120,10 @@ TEST(Serve, PipeEofMidStreamDrainsToTheBatchPrefix) {
 
   const RunResult streamed = ServeFrom(fifo);
   writer.join();
-  const RunResult batch = ReplayFile(prefix);
+  const RunResult from_file = ServeFrom(prefix);
   ASSERT_TRUE(streamed.completed);
-  EXPECT_EQ(Serialize(streamed), Serialize(batch))
-      << "the graceful drain must equal the batch run over the same records";
+  EXPECT_EQ(Serialize(streamed), Serialize(from_file))
+      << "the graceful drain must equal a file replay of the same records";
 
   std::remove(full.c_str());
   std::remove(prefix.c_str());
@@ -142,7 +138,7 @@ TEST(Serve, StopFlagEndsIngestionButDrainsBufferedRecords) {
   const std::string trace = CaptureTrace(dir + "/full.rctr");
 
   volatile std::sig_atomic_t stop = 0;
-  tenant::StreamTraceSource source(trace);
+  StreamTraceSource source(trace);
   source.SetStopFlag(&stop);
 
   // One successful Next buffers at least a chunk's worth of records.
@@ -163,7 +159,7 @@ TEST(Serve, StopFlagEndsIngestionButDrainsBufferedRecords) {
   EXPECT_EQ(drained, ingested);
 
   // A source stopped before any Next serves nothing at all.
-  tenant::StreamTraceSource eager(trace);
+  StreamTraceSource eager(trace);
   volatile std::sig_atomic_t stopped_at_birth = 1;
   eager.SetStopFlag(&stopped_at_birth);
   for (std::uint32_t core = 0; core < eager.num_cores(); ++core) {
@@ -258,8 +254,8 @@ TEST(Serve, RejectsMalformedStreams) {
   const std::string dir = dir_tmpl;
   const std::string bogus = dir + "/bogus.rctr";
   std::ofstream(bogus, std::ios::binary) << "NOTATRACEFILE";
-  EXPECT_THROW(tenant::StreamTraceSource{bogus}, std::runtime_error);
-  EXPECT_THROW(tenant::StreamTraceSource{dir + "/missing.rctr"},
+  EXPECT_THROW(StreamTraceSource{bogus}, std::runtime_error);
+  EXPECT_THROW(StreamTraceSource{dir + "/missing.rctr"},
                std::runtime_error);
   std::remove(bogus.c_str());
   ::rmdir(dir.c_str());

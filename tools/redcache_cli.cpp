@@ -48,7 +48,6 @@
 #include "sim/sampling.hpp"
 #include "tenant/mix_trace.hpp"
 #include "tenant/qos.hpp"
-#include "tenant/stream_trace.hpp"
 #include "verify/shadow_checker.hpp"
 #include "workloads/trace_file.hpp"
 
@@ -100,7 +99,8 @@ void PrintUsage() {
       "  --policy NAME      registered cache policy (--list shows them;\n"
       "                     default RedCache)\n"
       "  --workload LABEL   Table II label (default LU)\n"
-      "  --replay FILE      replay a captured trace instead of a workload\n"
+      "  --replay FILE      replay a captured trace file instead of a\n"
+      "                     workload (composes with --checkpoint/--sample)\n"
       "  --capture FILE     write the workload's trace to FILE and exit\n"
       "  --telemetry FILE   write per-epoch time series. \"-\" streams NDJSON\n"
       "                     records to stdout as epochs close (live); .ndjson\n"
@@ -131,7 +131,7 @@ void PrintUsage() {
       "                     omit the slowdown column)\n"
       "  --serve PATH       serve mode: ingest an RCTR trace stream from a\n"
       "                     pipe / FIFO / file (\"-\" = stdin); SIGTERM or\n"
-      "                     EOF drains gracefully\n"
+      "                     EOF drains gracefully; cannot be checkpointed\n"
       "  --checkpoint FILE  write a full-state checkpoint blob to FILE\n"
       "  --checkpoint-at N  cycle for --checkpoint (default 0 = run start)\n"
       "  --restore FILE     resume from a checkpoint blob captured by a run\n"
@@ -318,7 +318,6 @@ std::string CombinationError(const CliOptions& opt) {
   };
   const bool checkpointed = !opt.checkpoint_path.empty() ||
                             !opt.restore_path.empty() || opt.sample;
-  const bool streamed = opt.replay_path || !opt.serve_path.empty();
   const Rule rules[] = {
       // --sweep runs many cells: per-run flags have no single run to
       // apply to, and the sweep has its own policy/workload lists.
@@ -326,7 +325,8 @@ std::string CombinationError(const CliOptions& opt) {
        "--sweep takes --policies, not --policy"},
       {opt.sweep && opt.workload.has_value(),
        "--sweep takes --workloads, not --workload"},
-      {opt.sweep && (streamed || opt.capture_path),
+      {opt.sweep && (opt.replay_path || !opt.serve_path.empty() ||
+                     opt.capture_path),
        "--sweep cannot replay, serve or capture a trace"},
       {opt.sweep && (opt.telemetry_path || opt.trace_out_path),
        "--sweep streams per-cell telemetry with --telemetry-dir; --telemetry "
@@ -350,9 +350,9 @@ std::string CombinationError(const CliOptions& opt) {
       {opt.sample && (opt.telemetry_path || opt.trace_out_path),
        "--telemetry and --trace observe one detailed run; a sampled run "
        "has none"},
-      {checkpointed && streamed,
-       "a streamed trace (--replay/--serve) cannot be checkpointed or "
-       "sampled"},
+      {checkpointed && !opt.serve_path.empty(),
+       "a --serve stream cannot be checkpointed or sampled; capture it to "
+       "a file and --replay that"},
   };
   for (const Rule& r : rules) {
     if (r.violated) return r.message;
@@ -631,9 +631,9 @@ void InstallServeSignalHandlers() {
 }
 
 /// The StreamTraceSource feeding this run, if any: the trace itself in
-/// plain serve mode, or the "serve" tenant inside a mix.
-tenant::StreamTraceSource* FindStream(TraceSource& trace) {
-  if (auto* s = dynamic_cast<tenant::StreamTraceSource*>(&trace)) return s;
+/// plain serve/replay mode, or the "serve" tenant inside a mix.
+StreamTraceSource* FindStream(TraceSource& trace) {
+  if (auto* s = dynamic_cast<StreamTraceSource*>(&trace)) return s;
   if (auto* m = dynamic_cast<tenant::MixTraceSource*>(&trace)) {
     for (std::size_t t = 0; t < m->num_children(); ++t) {
       if (auto* s = FindStream(m->child(t))) return s;
@@ -647,7 +647,7 @@ int Capture(const CliOptions& opt) {
   const SimPreset preset = opt.paper_preset ? PaperPreset() : EvalPreset();
   std::unique_ptr<TraceSource> trace;
   if (opt.replay_path) {
-    trace = std::make_unique<FileTraceSource>(*opt.replay_path);
+    trace = std::make_unique<StreamTraceSource>(*opt.replay_path);
   } else {
     WorkloadBuildParams wp;
     wp.num_cores = preset.hierarchy.num_cores;
@@ -672,8 +672,9 @@ void PrintSummary(const CliOptions& opt, const std::string& run,
   if (est != nullptr) {
     if (est->degenerate) {
       std::fprintf(out,
-                   "sampling degenerated to one full detailed run (run "
-                   "shorter than the first measurement interval)\n");
+                   "sampling degenerated to one full detailed run (the run "
+                   "fits fewer than 2 measurement intervals, so no "
+                   "confidence interval exists)\n");
     }
     std::fprintf(out,
                  "%s (sampled %.1f%%): est %.0f cycles +/- %.0f "
@@ -799,7 +800,7 @@ int RunSingle(const CliOptions& opt) {
     trace_scope.emplace(&trace_buffer);
   }
 
-  tenant::StreamTraceSource* stream = FindStream(system->trace());
+  StreamTraceSource* stream = FindStream(system->trace());
   if (stream != nullptr) {
     InstallServeSignalHandlers();
     stream->SetStopFlag(&g_serve_stop);
