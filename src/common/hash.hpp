@@ -1,5 +1,6 @@
 // Payload checksum shared by the binary blob formats (checkpoint files,
-// sim/checkpoint.cpp, and the batch disk cache, sim/batch.cpp).
+// sim/checkpoint.cpp, and the batch disk cache, sim/batch.cpp), and the
+// checksummed frame both use.
 #pragma once
 
 #include <cstddef>
@@ -27,4 +28,30 @@ inline std::uint64_t Fnv64(const std::uint8_t* p, std::size_t n) {
   return h;
 }
 
+namespace ser {
+
+/// Checksummed frame: a U64 Fnv64 of every byte `payload()` writes, placed
+/// in front of those bytes. The payload must be the last thing written, so
+/// the checksum covers everything after itself and any flipped bit in it
+/// is caught deterministically.
+template <typename Fn>
+void WriteChecksummed(Writer& w, Fn&& payload) {
+  const std::size_t checksum_off = w.buffer().size();
+  w.U64(0);  // placeholder, patched once the payload is known
+  payload();
+  const std::size_t payload_off = checksum_off + 8;
+  w.PatchU64(checksum_off, Fnv64(w.buffer().data() + payload_off,
+                                 w.buffer().size() - payload_off));
+}
+
+/// Reads the checksum WriteChecksummed wrote and reports whether it
+/// matches every remaining byte. The reader is left at the payload.
+inline bool ChecksumMatches(Reader& r) {
+  const std::uint64_t stored = r.U64();
+  Reader rest = r;  // hash the payload without consuming it
+  const std::size_t n = rest.remaining();
+  return Fnv64(rest.Raw(n), n) == stored;
+}
+
+}  // namespace ser
 }  // namespace redcache

@@ -78,14 +78,15 @@ class Rng {
   std::uint64_t Zipf(std::uint64_t n, double s);
 
   /// Checkpointing: the four xoshiro256** state words are the whole state.
-  void Snapshot(ser::Writer& w) const {
-    for (const std::uint64_t word : s_) w.U64(word);
-  }
-  void Restore(ser::Reader& r) {
-    for (std::uint64_t& word : s_) word = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    for (auto& word : s.s_) a.U64(word);
+  }
+
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

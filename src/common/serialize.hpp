@@ -1,9 +1,18 @@
 // Uniform binary serialization for checkpointable simulation state.
 //
-// Every stateful component implements the Checkpointable contract —
-// Snapshot(Writer&) / Restore(Reader&) — so a whole simulation serializes
-// to one versioned blob (sim/checkpoint.hpp) and the disk result cache
-// shares the same framing (format v3, sim/batch.cpp).
+// Each checkpointed component lists its layout once, in a static template
+// `Io(Self& s, Ar& a)` serving both directions: Writer and Reader share
+// the calls (`a.U64(s.field)`, `Section`, `U64Seq`, `Records`, `Part`),
+// the Reader filling by reference what the Writer takes by value; `Self`
+// is const when writing. Restore-only checks, derived-state rebuilds and
+// bulk record loops sit under `if constexpr (Ar::kReading)`. The public
+// Snapshot(Writer&) const / Restore(Reader&) forward to Io, so a whole
+// simulation serializes to one versioned blob (sim/checkpoint.hpp), and
+// the disk result cache shares the encoding and the checksummed frame
+// (common/hash.hpp). Configuration (geometry, policy parameters) is not
+// serialized: Restore runs on a component freshly built from the same
+// RunSpec. Derived state may be recomputed on restore instead, as long as
+// later behavior is bit-identical.
 //
 // The encoding is deliberately dumb: little-endian fixed-width integers,
 // IEEE-754 bit patterns for doubles, length-prefixed strings. No varints,
@@ -26,6 +35,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace redcache::ser {
@@ -75,6 +85,8 @@ constexpr std::uint32_t NameTag(const char* name) {
 
 class Writer {
  public:
+  static constexpr bool kReading = false;
+
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void U32(std::uint32_t v) {
     // Compose on the stack, append in one call: checkpoint blobs are
@@ -114,9 +126,10 @@ class Writer {
     return buf_.data() + off;
   }
 
-  /// Length-prefixed sequences of uniform integral elements.
+  /// Length-prefixed sequences of uniform integral elements. The size
+  /// error is the Reader's (see Reader::U64Seq).
   template <typename Seq>
-  void U64Seq(const Seq& seq) {
+  void U64Seq(const Seq& seq, const char* /*size_error*/ = nullptr) {
     U64(seq.size());
     std::uint8_t* p = Raw(8 * seq.size());
     for (const auto& v : seq) {
@@ -125,10 +138,31 @@ class Writer {
     }
   }
   template <typename Seq>
-  void U8Seq(const Seq& seq) {
+  void U8Seq(const Seq& seq, const char* /*size_error*/ = nullptr) {
     U64(seq.size());
     std::uint8_t* p = Raw(seq.size());
     for (const auto& v : seq) *p++ = static_cast<std::uint8_t>(v);
+  }
+
+  /// Length-prefixed records, each written by `record(element)`; see
+  /// Reader::Records for the arguments only the reader uses.
+  template <typename Seq, typename Fn>
+  void Records(const Seq& seq, std::size_t /*min_record_bytes*/, Fn&& record,
+               const char* /*size_error*/ = nullptr) {
+    U64(seq.size());
+    for (const auto& e : seq) record(e);
+  }
+  /// Length-prefixed map entries, each written by `entry(key, value)`.
+  template <typename M, typename Fn>
+  void Map(const M& map, std::size_t /*min_entry_bytes*/, Fn&& entry) {
+    U64(map.size());
+    for (const auto& [key, value] : map) entry(key, value);
+  }
+
+  /// A checkpointed sub-component: writes it with its own Snapshot.
+  template <typename T>
+  void Part(const T& part) {
+    part.Snapshot(*this);
   }
 
   /// Capacity hint for blob-sized writes: reserving the expected size up
@@ -164,6 +198,8 @@ class Reader {
   explicit Reader(const std::string& bytes)
       : data_(reinterpret_cast<const std::uint8_t*>(bytes.data())),
         size_(bytes.size()) {}
+
+  static constexpr bool kReading = true;
 
   std::uint8_t U8() {
     Need(1);
@@ -201,6 +237,28 @@ class Reader {
     pos_ += static_cast<std::size_t>(n);
     return s;
   }
+
+  /// By-reference mirrors of the Writer calls, for Io functions.
+  template <typename T>
+  void U8(T& v) {
+    v = static_cast<T>(U8());
+  }
+  template <typename T>
+  void U32(T& v) {
+    v = static_cast<T>(U32());
+  }
+  template <typename T>
+  void U64(T& v) {
+    v = static_cast<T>(U64());
+  }
+  template <typename T>
+  void I64(T& v) {
+    v = static_cast<T>(I64());
+  }
+  void Bool(bool& v) { v = Bool(); }
+  void F64(double& v) { v = F64(); }
+  void Str(std::string& s) { s = Str(); }
+
   /// Verify the guard tag written by Writer::Section(name); throws with the
   /// expected section name on mismatch.
   void Section(const char* name) {
@@ -222,12 +280,56 @@ class Reader {
     }
     return static_cast<std::size_t>(n);
   }
-  std::vector<std::uint64_t> U64Vec() {
-    const std::size_t n = SeqLen(8);
-    std::vector<std::uint64_t> v(n);
+
+  /// Sequences written by Writer::U64Seq / U8Seq. Without `size_error` the
+  /// container is resized to the stored length; with it, the container's
+  /// size is geometry and a different stored length throws `size_error`.
+  template <typename Seq>
+  void U64Seq(Seq& seq, const char* size_error = nullptr) {
+    const std::size_t n = FixLen(seq, SeqLen(8), size_error);
     const std::uint8_t* p = Raw(8 * n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = GetU64(p + 8 * i);
-    return v;
+    for (std::size_t i = 0; i < n; ++i) {
+      seq[i] = static_cast<typename Seq::value_type>(GetU64(p + 8 * i));
+    }
+  }
+  template <typename Seq>
+  void U8Seq(Seq& seq, const char* size_error = nullptr) {
+    const std::size_t n = FixLen(seq, SeqLen(1), size_error);
+    const std::uint8_t* p = Raw(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      seq[i] = static_cast<typename Seq::value_type>(p[i]);
+    }
+  }
+
+  /// Records written by Writer::Records; `record(element)` reads one. Each
+  /// record takes at least `min_record_bytes` (0: no length plausibility
+  /// check). Without `size_error` the container is refilled with the stored
+  /// records; with it, the stored count must equal the container's size
+  /// and the records overwrite its elements in place.
+  template <typename Seq, typename Fn>
+  void Records(Seq& seq, std::size_t min_record_bytes, Fn&& record,
+               const char* size_error = nullptr) {
+    if (size_error == nullptr) seq.clear();  // refill value-initialized
+    FixLen(seq, SeqLen(min_record_bytes), size_error);
+    for (auto& e : seq) record(e);
+  }
+  /// Map entries written by Writer::Map; replaces the map's contents.
+  template <typename M, typename Fn>
+  void Map(M& map, std::size_t min_entry_bytes, Fn&& entry) {
+    map.clear();
+    for (std::size_t i = SeqLen(min_entry_bytes); i > 0; --i) {
+      typename M::key_type key;
+      typename M::mapped_type value = typename M::mapped_type();
+      entry(key, value);
+      // Entries arrive in key order, so the end hint makes this O(1).
+      map.insert_or_assign(map.end(), std::move(key), std::move(value));
+    }
+  }
+
+  /// A checkpointed sub-component: reads it with its own Restore.
+  template <typename T>
+  void Part(T& part) {
+    part.Restore(*this);
   }
 
   /// Bulk read: bounds-checks and consumes `n` bytes, returning a pointer
@@ -251,6 +353,15 @@ class Reader {
   }
 
  private:
+  template <typename Seq>
+  static std::size_t FixLen(Seq& seq, std::size_t n, const char* size_error) {
+    if (size_error == nullptr) {
+      seq.resize(n);
+    } else if (n != seq.size()) {
+      throw SerializeError(size_error);
+    }
+    return n;
+  }
   void Need(std::uint64_t n) const {
     if (n > size_ - pos_) {
       throw SerializeError("input truncated (need " + std::to_string(n) +
@@ -261,20 +372,6 @@ class Reader {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
-};
-
-/// The uniform contract: a component writes its complete mutable state in
-/// Snapshot and reconstitutes it in Restore, reading exactly the bytes it
-/// wrote. Configuration (geometry, policy parameters) is NOT serialized —
-/// Restore runs on a freshly constructed component built from the same
-/// RunSpec, so only run-accumulated state crosses the boundary. Derived /
-/// memoized state may be recomputed in Restore instead of serialized, as
-/// long as subsequent behavior is bit-identical.
-class Checkpointable {
- public:
-  virtual ~Checkpointable() = default;
-  virtual void Snapshot(Writer& w) const = 0;
-  virtual void Restore(Reader& r) = 0;
 };
 
 }  // namespace redcache::ser

@@ -74,28 +74,23 @@ std::uint64_t Histogram::Quantile(double q) const {
   return buckets_.size() * bucket_width_;  // in overflow
 }
 
-void Histogram::Snapshot(ser::Writer& w) const {
-  w.Section("hist");
-  w.U64(bucket_width_);
-  w.U64Seq(buckets_);
-  w.U64(overflow_);
-  w.U64(total_samples_);
-  w.U64(total_weight_);
-  w.F64(weighted_sum_);
+template <class Self, class Ar>
+void Histogram::Io(Self& s, Ar& a) {
+  a.Section("hist");
+  a.U64(s.bucket_width_);
+  a.U64Seq(s.buckets_);
+  if constexpr (Ar::kReading) {
+    if (s.bucket_width_ == 0) s.bucket_width_ = 1;
+    if (s.buckets_.empty()) s.buckets_.assign(1, 0);
+  }
+  a.U64(s.overflow_);
+  a.U64(s.total_samples_);
+  a.U64(s.total_weight_);
+  a.F64(s.weighted_sum_);
 }
 
-void Histogram::Restore(ser::Reader& r) {
-  r.Section("hist");
-  const std::uint64_t bucket_width = r.U64();
-  std::vector<std::uint64_t> buckets = r.U64Vec();
-  bucket_width_ = bucket_width == 0 ? 1 : bucket_width;
-  buckets_ = buckets.empty() ? std::vector<std::uint64_t>(1, 0)
-                             : std::move(buckets);
-  overflow_ = r.U64();
-  total_samples_ = r.U64();
-  total_weight_ = r.U64();
-  weighted_sum_ = r.F64();
-}
+void Histogram::Snapshot(ser::Writer& w) const { Io(*this, w); }
+void Histogram::Restore(ser::Reader& r) { Io(*this, r); }
 
 void Histogram::Clear() {
   for (auto& b : buckets_) b = 0;
@@ -154,34 +149,22 @@ void StatSet::Clear() {
   hists_.clear();
 }
 
-void StatSet::Snapshot(ser::Writer& w) const {
-  w.Section("stats");
-  w.U64(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    w.Str(name);
-    w.U64(value);
-  }
-  w.U64(hists_.size());
-  for (const auto& [name, hist] : hists_) {
-    w.Str(name);
-    hist.Snapshot(w);
-  }
+template <class Self, class Ar>
+void StatSet::Io(Self& s, Ar& a) {
+  a.Section("stats");
+  // Each entry holds at least a name's length prefix and 8 more bytes.
+  a.Map(s.counters_, 16, [&a](auto& name, auto& value) {
+    a.Str(name);
+    a.U64(value);
+  });
+  a.Map(s.hists_, 16, [&a](auto& name, auto& hist) {
+    a.Str(name);
+    a.Part(hist);
+  });
 }
 
-void StatSet::Restore(ser::Reader& r) {
-  r.Section("stats");
-  Clear();
-  const std::size_t num_counters = r.SeqLen(16);  // name length + value
-  for (std::size_t i = 0; i < num_counters; ++i) {
-    const std::string name = r.Str();
-    counters_[name] = r.U64();
-  }
-  const std::size_t num_hists = r.SeqLen(16);
-  for (std::size_t i = 0; i < num_hists; ++i) {
-    const std::string name = r.Str();
-    hists_[name].Restore(r);
-  }
-}
+void StatSet::Snapshot(ser::Writer& w) const { Io(*this, w); }
+void StatSet::Restore(ser::Reader& r) { Io(*this, r); }
 
 std::string StatSet::ToString() const {
   // Human-facing dump: natural order groups "chan2" before "chan10".

@@ -38,10 +38,10 @@ class Histogram {
   std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
   double weighted_sum() const { return weighted_sum_; }
 
-  /// Checkpointing (ser::Checkpointable contract, by value not virtual —
-  /// histograms live in value-typed maps). Restore overwrites the full
-  /// state, including geometry, so a default-constructed histogram restores
-  /// to an exact copy of the snapshotted one.
+  /// Checkpointing (by value, not virtual — histograms live in value-typed
+  /// maps). Restore overwrites the full state, including geometry, so a
+  /// default-constructed histogram restores to an exact copy of the
+  /// snapshotted one.
   void Snapshot(ser::Writer& w) const;
   void Restore(ser::Reader& r);
 
@@ -53,6 +53,9 @@ class Histogram {
   void Clear();
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
+
   std::uint64_t bucket_width_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t overflow_ = 0;
@@ -98,6 +101,9 @@ class StatSet {
   void Restore(ser::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
+
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, Histogram> hists_;
 };

@@ -85,60 +85,8 @@ class AlphaTable {
 
   /// Checkpointing. The page map is emitted sorted by page id so the blob
   /// is deterministic regardless of hash-table iteration order.
-  void Snapshot(ser::Writer& w) const {
-    w.Section("alpha");
-    w.U32(alpha_);
-    w.U32(epoch_);
-    // Copy entries out, then sort pairs: one map walk instead of a
-    // lookup per page — the page map is the bulk of a RedCache blob and
-    // sort-ids-then-at() dominated checkpoint capture.
-    std::vector<std::pair<Addr, PageState>> pages(counts_.begin(),
-                                                  counts_.end());
-    std::sort(pages.begin(), pages.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.U64(pages.size());
-    std::uint8_t* p = w.Raw(17 * pages.size());
-    for (const auto& [page, st] : pages) {
-      ser::PutU64(p, page);
-      for (int i = 0; i < 4; ++i) {
-        p[8 + i] = (st.progress >> (8 * i)) & 0xff;
-        p[12 + i] = (st.epoch >> (8 * i)) & 0xff;
-      }
-      p[16] = st.hot ? 1 : 0;
-      p += 17;
-    }
-    w.U64Seq(buffer_tags_);
-    w.U64(lookups_);
-    w.U64(buffer_misses_);
-    w.U64(pages_hot_);
-    w.U64(retunes_up_);
-    w.U64(retunes_down_);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("alpha");
-    alpha_ = r.U32();
-    epoch_ = r.U32();
-    counts_.clear();
-    const std::size_t n = r.SeqLen(17);
-    counts_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Addr page = r.U64();
-      PageState st;
-      st.progress = r.U32();
-      st.epoch = r.U32();
-      st.hot = r.Bool();
-      counts_.emplace(page, st);
-    }
-    if (r.SeqLen(8) != buffer_tags_.size()) {
-      throw ser::SerializeError("alpha buffer size mismatch");
-    }
-    for (Addr& t : buffer_tags_) t = r.U64();
-    lookups_ = r.U64();
-    buffer_misses_ = r.U64();
-    pages_hot_ = r.U64();
-    retunes_up_ = r.U64();
-    retunes_down_ = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
   struct PageState {
@@ -146,6 +94,51 @@ class AlphaTable {
     std::uint32_t epoch = 0;     ///< epoch of the last access (for decay)
     bool hot = false;
   };
+
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("alpha");
+    a.U32(s.alpha_);
+    a.U32(s.epoch_);
+    // The page map, 17-byte records (page, progress, epoch, hot), is the
+    // bulk of a RedCache blob; the writer fills them through a bulk span.
+    if constexpr (Ar::kReading) {
+      s.counts_.clear();
+      const std::size_t n = a.SeqLen(17);
+      s.counts_.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        PageState& st = s.counts_[a.U64()];
+        a.U32(st.progress);
+        a.U32(st.epoch);
+        a.Bool(st.hot);
+      }
+    } else {
+      // Copy entries out, then sort pairs: one map walk instead of a
+      // lookup per page — sort-ids-then-at() dominated checkpoint capture.
+      std::vector<std::pair<Addr, PageState>> pages(s.counts_.begin(),
+                                                    s.counts_.end());
+      std::sort(pages.begin(), pages.end(), [](const auto& x, const auto& y) {
+        return x.first < y.first;
+      });
+      a.U64(pages.size());
+      std::uint8_t* p = a.Raw(17 * pages.size());
+      for (const auto& [page, st] : pages) {
+        ser::PutU64(p, page);
+        for (int b = 0; b < 4; ++b) {
+          p[8 + b] = (st.progress >> (8 * b)) & 0xff;
+          p[12 + b] = (st.epoch >> (8 * b)) & 0xff;
+        }
+        p[16] = st.hot ? 1 : 0;
+        p += 17;
+      }
+    }
+    a.U64Seq(s.buffer_tags_, "alpha buffer size mismatch");
+    a.U64(s.lookups_);
+    a.U64(s.buffer_misses_);
+    a.U64(s.pages_hot_);
+    a.U64(s.retunes_up_);
+    a.U64(s.retunes_down_);
+  }
 
   std::uint32_t Threshold() const { return alpha_ * kBlocksPerPage; }
 

@@ -89,28 +89,22 @@ class GammaController {
   std::uint64_t steps_down() const { return steps_down_; }
   std::uint64_t premature_invalidations() const { return premature_; }
 
-  void Snapshot(ser::Writer& w) const {
-    w.Section("gamma");
-    w.U32(gamma_);
-    w.U32(down_votes_);
-    w.U64(updates_);
-    w.U64(lifetime_samples_);
-    w.U64(steps_up_);
-    w.U64(steps_down_);
-    w.U64(premature_);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("gamma");
-    gamma_ = r.U32();
-    down_votes_ = r.U32();
-    updates_ = r.U64();
-    lifetime_samples_ = r.U64();
-    steps_up_ = r.U64();
-    steps_down_ = r.U64();
-    premature_ = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("gamma");
+    a.U32(s.gamma_);
+    a.U32(s.down_votes_);
+    a.U64(s.updates_);
+    a.U64(s.lifetime_samples_);
+    a.U64(s.steps_up_);
+    a.U64(s.steps_down_);
+    a.U64(s.premature_);
+  }
+
   Params params_;
   std::uint32_t gamma_;
   std::uint32_t down_votes_ = 0;

@@ -74,59 +74,40 @@ class RcuManager {
   std::uint64_t idle_flushes() const { return idle_flushes_; }
   std::uint64_t capacity_flushes() const { return capacity_flushes_; }
 
-  static void SnapshotEntry(ser::Writer& w, const Entry& e) {
-    w.U64(e.block);
-    w.U32(e.loc.channel);
-    w.U32(e.loc.rank);
-    w.U32(e.loc.bank);
-    w.U64(e.loc.row);
-    w.U32(e.loc.column);
-  }
-  static Entry RestoreEntry(ser::Reader& r) {
-    Entry e;
-    e.block = r.U64();
-    e.loc.channel = r.U32();
-    e.loc.rank = r.U32();
-    e.loc.bank = r.U32();
-    e.loc.row = r.U64();
-    e.loc.column = r.U32();
-    return e;
+  /// One serialized entry (32 bytes), for the RCU and for entries a
+  /// controller holds outside it.
+  template <class E, class Ar>
+  static void IoEntry(E& e, Ar& a) {
+    a.U64(e.block);
+    IoDramAddress(e.loc, a);
   }
 
-  void Snapshot(ser::Writer& w) const {
-    w.Section("rcu");
-    w.U64(entries_.size());
-    for (const Entry& e : entries_) SnapshotEntry(w, e);
-    w.U64(inserts_);
-    w.U64(updates_in_place_);
-    w.U64(searches_);
-    w.U64(block_hits_);
-    w.U64(merged_flushes_);
-    w.U64(idle_flushes_);
-    w.U64(capacity_flushes_);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("rcu");
-    entries_.clear();
-    parked_.assign(parked_.size(), 0);
-    const std::size_t n = r.SeqLen(32);
-    for (std::size_t i = 0; i < n; ++i) {
-      entries_.push_back(RestoreEntry(r));
-      if (entries_.back().loc.channel >= parked_.size()) {
-        throw ser::SerializeError("RCU entry channel out of range");
-      }
-      Park(entries_.back().loc.channel);
-    }
-    inserts_ = r.U64();
-    updates_in_place_ = r.U64();
-    searches_ = r.U64();
-    block_hits_ = r.U64();
-    merged_flushes_ = r.U64();
-    idle_flushes_ = r.U64();
-    capacity_flushes_ = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("rcu");
+    if constexpr (Ar::kReading) s.parked_.assign(s.parked_.size(), 0);
+    a.Records(s.entries_, 32, [&](auto& e) {
+      IoEntry(e, a);
+      if constexpr (Ar::kReading) {
+        if (e.loc.channel >= s.parked_.size()) {
+          throw ser::SerializeError("RCU entry channel out of range");
+        }
+        s.Park(e.loc.channel);
+      }
+    });
+    a.U64(s.inserts_);
+    a.U64(s.updates_in_place_);
+    a.U64(s.searches_);
+    a.U64(s.block_hits_);
+    a.U64(s.merged_flushes_);
+    a.U64(s.idle_flushes_);
+    a.U64(s.capacity_flushes_);
+  }
+
   void Park(std::uint32_t channel) {
     assert(channel < parked_.size() && "RCU entry on an unknown channel");
     parked_[channel]++;

@@ -74,42 +74,29 @@ class Core {
   /// Checkpointing: the full execution state — local clock, MSHR window,
   /// pending/stalled miss machinery, per-core RNG and counters. The trace /
   /// hierarchy / port pointers are wiring, re-established by construction.
-  void Snapshot(ser::Writer& w) const {
-    w.Section("core");
-    w.U64(t_);
-    w.U32(outstanding_);
-    w.U64(seq_);
-    w.Bool(pending_miss_);
-    w.U64(pending_addr_);
-    w.Bool(pending_dependent_);
-    w.Bool(stalled_);
-    w.U64(stalled_tag_);
-    w.Bool(trace_done_);
-    w.U64(finish_time_);
-    w.U64(refs_);
-    w.U64(misses_);
-    for (const std::uint64_t h : hits_) w.U64(h);
-    rng_.Snapshot(w);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("core");
-    t_ = r.U64();
-    outstanding_ = r.U32();
-    seq_ = r.U64();
-    pending_miss_ = r.Bool();
-    pending_addr_ = r.U64();
-    pending_dependent_ = r.Bool();
-    stalled_ = r.Bool();
-    stalled_tag_ = r.U64();
-    trace_done_ = r.Bool();
-    finish_time_ = r.U64();
-    refs_ = r.U64();
-    misses_ = r.U64();
-    for (std::uint64_t& h : hits_) h = r.U64();
-    rng_.Restore(r);
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("core");
+    a.U64(s.t_);
+    a.U32(s.outstanding_);
+    a.U64(s.seq_);
+    a.Bool(s.pending_miss_);
+    a.U64(s.pending_addr_);
+    a.Bool(s.pending_dependent_);
+    a.Bool(s.stalled_);
+    a.U64(s.stalled_tag_);
+    a.Bool(s.trace_done_);
+    a.U64(s.finish_time_);
+    a.U64(s.refs_);
+    a.U64(s.misses_);
+    for (auto& h : s.hits_) a.U64(h);
+    a.Part(s.rng_);
+  }
+
   std::uint64_t MakeTag() { return (std::uint64_t{id_} << 48) | seq_++; }
 
   std::uint32_t id_;

@@ -30,6 +30,17 @@ struct DramAddress {
   }
 };
 
+/// Checkpoint encoding (common/serialize.hpp), 24 bytes; `Ar` is
+/// ser::Writer or ser::Reader.
+template <class A, class Ar>
+void IoDramAddress(A& loc, Ar& a) {
+  a.U32(loc.channel);
+  a.U32(loc.rank);
+  a.U32(loc.bank);
+  a.U64(loc.row);
+  a.U32(loc.column);
+}
+
 /// Maps physical block addresses onto a device's geometry. Addresses beyond
 /// the device capacity wrap (callers index DRAM-cache sets directly and main
 /// memory by physical address modulo capacity, which is fine for simulation).

@@ -625,183 +625,119 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
                      : std::max(min_ready, now + kCpuCyclesPerDramCycle);
 }
 
-void DramChannel::Snapshot(ser::Writer& w) const {
-  w.Section("chan");
-  lanes_.Snapshot(w);
-  w.U64(q_slot_.size());
-  for (std::size_t i = 0; i < q_slot_.size(); ++i) {
-    w.U32(q_bank_[i]);
-    w.U32(q_rank_[i]);
-    w.U64(q_row_[i]);
-    w.U8(q_write_[i]);
-    w.U64(q_arrival_[i]);
-    w.U32(static_cast<std::uint32_t>(q_slot_[i]));
-    const Pending& p = slots_[static_cast<std::size_t>(q_slot_[i])];
-    w.U64(p.req.id);
-    w.U64(p.req.addr);
-    w.U32(p.req.loc.channel);
-    w.U32(p.req.loc.rank);
-    w.U32(p.req.loc.bank);
-    w.U64(p.req.loc.row);
-    w.U32(p.req.loc.column);
-    w.Bool(p.req.is_write);
-    w.U32(p.req.bursts);
-    w.U64(p.req.arrival);
-    w.U32(p.req.tenant);
-    w.U64(p.req.user_tag);
-    w.U32(p.bursts_left);
-    w.Bool(p.first_command_issued);
+template <class Self, class Ar>
+void DramChannel::Io(Self& s, Ar& a) {
+  a.Section("chan");
+  a.Part(s.lanes_);
+
+  std::size_t q_size = s.q_slot_.size();
+  if constexpr (Ar::kReading) {
+    q_size = a.SeqLen(1);
+    if (q_size > s.slots_.size()) {
+      throw ser::SerializeError("channel queue exceeds queue_depth");
+    }
+    s.q_bank_.resize(q_size);
+    s.q_rank_.resize(q_size);
+    s.q_row_.resize(q_size);
+    s.q_write_.resize(q_size);
+    s.q_arrival_.resize(q_size);
+    s.q_slot_.resize(q_size);
+  } else {
+    a.U64(q_size);
   }
-  w.U64Seq(free_slots_);
-  w.U64(pending_done_.size());
-  for (const DramCompletion& d : pending_done_) {
-    w.U64(d.id);
-    w.U64(d.addr);
-    w.Bool(d.is_write);
-    w.U64(d.done);
-    w.U32(d.tenant);
-    w.U64(d.user_tag);
+  for (std::size_t i = 0; i < q_size; ++i) {
+    a.U32(s.q_bank_[i]);
+    a.U32(s.q_rank_[i]);
+    a.U64(s.q_row_[i]);
+    a.U8(s.q_write_[i]);
+    a.U64(s.q_arrival_[i]);
+    a.U32(s.q_slot_[i]);
+    const auto slot = static_cast<std::uint32_t>(s.q_slot_[i]);
+    if constexpr (Ar::kReading) {
+      if (slot >= s.slots_.size() || s.q_bank_[i] >= s.lanes_.num_banks()) {
+        throw ser::SerializeError("channel queue entry out of range");
+      }
+    }
+    auto& p = s.slots_[slot];
+    a.U64(p.req.id);
+    a.U64(p.req.addr);
+    IoDramAddress(p.req.loc, a);
+    a.Bool(p.req.is_write);
+    a.U32(p.req.bursts);
+    a.U64(p.req.arrival);
+    a.U32(p.req.tenant);
+    a.U64(p.req.user_tag);
+    a.U32(p.bursts_left);
+    a.Bool(p.first_command_issued);
   }
-  w.U64(pending_done_min_);
-  w.U64(next_cmd_slot_);
-  w.U64(sleep_until_);
-  w.U64(refresh_wake_);
+  a.U64Seq(s.free_slots_);
+  if constexpr (Ar::kReading) {
+    if (q_size + s.free_slots_.size() != s.slots_.size()) {
+      throw ser::SerializeError("channel slot pool accounting mismatch");
+    }
+  }
+  a.Records(s.pending_done_, 1, [&a](auto& d) { IoDramCompletion(d, a); });
+  a.U64(s.pending_done_min_);
+  a.U64(s.next_cmd_slot_);
+  a.U64(s.sleep_until_);
+  a.U64(s.refresh_wake_);
   // Only a pre-pass that moved sleep_until_ is state; a kept due count is
   // a cache the slot's pass recomputes.
-  w.U64(prepass_due_ == 0 ? prepass_slot_ : kNever);
-  w.U64(prepass_saved_sleep_);
-  w.U64(refresh_epoch_);
-  w.I64(cont_slot_);
-  w.U32(cont_bank_);
-  w.U64(cont_row_);
-  w.Bool(cont_write_);
-  w.U8(static_cast<std::uint8_t>(last_data_));
-  w.U32(write_count_);
-  w.U64(counters_.activates);
-  w.U64(counters_.precharges);
-  w.U64(counters_.refreshes);
-  w.U64(counters_.read_bursts);
-  w.U64(counters_.write_bursts);
-  w.U64(counters_.row_hits);
-  w.U64(counters_.row_misses);
-  w.U64(counters_.data_busy_cycles);
-  w.U64(counters_.bytes_transferred);
-  w.U64(counters_.turnarounds_rw);
-  w.U64(counters_.turnarounds_wr);
-  w.U64(counters_.transactions);
-  w.U64(counters_.queue_wait_cycles);
-}
-
-void DramChannel::Restore(ser::Reader& r) {
-  r.Section("chan");
-  lanes_.Restore(r);
-
-  const std::size_t q_size = r.SeqLen(1);
-  if (q_size > slots_.size()) {
-    throw ser::SerializeError("channel queue exceeds queue_depth");
+  if constexpr (Ar::kReading) {
+    a.U64(s.prepass_slot_);
+    s.prepass_due_ = 0;
+  } else {
+    a.U64(s.prepass_due_ == 0 ? s.prepass_slot_ : kNever);
   }
-  q_bank_.clear();
-  q_rank_.clear();
-  q_row_.clear();
-  q_write_.clear();
-  q_arrival_.clear();
-  q_slot_.clear();
-  for (std::size_t i = 0; i < q_size; ++i) {
-    q_bank_.push_back(r.U32());
-    q_rank_.push_back(r.U32());
-    q_row_.push_back(r.U64());
-    q_write_.push_back(r.U8());
-    q_arrival_.push_back(r.U64());
-    const std::uint32_t s = r.U32();
-    if (s >= slots_.size() || q_bank_.back() >= lanes_.num_banks()) {
-      throw ser::SerializeError("channel queue entry out of range");
+  a.U64(s.prepass_saved_sleep_);
+  a.U64(s.refresh_epoch_);
+  a.I64(s.cont_slot_);
+  a.U32(s.cont_bank_);
+  a.U64(s.cont_row_);
+  a.Bool(s.cont_write_);
+  if constexpr (Ar::kReading) {
+    s.last_data_ = static_cast<LastData>(a.U8());
+  } else {
+    a.U8(static_cast<std::uint8_t>(s.last_data_));
+  }
+  a.U32(s.write_count_);
+  auto& c = s.counters_;
+  for (auto* field :
+       {&c.activates, &c.precharges, &c.refreshes, &c.read_bursts,
+        &c.write_bursts, &c.row_hits, &c.row_misses, &c.data_busy_cycles,
+        &c.bytes_transferred, &c.turnarounds_rw, &c.turnarounds_wr,
+        &c.transactions, &c.queue_wait_cycles}) {
+    a.U64(*field);
+  }
+  if constexpr (Ar::kReading) {
+    // Rebuild the derived scan state from the restored queue. Replaying
+    // AddRowDemand reproduces row_demand_ / demand_count_ / the active-bank
+    // set and, because the lanes already hold the open rows, the open-row
+    // direction counts; the packed summaries then recompute from those.
+    // active_banks_ ordering may differ from the snapshotting run, which is
+    // behavior-neutral: the pre-pass only accumulates a min and per-bank
+    // due flags, and command selection walks the queue in arrival order.
+    for (auto& rows : s.row_demand_) rows.clear();
+    std::fill(s.demand_count_.begin(), s.demand_count_.end(), 0u);
+    std::fill(s.open_reads_.begin(), s.open_reads_.end(), 0u);
+    std::fill(s.open_writes_.begin(), s.open_writes_.end(), 0u);
+    std::fill(s.bank_due_.begin(), s.bank_due_.end(), std::uint8_t{0});
+    std::fill(s.bank_summary_.begin(), s.bank_summary_.end(),
+              std::uint64_t{0});
+    s.active_banks_.clear();
+    std::fill(s.active_pos_.begin(), s.active_pos_.end(), -1);
+    for (std::size_t i = 0; i < q_size; ++i) {
+      s.AddRowDemand(s.q_bank_[i], s.q_row_[i], s.q_write_[i] != 0);
     }
-    q_slot_.push_back(static_cast<std::int32_t>(s));
-    Pending& p = slots_[s];
-    p.req.id = r.U64();
-    p.req.addr = r.U64();
-    p.req.loc.channel = r.U32();
-    p.req.loc.rank = r.U32();
-    p.req.loc.bank = r.U32();
-    p.req.loc.row = r.U64();
-    p.req.loc.column = r.U32();
-    p.req.is_write = r.Bool();
-    p.req.bursts = r.U32();
-    p.req.arrival = r.U64();
-    p.req.tenant = static_cast<std::uint16_t>(r.U32());
-    p.req.user_tag = r.U64();
-    p.bursts_left = r.U32();
-    p.first_command_issued = r.Bool();
+    for (const std::uint32_t bank : s.active_banks_) {
+      s.RefreshBankSummary(bank);
+    }
+    s.idle_hint_epoch_ = ~std::uint64_t{0};  // force the memo to recompute
   }
-  const std::size_t n_free = r.SeqLen(8);
-  if (q_size + n_free != slots_.size()) {
-    throw ser::SerializeError("channel slot pool accounting mismatch");
-  }
-  free_slots_.clear();
-  for (std::size_t i = 0; i < n_free; ++i) {
-    free_slots_.push_back(static_cast<std::int32_t>(r.U64()));
-  }
-  pending_done_.clear();
-  const std::size_t n_done = r.SeqLen(1);
-  for (std::size_t i = 0; i < n_done; ++i) {
-    DramCompletion d;
-    d.id = r.U64();
-    d.addr = r.U64();
-    d.is_write = r.Bool();
-    d.done = r.U64();
-    d.tenant = static_cast<std::uint16_t>(r.U32());
-    d.user_tag = r.U64();
-    pending_done_.push_back(d);
-  }
-  pending_done_min_ = r.U64();
-  next_cmd_slot_ = r.U64();
-  sleep_until_ = r.U64();
-  refresh_wake_ = r.U64();
-  prepass_slot_ = r.U64();
-  prepass_saved_sleep_ = r.U64();
-  prepass_due_ = 0;
-  refresh_epoch_ = r.U64();
-  cont_slot_ = static_cast<std::int32_t>(r.I64());
-  cont_bank_ = r.U32();
-  cont_row_ = r.U64();
-  cont_write_ = r.Bool();
-  last_data_ = static_cast<LastData>(r.U8());
-  write_count_ = r.U32();
-  counters_.activates = r.U64();
-  counters_.precharges = r.U64();
-  counters_.refreshes = r.U64();
-  counters_.read_bursts = r.U64();
-  counters_.write_bursts = r.U64();
-  counters_.row_hits = r.U64();
-  counters_.row_misses = r.U64();
-  counters_.data_busy_cycles = r.U64();
-  counters_.bytes_transferred = r.U64();
-  counters_.turnarounds_rw = r.U64();
-  counters_.turnarounds_wr = r.U64();
-  counters_.transactions = r.U64();
-  counters_.queue_wait_cycles = r.U64();
-
-  // Rebuild the derived scan state from the restored queue. Replaying
-  // AddRowDemand reproduces row_demand_ / demand_count_ / the active-bank
-  // set and, because the lanes already hold the open rows, the open-row
-  // direction counts; the packed summaries then recompute from those.
-  // active_banks_ ordering may differ from the snapshotting run, which is
-  // behavior-neutral: the pre-pass only accumulates a min and per-bank due
-  // flags, and command selection walks the queue in arrival order.
-  for (auto& rows : row_demand_) rows.clear();
-  std::fill(demand_count_.begin(), demand_count_.end(), 0u);
-  std::fill(open_reads_.begin(), open_reads_.end(), 0u);
-  std::fill(open_writes_.begin(), open_writes_.end(), 0u);
-  std::fill(bank_due_.begin(), bank_due_.end(), std::uint8_t{0});
-  std::fill(bank_summary_.begin(), bank_summary_.end(), std::uint64_t{0});
-  active_banks_.clear();
-  std::fill(active_pos_.begin(), active_pos_.end(), -1);
-  for (std::size_t i = 0; i < q_slot_.size(); ++i) {
-    AddRowDemand(q_bank_[i], q_row_[i], q_write_[i] != 0);
-  }
-  for (const std::uint32_t bank : active_banks_) RefreshBankSummary(bank);
-  idle_hint_epoch_ = ~std::uint64_t{0};  // force the memo to recompute
 }
+
+void DramChannel::Snapshot(ser::Writer& w) const { Io(*this, w); }
+void DramChannel::Restore(ser::Reader& r) { Io(*this, r); }
 
 Cycle DramChannel::NextEventHint(Cycle now) const {
   Cycle next = pending_done_min_;

@@ -141,6 +141,9 @@ class DramChannel {
   /// return its slot to the free pool.
   void RemoveFromQueue(std::size_t i);
 
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
+
   // Incrementally-maintained per-(bank, row) demand, split by direction:
   // the scheduler's "may I close this row" test and the per-bank summary's
   // "which column directions are represented" test both read it.

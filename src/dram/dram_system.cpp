@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace redcache {
 
@@ -142,60 +143,34 @@ Cycle DramSystem::NextEventHint(Cycle now) const {
   return std::min(FuncMin(), wakes_.Min());
 }
 
-void DramSystem::Snapshot(ser::Writer& w) const {
-  w.Section("dram");
-  w.U64(next_id_);
-  w.U64(inflight_);
-  auto completion_list = [&w](const std::vector<DramCompletion>& list,
-                              std::size_t first) {
-    w.U64(list.size() - first);
-    for (std::size_t i = first; i < list.size(); ++i) {
-      const DramCompletion& d = list[i];
-      w.U64(d.id);
-      w.U64(d.addr);
-      w.Bool(d.is_write);
-      w.U64(d.done);
-      w.U32(d.tenant);
-      w.U64(d.user_tag);
+template <class Self, class Ar>
+void DramSystem::Io(Self& s, Ar& a) {
+  a.Section("dram");
+  a.U64(s.next_id_);
+  a.U64(s.inflight_);
+  const auto completion = [&a](auto& d) { IoDramCompletion(d, a); };
+  a.Records(s.completions_, 1, completion);
+  if constexpr (Ar::kReading) {
+    a.Records(s.func_pending_, 1, completion);
+    s.func_head_ = 0;
+    for (std::size_t i = 1; i < s.func_pending_.size(); ++i) {
+      if (s.func_pending_[i].done < s.func_pending_[i - 1].done) {
+        throw ser::SerializeError(
+            "functional completions out of completion-cycle order");
+      }
     }
-  };
-  completion_list(completions_, 0);
-  completion_list(func_pending_, func_head_);
-  w.U64(FuncMin());
-  for (const auto& ch : channels_) ch->Snapshot(w);
+    (void)a.U64();  // the earliest pending done, which the list implies
+    s.wakes_.Reset(s.channels_.size());  // all due: spurious visits are no-ops
+    s.ticked_through_ = 0;
+  } else {
+    // Only the undelivered suffix of the functional list is state.
+    a.Records(std::span(s.func_pending_).subspan(s.func_head_), 1, completion);
+    a.U64(s.FuncMin());
+  }
+  for (const auto& ch : s.channels_) a.Part(*ch);
 }
 
-void DramSystem::Restore(ser::Reader& r) {
-  r.Section("dram");
-  next_id_ = r.U64();
-  inflight_ = r.U64();
-  auto completion_list = [&r](std::vector<DramCompletion>& list) {
-    list.clear();
-    const std::size_t n = r.SeqLen(1);
-    for (std::size_t i = 0; i < n; ++i) {
-      DramCompletion d;
-      d.id = r.U64();
-      d.addr = r.U64();
-      d.is_write = r.Bool();
-      d.done = r.U64();
-      d.tenant = static_cast<std::uint16_t>(r.U32());
-      d.user_tag = r.U64();
-      list.push_back(d);
-    }
-  };
-  completion_list(completions_);
-  completion_list(func_pending_);
-  func_head_ = 0;
-  for (std::size_t i = 1; i < func_pending_.size(); ++i) {
-    if (func_pending_[i].done < func_pending_[i - 1].done) {
-      throw ser::SerializeError(
-          "functional completions out of completion-cycle order");
-    }
-  }
-  (void)r.U64();  // the earliest pending done, which the list implies
-  for (auto& ch : channels_) ch->Restore(r);
-  wakes_.Reset(channels_.size());  // all due: spurious visits are no-ops
-  ticked_through_ = 0;
-}
+void DramSystem::Snapshot(ser::Writer& w) const { Io(*this, w); }
+void DramSystem::Restore(ser::Reader& r) { Io(*this, r); }
 
 }  // namespace redcache

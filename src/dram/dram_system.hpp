@@ -112,6 +112,9 @@ class DramSystem {
   void Restore(ser::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
+
   DramConfig cfg_;
   AddressMapper mapper_;
   std::vector<std::unique_ptr<DramChannel>> channels_;

@@ -32,6 +32,18 @@ struct DramCompletion {
   std::uint64_t user_tag = 0;
 };
 
+/// Checkpoint encoding (common/serialize.hpp); `Ar` is ser::Writer or
+/// ser::Reader.
+template <class C, class Ar>
+void IoDramCompletion(C& d, Ar& a) {
+  a.U64(d.id);
+  a.U64(d.addr);
+  a.Bool(d.is_write);
+  a.U64(d.done);
+  a.U32(d.tenant);
+  a.U64(d.user_tag);
+}
+
 /// Notification of every column command the scheduler issues. The RedCache
 /// RCU manager observes writes to detect "a block write to the same index
 /// (channel, rank, bank, row)" — its cheapest drain opportunity.

@@ -189,49 +189,24 @@ class TimingLanes {
 
   /// Checkpointing: every lane. Geometry and the timing table pointer are
   /// configuration (Init runs before Restore on a freshly built channel).
-  void Snapshot(ser::Writer& w) const {
-    w.Section("lanes");
-    w.U64Seq(open_row_);
-    w.U64Seq(act_gate_);
-    w.U64Seq(col_gate_);
-    w.U64Seq(pre_gate_);
-    w.U64Seq(rank_act_gate_);
-    w.U64Seq(rrd_gate_);
-    w.U64Seq(act_window_);
-    w.U64Seq(refresh_until_);
-    w.U64Seq(next_refresh_);
-    for (const Cycle c : col_shared_) w.U64(c);
-    for (const Cycle c : cont_shared_) w.U64(c);
-    w.U64(next_column_cmd_);
-    w.U64(next_read_cmd_);
-    w.U64(next_write_cmd_);
-    w.U64(data_bus_free_);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("lanes");
-    RestoreLane(r, open_row_);
-    RestoreLane(r, act_gate_);
-    RestoreLane(r, col_gate_);
-    RestoreLane(r, pre_gate_);
-    RestoreLane(r, rank_act_gate_);
-    RestoreLane(r, rrd_gate_);
-    RestoreLane(r, act_window_);
-    RestoreLane(r, refresh_until_);
-    RestoreLane(r, next_refresh_);
-    for (Cycle& c : col_shared_) c = r.U64();
-    for (Cycle& c : cont_shared_) c = r.U64();
-    next_column_cmd_ = r.U64();
-    next_read_cmd_ = r.U64();
-    next_write_cmd_ = r.U64();
-    data_bus_free_ = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
-  static void RestoreLane(ser::Reader& r, std::vector<Cycle>& lane) {
-    if (r.SeqLen(8) != lane.size()) {
-      throw ser::SerializeError("DRAM lane size mismatch (geometry changed)");
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("lanes");
+    for (auto* lane : {&s.open_row_, &s.act_gate_, &s.col_gate_, &s.pre_gate_,
+                       &s.rank_act_gate_, &s.rrd_gate_, &s.act_window_,
+                       &s.refresh_until_, &s.next_refresh_}) {
+      a.U64Seq(*lane, "DRAM lane size mismatch (geometry changed)");
     }
-    for (Cycle& c : lane) c = r.U64();
+    for (auto& c : s.col_shared_) a.U64(c);
+    for (auto& c : s.cont_shared_) a.U64(c);
+    a.U64(s.next_column_cmd_);
+    a.U64(s.next_read_cmd_);
+    a.U64(s.next_write_cmd_);
+    a.U64(s.data_bus_free_);
   }
 
   void RebuildSharedGates() {

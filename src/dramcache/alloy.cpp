@@ -112,28 +112,17 @@ void AlloyController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.resident_lines") = tags_.ValidLines();
 }
 
-void AlloyController::SnapshotPolicy(ser::Writer& w) const {
-  w.Section("alloy");
-  tags_.Snapshot(w);
-  w.U64(hits_);
-  w.U64(misses_);
-  w.U64(read_hits_);
-  w.U64(write_hits_);
-  w.U64(fills_);
-  w.U64(victim_writebacks_);
-  w.U64(evictions_);
+template <class Self, class Ar>
+void AlloyController::Io(Self& s, Ar& a) {
+  a.Section("alloy");
+  a.Part(s.tags_);
+  for (auto* counter : {&s.hits_, &s.misses_, &s.read_hits_, &s.write_hits_,
+                        &s.fills_, &s.victim_writebacks_, &s.evictions_}) {
+    a.U64(*counter);
+  }
 }
 
-void AlloyController::RestorePolicy(ser::Reader& r) {
-  r.Section("alloy");
-  tags_.Restore(r);
-  hits_ = r.U64();
-  misses_ = r.U64();
-  read_hits_ = r.U64();
-  write_hits_ = r.U64();
-  fills_ = r.U64();
-  victim_writebacks_ = r.U64();
-  evictions_ = r.U64();
-}
+void AlloyController::SnapshotPolicy(ser::Writer& w) const { Io(*this, w); }
+void AlloyController::RestorePolicy(ser::Reader& r) { Io(*this, r); }
 
 }  // namespace redcache

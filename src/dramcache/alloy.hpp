@@ -33,6 +33,8 @@ class AlloyController : public ControllerBase {
   void ExportOwnStats(StatSet& stats) const override;
   void SnapshotPolicy(ser::Writer& w) const override;
   void RestorePolicy(ser::Reader& r) override;
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
 
   /// Install `addr`'s line into its set; evicts (and writes back) the
   /// current occupant if dirty. `dirty` marks the new line.

@@ -231,71 +231,37 @@ void BansheeController::SampleTelemetry(StatSet& out) const {
   out.Counter("read_bypasses") = read_bypasses_;
 }
 
-void BansheeController::SnapshotPolicy(ser::Writer& w) const {
-  w.Section("banshee");
-  w.U64(pages_.size());
-  for (const PageEntry& e : pages_) {
-    w.U64(e.tag);
-    w.U64(e.present);
-    w.U64(e.dirty);
-    w.U8(e.freq);
-    w.Bool(e.valid);
+template <class Self, class Ar>
+void BansheeController::Io(Self& s, Ar& a) {
+  a.Section("banshee");
+  a.Records(
+      s.pages_, 26,
+      [&a](auto& e) {
+        a.U64(e.tag);
+        a.U64(e.present);
+        a.U64(e.dirty);
+        a.U8(e.freq);
+        a.Bool(e.valid);
+      },
+      "banshee page table size mismatch");
+  a.Records(
+      s.challengers_, 9,
+      [&a](auto& c) {
+        a.U64(c.tag);
+        a.U8(c.count);
+      },
+      "banshee challenger table size mismatch");
+  a.U64Seq(s.pins_, "banshee pin table size mismatch");
+  for (auto* counter :
+       {&s.requests_since_decay_, &s.read_hits_, &s.write_hits_, &s.misses_,
+        &s.fills_, &s.evictions_, &s.victim_writebacks_,
+        &s.page_replacements_, &s.replacements_blocked_, &s.read_bypasses_,
+        &s.write_bypasses_, &s.install_races_}) {
+    a.U64(*counter);
   }
-  w.U64(challengers_.size());
-  for (const Challenger& c : challengers_) {
-    w.U64(c.tag);
-    w.U8(c.count);
-  }
-  w.U64Seq(pins_);
-  w.U64(requests_since_decay_);
-  w.U64(read_hits_);
-  w.U64(write_hits_);
-  w.U64(misses_);
-  w.U64(fills_);
-  w.U64(evictions_);
-  w.U64(victim_writebacks_);
-  w.U64(page_replacements_);
-  w.U64(replacements_blocked_);
-  w.U64(read_bypasses_);
-  w.U64(write_bypasses_);
-  w.U64(install_races_);
 }
 
-void BansheeController::RestorePolicy(ser::Reader& r) {
-  r.Section("banshee");
-  if (r.SeqLen(26) != pages_.size()) {
-    throw ser::SerializeError("banshee page table size mismatch");
-  }
-  for (PageEntry& e : pages_) {
-    e.tag = r.U64();
-    e.present = r.U64();
-    e.dirty = r.U64();
-    e.freq = r.U8();
-    e.valid = r.Bool();
-  }
-  if (r.SeqLen(9) != challengers_.size()) {
-    throw ser::SerializeError("banshee challenger table size mismatch");
-  }
-  for (Challenger& c : challengers_) {
-    c.tag = r.U64();
-    c.count = r.U8();
-  }
-  if (r.SeqLen(8) != pins_.size()) {
-    throw ser::SerializeError("banshee pin table size mismatch");
-  }
-  for (std::uint32_t& p : pins_) p = static_cast<std::uint32_t>(r.U64());
-  requests_since_decay_ = r.U64();
-  read_hits_ = r.U64();
-  write_hits_ = r.U64();
-  misses_ = r.U64();
-  fills_ = r.U64();
-  evictions_ = r.U64();
-  victim_writebacks_ = r.U64();
-  page_replacements_ = r.U64();
-  replacements_blocked_ = r.U64();
-  read_bypasses_ = r.U64();
-  write_bypasses_ = r.U64();
-  install_races_ = r.U64();
-}
+void BansheeController::SnapshotPolicy(ser::Writer& w) const { Io(*this, w); }
+void BansheeController::RestorePolicy(ser::Reader& r) { Io(*this, r); }
 
 }  // namespace redcache

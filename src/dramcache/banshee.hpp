@@ -40,6 +40,8 @@ class BansheeController : public ControllerBase {
   void ExportOwnStats(StatSet& stats) const override;
   void SnapshotPolicy(ser::Writer& w) const override;
   void RestorePolicy(ser::Reader& r) override;
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
 
  private:
   struct PageEntry {

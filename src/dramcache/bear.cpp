@@ -197,36 +197,28 @@ void BearController::ExportOwnStats(StatSet& stats) const {
       static_cast<std::uint64_t>(fill_probability_ * 100.0);
 }
 
+template <class Self, class Ar>
+void BearController::Io(Self& s, Ar& a) {
+  a.Section("bear");
+  a.Part(s.presence_);
+  a.Part(s.rng_);
+  a.F64(s.fill_probability_);
+  for (auto* counter :
+       {&s.fill_bypasses_, &s.probe_skips_, &s.write_miss_bypasses_,
+        &s.sample_hits_, &s.sample_accesses_, &s.other_hits_,
+        &s.other_accesses_, &s.bypass_retunes_}) {
+    a.U64(*counter);
+  }
+}
+
 void BearController::SnapshotPolicy(ser::Writer& w) const {
   AlloyController::SnapshotPolicy(w);
-  w.Section("bear");
-  presence_.Snapshot(w);
-  rng_.Snapshot(w);
-  w.F64(fill_probability_);
-  w.U64(fill_bypasses_);
-  w.U64(probe_skips_);
-  w.U64(write_miss_bypasses_);
-  w.U64(sample_hits_);
-  w.U64(sample_accesses_);
-  w.U64(other_hits_);
-  w.U64(other_accesses_);
-  w.U64(bypass_retunes_);
+  Io(*this, w);
 }
 
 void BearController::RestorePolicy(ser::Reader& r) {
   AlloyController::RestorePolicy(r);
-  r.Section("bear");
-  presence_.Restore(r);
-  rng_.Restore(r);
-  fill_probability_ = r.F64();
-  fill_bypasses_ = r.U64();
-  probe_skips_ = r.U64();
-  write_miss_bypasses_ = r.U64();
-  sample_hits_ = r.U64();
-  sample_accesses_ = r.U64();
-  other_hits_ = r.U64();
-  other_accesses_ = r.U64();
-  bypass_retunes_ = r.U64();
+  Io(*this, r);
 }
 
 }  // namespace redcache

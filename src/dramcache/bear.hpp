@@ -31,23 +31,18 @@ class PresenceFilter {
   std::uint64_t checks() const { return checks_; }
   std::uint64_t definite_absences() const { return absences_; }
 
-  void Snapshot(ser::Writer& w) const {
-    w.Section("bloom");
-    w.U8Seq(counters_);
-    w.U64(checks_);
-    w.U64(absences_);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("bloom");
-    if (r.SeqLen(1) != counters_.size()) {
-      throw ser::SerializeError("presence filter size mismatch");
-    }
-    for (std::uint8_t& c : counters_) c = r.U8();
-    checks_ = r.U64();
-    absences_ = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("bloom");
+    a.U8Seq(s.counters_, "presence filter size mismatch");
+    a.U64(s.checks_);
+    a.U64(s.absences_);
+  }
+
   std::size_t Slot(Addr line_addr, std::uint32_t i) const;
 
   std::vector<std::uint8_t, ZeroedAllocator<std::uint8_t>> counters_;
@@ -69,6 +64,8 @@ class BearController : public AlloyController {
   void ExportOwnStats(StatSet& stats) const override;
   void SnapshotPolicy(ser::Writer& w) const override;
   void RestorePolicy(ser::Reader& r) override;
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
 
  private:
   bool SampledSet(std::uint64_t set) const { return set % 32 == 0; }

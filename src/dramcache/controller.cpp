@@ -205,110 +205,56 @@ void ControllerBase::SampleTelemetry(StatSet& out) const {
   per_channel(*mm_);
 }
 
-void ControllerBase::Snapshot(ser::Writer& w) const {
-  w.Section("ctrl");
-  w.U64(input_.size());
-  for (const Input& in : input_) {
-    w.U64(in.addr);
-    w.U64(in.tag);
-    w.Bool(in.is_writeback);
-  }
-  w.U64(txns_.size());
-  for (const Txn& t : txns_) {
-    w.U64(t.addr);
-    w.U64(t.tag);
-    w.Bool(t.is_writeback);
-    w.I64(t.state);
-    w.U64(t.aux_addr);
-    w.U32(t.aux);
-    w.Bool(t.active);
-  }
-  w.U64Seq(free_txns_);
-  auto dev_ops = [&w](const std::deque<DevOp>& q) {
-    w.U64(q.size());
-    for (const DevOp& op : q) {
-      w.U64(op.addr);
-      w.Bool(op.is_write);
-      w.U32(op.bursts);
-      w.U32(op.txn);
-      w.U32(op.channel);
-      w.U32(op.tenant);
-    }
+template <class Self, class Ar>
+void ControllerBase::Io(Self& s, Ar& a) {
+  a.Section("ctrl");
+  a.Records(s.input_, 17, [&a](auto& in) {
+    a.U64(in.addr);
+    a.U64(in.tag);
+    a.Bool(in.is_writeback);
+  });
+  a.Records(
+      s.txns_, 30,
+      [&a](auto& t) {
+        a.U64(t.addr);
+        a.U64(t.tag);
+        a.Bool(t.is_writeback);
+        a.I64(t.state);
+        a.U64(t.aux_addr);
+        a.U32(t.aux);
+        a.Bool(t.active);
+      },
+      "transaction pool size mismatch");
+  a.U64Seq(s.free_txns_);
+  const auto dev_op = [&a](auto& op) {
+    a.U64(op.addr);
+    a.Bool(op.is_write);
+    a.U32(op.bursts);
+    a.U32(op.txn);
+    a.U32(op.channel);
+    a.U32(op.tenant);
   };
-  dev_ops(deferred_hbm_);
-  dev_ops(deferred_mm_);
-  w.U64(read_completions_.size());
-  for (const ReadCompletion& c : read_completions_) {
-    w.U64(c.addr);
-    w.U64(c.tag);
-    w.U64(c.done);
-  }
-  w.U64(active_txns_);
-  w.U64(reads_seen_);
-  w.U64(writebacks_seen_);
-  if (hbm_ != nullptr) hbm_->Snapshot(w);
-  mm_->Snapshot(w);
+  a.Records(s.deferred_hbm_, 25, dev_op);
+  a.Records(s.deferred_mm_, 25, dev_op);
+  a.Records(s.read_completions_, 24, [&a](auto& c) {
+    a.U64(c.addr);
+    a.U64(c.tag);
+    a.U64(c.done);
+  });
+  a.U64(s.active_txns_);
+  a.U64(s.reads_seen_);
+  a.U64(s.writebacks_seen_);
+  if (s.hbm_ != nullptr) a.Part(*s.hbm_);
+  a.Part(*s.mm_);
+}
+
+void ControllerBase::Snapshot(ser::Writer& w) const {
+  Io(*this, w);
   SnapshotPolicy(w);
 }
 
 void ControllerBase::Restore(ser::Reader& r) {
-  r.Section("ctrl");
-  input_.clear();
-  const std::size_t n_input = r.SeqLen(17);
-  for (std::size_t i = 0; i < n_input; ++i) {
-    Input in;
-    in.addr = r.U64();
-    in.tag = r.U64();
-    in.is_writeback = r.Bool();
-    input_.push_back(in);
-  }
-  if (r.SeqLen(30) != txns_.size()) {
-    throw ser::SerializeError("transaction pool size mismatch");
-  }
-  for (Txn& t : txns_) {
-    t.addr = r.U64();
-    t.tag = r.U64();
-    t.is_writeback = r.Bool();
-    t.state = static_cast<int>(r.I64());
-    t.aux_addr = r.U64();
-    t.aux = r.U32();
-    t.active = r.Bool();
-  }
-  const std::size_t n_free = r.SeqLen(8);
-  free_txns_.clear();
-  for (std::size_t i = 0; i < n_free; ++i) {
-    free_txns_.push_back(static_cast<std::uint32_t>(r.U64()));
-  }
-  auto dev_ops = [&r](std::deque<DevOp>& q) {
-    q.clear();
-    const std::size_t n = r.SeqLen(25);
-    for (std::size_t i = 0; i < n; ++i) {
-      DevOp op;
-      op.addr = r.U64();
-      op.is_write = r.Bool();
-      op.bursts = r.U32();
-      op.txn = r.U32();
-      op.channel = r.U32();
-      op.tenant = static_cast<std::uint16_t>(r.U32());
-      q.push_back(op);
-    }
-  };
-  dev_ops(deferred_hbm_);
-  dev_ops(deferred_mm_);
-  read_completions_.clear();
-  const std::size_t n_comp = r.SeqLen(24);
-  for (std::size_t i = 0; i < n_comp; ++i) {
-    ReadCompletion c;
-    c.addr = r.U64();
-    c.tag = r.U64();
-    c.done = r.U64();
-    read_completions_.push_back(c);
-  }
-  active_txns_ = r.U64();
-  reads_seen_ = r.U64();
-  writebacks_seen_ = r.U64();
-  if (hbm_ != nullptr) hbm_->Restore(r);
-  mm_->Restore(r);
+  Io(*this, r);
   RestorePolicy(r);
 }
 

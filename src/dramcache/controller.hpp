@@ -314,6 +314,8 @@ class ControllerBase : public MemController, protected ColumnCommandObserver {
   }
   Txn& AllocTxn(const Input& in);
   void PumpDeferred(Cycle now);
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
   void RouteCompletions(DramSystem& dev, bool from_hbm, Cycle now);
 
   std::deque<Input> input_;

@@ -105,38 +105,27 @@ void FootprintCacheController::ExportOwnStats(StatSet& stats) const {
   stats.Counter("ctrl.dirty_blocks_written_back") = dirty_blocks_written_back_;
 }
 
-void FootprintCacheController::SnapshotPolicy(ser::Writer& w) const {
-  w.Section("fp");
-  w.U64(pages_.size());
-  for (const PageEntry& e : pages_) {
-    w.U64(e.tag);
-    w.U64(e.present);
-    w.U64(e.dirty);
-    w.Bool(e.valid);
+template <class Self, class Ar>
+void FootprintCacheController::Io(Self& s, Ar& a) {
+  a.Section("fp");
+  a.Records(
+      s.pages_, 25,
+      [&a](auto& e) {
+        a.U64(e.tag);
+        a.U64(e.present);
+        a.U64(e.dirty);
+        a.Bool(e.valid);
+      },
+      "footprint page table size mismatch");
+  for (auto* counter : {&s.block_hits_, &s.block_misses_, &s.page_misses_,
+                        &s.page_evictions_, &s.dirty_blocks_written_back_}) {
+    a.U64(*counter);
   }
-  w.U64(block_hits_);
-  w.U64(block_misses_);
-  w.U64(page_misses_);
-  w.U64(page_evictions_);
-  w.U64(dirty_blocks_written_back_);
 }
 
-void FootprintCacheController::RestorePolicy(ser::Reader& r) {
-  r.Section("fp");
-  if (r.SeqLen(25) != pages_.size()) {
-    throw ser::SerializeError("footprint page table size mismatch");
-  }
-  for (PageEntry& e : pages_) {
-    e.tag = r.U64();
-    e.present = r.U64();
-    e.dirty = r.U64();
-    e.valid = r.Bool();
-  }
-  block_hits_ = r.U64();
-  block_misses_ = r.U64();
-  page_misses_ = r.U64();
-  page_evictions_ = r.U64();
-  dirty_blocks_written_back_ = r.U64();
+void FootprintCacheController::SnapshotPolicy(ser::Writer& w) const {
+  Io(*this, w);
 }
+void FootprintCacheController::RestorePolicy(ser::Reader& r) { Io(*this, r); }
 
 }  // namespace redcache

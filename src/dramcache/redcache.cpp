@@ -502,72 +502,33 @@ void RedCacheController::ExportOwnStats(StatSet& stats) const {
       rcu_.idle_flushes() + rcu_.capacity_flushes();
 }
 
-void RedCacheController::SnapshotPolicy(ser::Writer& w) const {
-  w.Section("redc");
-  tags_.Snapshot(w);
-  alpha_.Snapshot(w);
-  gamma_.Snapshot(w);
-  rcu_.Snapshot(w);
-  w.U64(pending_rcu_flushes_.size());
-  for (const RcuManager::Entry& e : pending_rcu_flushes_) {
-    RcuManager::SnapshotEntry(w, e);
+template <class Self, class Ar>
+void RedCacheController::Io(Self& s, Ar& a) {
+  a.Section("redc");
+  a.Part(s.tags_);
+  a.Part(s.alpha_);
+  a.Part(s.gamma_);
+  a.Part(s.rcu_);
+  a.Records(s.pending_rcu_flushes_, 32,
+            [&a](auto& e) { RcuManager::IoEntry(e, a); });
+  a.U64(s.epoch_request_count_);
+  a.U64(s.epoch_departures_);
+  a.U64(s.epoch_dead_departures_);
+  a.U64Seq(s.recent_invalidations_, "invalidation signature size mismatch");
+  for (auto* counter :
+       {&s.hits_, &s.misses_, &s.read_hits_, &s.write_hits_, &s.fills_,
+        &s.victim_writebacks_, &s.departures_, &s.alpha_bypasses_,
+        &s.refresh_bypasses_, &s.gamma_invalidations_, &s.dirty_miss_bypasses_,
+        &s.write_miss_bypasses_, &s.rcu_served_reads_, &s.immediate_updates_,
+        &s.insitu_updates_}) {
+    a.U64(*counter);
   }
-  w.U64(epoch_request_count_);
-  w.U64(epoch_departures_);
-  w.U64(epoch_dead_departures_);
-  w.U64Seq(recent_invalidations_);
-  w.U64(hits_);
-  w.U64(misses_);
-  w.U64(read_hits_);
-  w.U64(write_hits_);
-  w.U64(fills_);
-  w.U64(victim_writebacks_);
-  w.U64(departures_);
-  w.U64(alpha_bypasses_);
-  w.U64(refresh_bypasses_);
-  w.U64(gamma_invalidations_);
-  w.U64(dirty_miss_bypasses_);
-  w.U64(write_miss_bypasses_);
-  w.U64(rcu_served_reads_);
-  w.U64(immediate_updates_);
-  w.U64(insitu_updates_);
-  if (tags_.ways() > 1) w.U64(way_fetches_);
+  if (s.tags_.ways() > 1) a.U64(s.way_fetches_);
 }
 
-void RedCacheController::RestorePolicy(ser::Reader& r) {
-  r.Section("redc");
-  tags_.Restore(r);
-  alpha_.Restore(r);
-  gamma_.Restore(r);
-  rcu_.Restore(r);
-  pending_rcu_flushes_.clear();
-  const std::size_t n = r.SeqLen(32);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending_rcu_flushes_.push_back(RcuManager::RestoreEntry(r));
-  }
-  epoch_request_count_ = r.U64();
-  epoch_departures_ = r.U64();
-  epoch_dead_departures_ = r.U64();
-  if (r.SeqLen(8) != recent_invalidations_.size()) {
-    throw ser::SerializeError("invalidation signature size mismatch");
-  }
-  for (Addr& a : recent_invalidations_) a = r.U64();
-  hits_ = r.U64();
-  misses_ = r.U64();
-  read_hits_ = r.U64();
-  write_hits_ = r.U64();
-  fills_ = r.U64();
-  victim_writebacks_ = r.U64();
-  departures_ = r.U64();
-  alpha_bypasses_ = r.U64();
-  refresh_bypasses_ = r.U64();
-  gamma_invalidations_ = r.U64();
-  dirty_miss_bypasses_ = r.U64();
-  write_miss_bypasses_ = r.U64();
-  rcu_served_reads_ = r.U64();
-  immediate_updates_ = r.U64();
-  insitu_updates_ = r.U64();
-  if (tags_.ways() > 1) way_fetches_ = r.U64();
+void RedCacheController::SnapshotPolicy(ser::Writer& w) const {
+  Io(*this, w);
 }
+void RedCacheController::RestorePolicy(ser::Reader& r) { Io(*this, r); }
 
 }  // namespace redcache

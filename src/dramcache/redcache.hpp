@@ -110,6 +110,8 @@ class RedCacheController : public ControllerBase {
   void OnColumnCommand(const IssuedColumnCommand& cmd) override;
   void SnapshotPolicy(ser::Writer& w) const override;
   void RestorePolicy(ser::Reader& r) override;
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
 
  public:
   void SampleTelemetry(StatSet& out) const override;

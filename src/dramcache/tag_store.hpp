@@ -143,49 +143,46 @@ class TagStore {
     return valid;
   }
 
-  void Snapshot(ser::Writer& w) const {
-    w.Section("dmtags");
-    w.U64(lines_.size());
-    // 12-byte records via a bulk span — see sram/cache.hpp.
-    std::uint8_t* p = w.Raw(12 * lines_.size());
-    for (const Line& l : lines_) {
-      ser::PutU64(p, l.tag);
-      p[8] = l.r_count;
-      p[9] = l.valid ? 1 : 0;
-      p[10] = l.dirty ? 1 : 0;
-      p[11] = l.write_filled ? 1 : 0;
-      p += 12;
-    }
-    if (ways_ > 1) {
-      w.U64Seq(lru_);
-      w.U64(tick_);
-    }
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("dmtags");
-    if (r.SeqLen(12) != lines_.size()) {
-      throw ser::SerializeError("tag store geometry mismatch");
-    }
-    const std::uint8_t* p = r.Raw(12 * lines_.size());
-    for (Line& l : lines_) {
-      l.tag = ser::GetU64(p);
-      l.r_count = p[8];
-      l.valid = p[9] != 0;
-      l.dirty = p[10] != 0;
-      l.write_filled = p[11] != 0;
-      p += 12;
-    }
-    if (ways_ > 1) {
-      std::vector<std::uint64_t> lru = r.U64Vec();
-      if (lru.size() != lru_.size()) {
-        throw ser::SerializeError("tag store LRU geometry mismatch");
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
+
+ private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("dmtags");
+    // 12-byte records (tag, r_count, valid, dirty, write_filled) via a
+    // bulk span — see sram/cache.hpp.
+    if constexpr (Ar::kReading) {
+      if (a.SeqLen(12) != s.lines_.size()) {
+        throw ser::SerializeError("tag store geometry mismatch");
       }
-      lru_ = std::move(lru);
-      tick_ = r.U64();
+      const std::uint8_t* p = a.Raw(12 * s.lines_.size());
+      for (Line& l : s.lines_) {
+        l.tag = ser::GetU64(p);
+        l.r_count = p[8];
+        l.valid = p[9] != 0;
+        l.dirty = p[10] != 0;
+        l.write_filled = p[11] != 0;
+        p += 12;
+      }
+    } else {
+      a.U64(s.lines_.size());
+      std::uint8_t* p = a.Raw(12 * s.lines_.size());
+      for (const Line& l : s.lines_) {
+        ser::PutU64(p, l.tag);
+        p[8] = l.r_count;
+        p[9] = l.valid ? 1 : 0;
+        p[10] = l.dirty ? 1 : 0;
+        p[11] = l.write_filled ? 1 : 0;
+        p += 12;
+      }
+    }
+    if (s.ways_ > 1) {
+      a.U64Seq(s.lru_, "tag store LRU geometry mismatch");
+      a.U64(s.tick_);
     }
   }
 
- private:
   static std::uint64_t SetCount(std::uint64_t capacity_bytes,
                                 std::uint64_t line_bytes, std::uint32_t ways) {
     const std::uint64_t set_bytes = line_bytes * ways;

@@ -151,40 +151,29 @@ void TicTocController::SampleTelemetry(StatSet& out) const {
   out.Counter("duty_drops") = duty_drops_;
 }
 
+template <class Self, class Ar>
+void TicTocController::Io(Self& s, Ar& a) {
+  a.Section("tictoc");
+  a.U64(s.window_requests_);
+  a.U64(s.hbm_bursts_);
+  a.U64(s.mm_bursts_);
+  a.U32(s.fill_duty_);
+  for (auto* counter :
+       {&s.fill_seq_, &s.bypassed_fills_, &s.last_write_routes_,
+        &s.absorbed_writes_, &s.write_bypasses_, &s.metadata_updates_,
+        &s.metadata_skips_, &s.duty_raises_, &s.duty_drops_}) {
+    a.U64(*counter);
+  }
+}
+
 void TicTocController::SnapshotPolicy(ser::Writer& w) const {
   AlloyController::SnapshotPolicy(w);
-  w.Section("tictoc");
-  w.U64(window_requests_);
-  w.U64(hbm_bursts_);
-  w.U64(mm_bursts_);
-  w.U32(fill_duty_);
-  w.U64(fill_seq_);
-  w.U64(bypassed_fills_);
-  w.U64(last_write_routes_);
-  w.U64(absorbed_writes_);
-  w.U64(write_bypasses_);
-  w.U64(metadata_updates_);
-  w.U64(metadata_skips_);
-  w.U64(duty_raises_);
-  w.U64(duty_drops_);
+  Io(*this, w);
 }
 
 void TicTocController::RestorePolicy(ser::Reader& r) {
   AlloyController::RestorePolicy(r);
-  r.Section("tictoc");
-  window_requests_ = r.U64();
-  hbm_bursts_ = r.U64();
-  mm_bursts_ = r.U64();
-  fill_duty_ = r.U32();
-  fill_seq_ = r.U64();
-  bypassed_fills_ = r.U64();
-  last_write_routes_ = r.U64();
-  absorbed_writes_ = r.U64();
-  write_bypasses_ = r.U64();
-  metadata_updates_ = r.U64();
-  metadata_skips_ = r.U64();
-  duty_raises_ = r.U64();
-  duty_drops_ = r.U64();
+  Io(*this, r);
 }
 
 }  // namespace redcache

@@ -41,6 +41,8 @@ class TicTocController : public AlloyController {
   void ExportOwnStats(StatSet& stats) const override;
   void SnapshotPolicy(ser::Writer& w) const override;
   void RestorePolicy(ser::Reader& r) override;
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
 
  private:
   /// Requests per bandwidth-observation window.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <set>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -129,54 +127,6 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
     out.push_back(events_[(first + i) & mask_]);
   }
   return out;
-}
-
-std::string ChromeTraceJson(const TraceBuffer& trace) {
-  const std::vector<TraceEvent> events = trace.Snapshot();
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{"
-     << "\"generator\":\"redcache-obs\",\"time_unit\":\"cpu_cycle\","
-     << "\"emitted\":" << trace.emitted()
-     << ",\"dropped\":" << trace.dropped() << "},\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
-
-  // Metadata: name the processes (devices) and every track we will use.
-  std::set<std::uint8_t> devices;
-  for (const TraceEvent& e : events) devices.insert(e.device);
-  for (const std::uint8_t d : devices) {
-    comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-       << static_cast<unsigned>(d) << ",\"tid\":0,\"args\":{\"name\":\""
-       << TraceDeviceName(d) << "\"}}";
-  }
-  // One thread_name record per track (derived from any event on it).
-  std::set<std::pair<std::uint8_t, std::uint32_t>> named;
-  for (const TraceEvent& e : events) {
-    const auto key = std::make_pair(e.device, TraceTrackTid(e));
-    if (!named.insert(key).second) continue;
-    comma();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
-       << static_cast<unsigned>(e.device) << ",\"tid\":" << TraceTrackTid(e)
-       << ",\"args\":{\"name\":\"" << JsonEscape(TraceTrackName(e)) << "\"}}";
-  }
-
-  for (const TraceEvent& e : events) {
-    comma();
-    os << TraceEventJson(e);
-  }
-  os << "]}";
-  return os.str();
-}
-
-bool WriteChromeTrace(const std::string& path, const TraceBuffer& trace) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << ChromeTraceJson(trace) << '\n';
-  return static_cast<bool>(out);
 }
 
 bool ValidateChromeTrace(const std::string& json, std::string* error) {

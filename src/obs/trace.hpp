@@ -148,8 +148,8 @@ class TraceScope {
   TraceBuffer* prev_;
 };
 
-/// Chrome trace-event serialization primitives, shared by the whole-buffer
-/// writer below and the incremental spill writer (obs/trace_spill.hpp).
+/// Chrome trace-event serialization primitives, used by the one writer,
+/// TraceSpillWriter (obs/trace_spill.hpp).
 const char* TraceDeviceName(std::uint8_t device);
 /// Stable per-track thread id: commands render one lane per (channel,
 /// rank, bank), refreshes a rank-level lane, policy events lane 0.
@@ -158,12 +158,10 @@ std::string TraceTrackName(const TraceEvent& e);
 /// One complete ("X") trace-event object for `e`, no trailing separator.
 std::string TraceEventJson(const TraceEvent& e);
 
-/// Chrome trace-event JSON for the retained events (metadata tracks plus
-/// one "X" event per TraceEvent). Loads in Perfetto / chrome://tracing.
+/// Chrome trace-event JSON for the retained events (one "X" event per
+/// TraceEvent plus metadata tracks): TraceSpillWriter over a string, with
+/// nothing spilled. Loads in Perfetto / chrome://tracing.
 std::string ChromeTraceJson(const TraceBuffer& trace);
-
-/// Write ChromeTraceJson to `path`; false on I/O failure.
-bool WriteChromeTrace(const std::string& path, const TraceBuffer& trace);
 
 /// Validate that `json` parses and every traceEvents element carries the
 /// fields the Chrome trace-event schema requires ("name", "ph", "ts",

@@ -13,7 +13,14 @@ namespace {
 constexpr std::size_t kFlushBytes = std::size_t{64} * 1024;
 }  // namespace
 
-TraceSpillWriter::TraceSpillWriter(const std::string& path) : out_(path) {
+TraceSpillWriter::TraceSpillWriter(const std::string& path)
+    : file_(path), out_(file_) {
+  Start();
+}
+
+TraceSpillWriter::TraceSpillWriter(std::ostream& out) : out_(out) { Start(); }
+
+void TraceSpillWriter::Start() {
   ok_ = static_cast<bool>(out_);
   if (!ok_) return;
   buf_.reserve(kFlushBytes + 4096);
@@ -96,9 +103,15 @@ bool TraceSpillWriter::Finish(const TraceBuffer& ring) {
   Append(os.str());
   Append("\n");
   FlushBuffer();
-  out_.close();
+  if (file_.is_open()) file_.close();
   if (!out_) ok_ = false;
   return ok_;
+}
+
+std::string ChromeTraceJson(const TraceBuffer& trace) {
+  std::ostringstream os;
+  TraceSpillWriter(os).Finish(trace);
+  return os.str();
 }
 
 }  // namespace redcache::obs

@@ -1,4 +1,6 @@
-// Incremental spill-to-disk writer for windowed full-run tracing.
+// Incremental spill-to-disk writer for windowed full-run tracing, and the
+// one Chrome trace-event serializer (ChromeTraceJson is this writer over a
+// string stream, finished at once on a ring with nothing spilled).
 //
 // The TraceBuffer ring alone forces a choice: size it for the whole run
 // (unbounded memory on a full Table II cell or a long serve run) or keep a
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -35,6 +38,8 @@ class TraceSpillWriter : public TraceSpillSink {
   /// Opens `path` and writes the array prefix. Check ok() — a failed open
   /// makes every later call a no-op rather than an error cascade.
   explicit TraceSpillWriter(const std::string& path);
+  /// Writes to `out`, which must outlive the writer.
+  explicit TraceSpillWriter(std::ostream& out);
   ~TraceSpillWriter() override;
 
   TraceSpillWriter(const TraceSpillWriter&) = delete;
@@ -44,8 +49,8 @@ class TraceSpillWriter : public TraceSpillSink {
   void Consume(const TraceEvent& e) override;
 
   /// Append `ring`'s retained window, the track metadata, and the closing
-  /// otherData block, then flush and close. Idempotent; false on I/O error
-  /// or when the writer never opened.
+  /// otherData block, then flush (and close a file the writer opened).
+  /// Idempotent; false on I/O error or when the writer never opened.
   bool Finish(const TraceBuffer& ring);
 
   bool ok() const { return ok_; }
@@ -54,9 +59,11 @@ class TraceSpillWriter : public TraceSpillSink {
  private:
   void AppendEvent(const TraceEvent& e);
   void Append(const std::string& chunk);
+  void Start();
   void FlushBuffer();
 
-  std::ofstream out_;
+  std::ofstream file_;  ///< the path constructor's file
+  std::ostream& out_;
   std::string buf_;
   bool ok_ = false;
   bool first_ = true;

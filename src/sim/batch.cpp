@@ -151,7 +151,7 @@ std::string HexU64(std::uint64_t v) {
 
 // ---------------------------------------------------------------------------
 // Disk cache (binary, format v4, one ".stats" file per cell). Shares the
-// checkpoint serializer and its payload checksum:
+// checkpoint serializer and its checksummed frame:
 //   Section | version | build identity | checksum | exec_cycles | StatSet
 // The checksum (common/hash.hpp) covers everything after itself, so a
 // flipped byte in a stored value is a miss, not a silently wrong hit. ANY
@@ -171,13 +171,7 @@ bool LoadCached(const std::string& path, const std::string& identity,
     r.Section("rcache");
     if (r.U64() != kCacheFormatVersion) return false;
     if (r.Str() != identity) return false;
-    const std::uint64_t checksum = r.U64();
-    const std::size_t payload_off = bytes.size() - r.remaining();
-    if (Fnv64(reinterpret_cast<const std::uint8_t*>(bytes.data()) +
-                  payload_off,
-              r.remaining()) != checksum) {
-      return false;
-    }
+    if (!ser::ChecksumMatches(r)) return false;
     out.exec_cycles = r.U64();
     out.stats.Restore(r);
     r.ExpectEnd();
@@ -194,13 +188,10 @@ void SaveCached(const std::string& path, const std::string& identity,
   w.Section("rcache");
   w.U64(kCacheFormatVersion);
   w.Str(identity);
-  const std::size_t checksum_off = w.buffer().size();
-  w.U64(0);  // checksum placeholder, patched below
-  const std::size_t payload_off = w.buffer().size();
-  w.U64(r.exec_cycles);
-  r.stats.Snapshot(w);
-  w.PatchU64(checksum_off, Fnv64(w.buffer().data() + payload_off,
-                                 w.buffer().size() - payload_off));
+  ser::WriteChecksummed(w, [&] {
+    w.U64(r.exec_cycles);
+    r.stats.Snapshot(w);
+  });
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return;
   const auto& buf = w.buffer();

@@ -14,12 +14,11 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'K', 'P'};
 
-/// Reads magic + version + stored payload checksum; leaves the reader
-/// positioned at the payload (spec_key, cycle, state). The checksum
-/// (common/hash.hpp) covers everything after itself, so any flipped bit in
-/// a blob is rejected deterministically instead of depending on a section
-/// tag happening to misalign.
-std::uint64_t ReadPreamble(ser::Reader& r) {
+/// Reads magic + version; leaves the reader at the checksummed frame
+/// (common/hash.hpp) around the payload (spec_key, cycle, state), so any
+/// flipped bit in a blob is rejected deterministically instead of
+/// depending on a section tag happening to misalign.
+void ReadPreamble(ser::Reader& r) {
   for (const char c : kMagic) {
     if (r.U8() != static_cast<std::uint8_t>(c)) {
       throw ser::SerializeError("not a checkpoint file (bad magic)");
@@ -32,7 +31,6 @@ std::uint64_t ReadPreamble(ser::Reader& r) {
         " is not supported (expected v" + std::to_string(kCheckpointVersion) +
         ")");
   }
-  return r.U64();
 }
 
 CheckpointMeta ReadMeta(ser::Reader& r) {
@@ -60,33 +58,27 @@ std::string Capture(const System& sys, Cycle now,
   w.Reserve(size_hint.load(std::memory_order_relaxed) + 1024);
   for (const char c : kMagic) w.U8(static_cast<std::uint8_t>(c));
   w.U32(kCheckpointVersion);
-  const std::size_t checksum_off = w.buffer().size();
-  w.U64(0);  // checksum placeholder, patched below
-  const std::size_t payload_off = w.buffer().size();
-  w.Str(spec_key);
-  w.U64(now);
-  sys.Snapshot(w, now);
-  w.PatchU64(checksum_off, Fnv64(w.buffer().data() + payload_off,
-                                 w.buffer().size() - payload_off));
+  ser::WriteChecksummed(w, [&] {
+    w.Str(spec_key);
+    w.U64(now);
+    sys.Snapshot(w, now);
+  });
   size_hint.store(w.buffer().size(), std::memory_order_relaxed);
   return w.TakeString();
 }
 
 CheckpointMeta PeekMeta(const std::string& blob) {
   ser::Reader r(blob);
-  ReadPreamble(r);  // Peek does not pay for a full-payload checksum walk.
+  ReadPreamble(r);
+  (void)r.U64();  // Peek does not pay for a full-payload checksum walk.
   return ReadMeta(r);
 }
 
 CheckpointMeta RestoreInto(System& sys, const std::string& blob,
                            const std::string& spec_key) {
   ser::Reader r(blob);
-  const std::uint64_t stored = ReadPreamble(r);
-  const std::size_t payload_off = blob.size() - r.remaining();
-  const std::uint64_t actual =
-      Fnv64(reinterpret_cast<const std::uint8_t*>(blob.data()) + payload_off,
-            blob.size() - payload_off);
-  if (actual != stored) {
+  ReadPreamble(r);
+  if (!ser::ChecksumMatches(r)) {
     throw ser::SerializeError("checkpoint payload checksum mismatch "
                               "(file is corrupt)");
   }

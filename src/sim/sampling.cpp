@@ -34,10 +34,28 @@ bool IsGaugeName(const std::string& name) {
 /// One replayed interval's contribution, written by exactly one worker.
 struct IntervalMeasure {
   Cycle span = 0;
-  bool completed = false;  ///< the workload finished inside the interval
   std::int64_t refs = 0;
   std::map<std::string, std::int64_t> delta;
 };
+
+/// The measure of a detailed run `r` that started at cycle `start` with
+/// cumulative stats `before`. exec_cycles is the loop's final cycle: the
+/// true finish when the workload completed inside the interval, else the
+/// (possibly slightly overshot) cycle the event loop stopped at. Deltas
+/// cover exactly the activity inside [start, span).
+IntervalMeasure Measure(const StatSet& before, Cycle start,
+                        const RunResult& r) {
+  IntervalMeasure m;
+  m.span = r.exec_cycles > start ? r.exec_cycles - start : Cycle{1};
+  for (const auto& [name, value] : r.stats.counters()) {
+    if (IsGaugeName(name) || name == "sys.exec_cycles") continue;
+    const std::uint64_t base = before.GetCounter(name);
+    m.delta[name] =
+        static_cast<std::int64_t>(value) - static_cast<std::int64_t>(base);
+  }
+  m.refs = m.delta.count("core.refs") ? m.delta.at("core.refs") : 0;
+  return m;
+}
 
 /// Detailed replay of one interval: restore `blob` into a fresh System and
 /// run `interval` cycles with full timing. The blob is freed once restored.
@@ -48,22 +66,7 @@ IntervalMeasure ReplayInterval(const RunSpec& spec,
   const ckpt::CheckpointMeta meta = ckpt::RestoreInto(*sys, blob, spec_key);
   std::string().swap(blob);
   const StatSet before = sys->CumulativeStats(meta.cycle);
-  const RunResult r = sys->Run(meta.cycle + interval - 1);
-  // exec_cycles is the loop's final cycle: the true finish when the
-  // workload completed inside the interval, else the (possibly slightly
-  // overshot) cycle the event loop stopped at. Deltas cover exactly the
-  // activity inside [meta.cycle, span).
-  IntervalMeasure m;
-  m.span = r.exec_cycles > meta.cycle ? r.exec_cycles - meta.cycle : Cycle{1};
-  m.completed = r.completed;
-  for (const auto& [name, value] : r.stats.counters()) {
-    if (IsGaugeName(name) || name == "sys.exec_cycles") continue;
-    const std::uint64_t base = before.GetCounter(name);
-    m.delta[name] =
-        static_cast<std::int64_t>(value) - static_cast<std::int64_t>(base);
-  }
-  m.refs = m.delta.count("core.refs") ? m.delta.at("core.refs") : 0;
-  return m;
+  return Measure(before, meta.cycle, sys->Run(meta.cycle + interval - 1));
 }
 
 /// A captured candidate interval. `blob` and `measure` are guarded by the
@@ -236,6 +239,7 @@ SamplingEstimate RunSampled(const RunSpec& spec,
   auto t_pass = t_ff;
   ReplayPipeline pipe(spec, spec_key, interval);
   std::vector<Candidate*> picked;
+  bool one_interval = false;
   try {
     pipe.Start(ResolveJobs(opts.jobs) - 1);
     Cycle ff_exec = 0;
@@ -285,6 +289,10 @@ SamplingEstimate RunSampled(const RunSpec& spec,
                                            fit);
     }
     n_target = std::min<std::uint64_t>(n_target, cands.size());
+    // One interval carries no variance, so sampling has nothing to offer:
+    // the detailed run below replaces every candidate.
+    one_interval = n_target <= 1;
+    if (one_interval) n_target = 0;
 
     // Systematic subselection with a seed-derived phase: every run of the
     // same spec measures the same intervals (deterministic), different
@@ -317,31 +325,37 @@ SamplingEstimate RunSampled(const RunSpec& spec,
   est.functional_seconds =
       std::chrono::duration<double>(t_pass - t_ff).count();
 
-  // Pass 2: the selected intervals the workers have not measured yet
-  // replay on every thread, the calling one included.
-  pipe.Finish();
-  est.replay_seconds = Seconds(t_pass);
-
-  // One interval carries no variance, so it is an exact answer only when
-  // it ran the workload to completion. Otherwise (or if the run executed
-  // zero cycles and nothing was captured), fall back to one full detailed
-  // run rather than report a zero-width CI around an extrapolation.
-  if (picked.empty() ||
-      (picked.size() < 2 && !picked.front()->measure->completed)) {
-    const auto t_full = std::chrono::steady_clock::now();
-    const RunResult full = RunOne(spec);
-    est.replay_seconds = Seconds(t_full);
-    est.degenerate = true;
-    est.intervals = 1;
-    est.est_exec_cycles = static_cast<double>(full.exec_cycles);
-    est.est_stats = full.stats;
-    est.est_stats.Counter("gauge.sampling.ci_pct") = 0;
-    est.est_stats.Counter("gauge.sampling.intervals") = 1;
-    return est;
-  }
   std::vector<IntervalMeasure> measures;
-  measures.reserve(picked.size());
-  for (Candidate* c : picked) measures.push_back(std::move(*c->measure));
+  if (one_interval) {
+    // The run fits at most one interval: run it in detail once, from cycle
+    // 0, while any speculative replay finishes. A run whose event loop
+    // ended inside the first interval (at cycle ticks + skipped - 1) is
+    // exactly that interval's measure, a zero-width answer; a longer one
+    // is reported whole, with no confidence interval.
+    const auto t_full = std::chrono::steady_clock::now();
+    auto sys = BuildSystem(spec);
+    const StatSet before = sys->CumulativeStats(0);
+    const RunResult full = RunBuilt(*sys, spec);
+    pipe.Finish();
+    est.replay_seconds = Seconds(t_full);
+    if (full.ticks_executed + full.cycles_skipped > interval) {
+      est.degenerate = true;
+      est.intervals = 1;
+      est.est_exec_cycles = static_cast<double>(full.exec_cycles);
+      est.est_stats = full.stats;
+      est.est_stats.Counter("gauge.sampling.ci_pct") = 0;
+      est.est_stats.Counter("gauge.sampling.intervals") = 1;
+      return est;
+    }
+    measures.push_back(Measure(before, 0, full));
+  } else {
+    // Pass 2: the selected intervals the workers have not measured yet
+    // replay on every thread, the calling one included.
+    pipe.Finish();
+    est.replay_seconds = Seconds(t_pass);
+    measures.reserve(picked.size());
+    for (Candidate* c : picked) measures.push_back(std::move(*c->measure));
+  }
 
   // Ratio estimation over the per-interval reference rates.
   const std::size_t n = measures.size();

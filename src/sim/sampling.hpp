@@ -75,8 +75,8 @@ struct SamplingEstimate {
   double functional_seconds = 0.0;
   double replay_seconds = 0.0;
   /// True when sampling degenerated to one full detailed run: the run fit
-  /// fewer than two measurement intervals, and the one measured did not
-  /// run it to completion.
+  /// fewer than two measurement intervals, and the detailed run did not
+  /// finish inside the first one.
   bool degenerate = false;
 };
 

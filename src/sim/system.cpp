@@ -207,59 +207,37 @@ RunResult System::Run(Cycle max_cycles) {
   return result;
 }
 
-void System::Snapshot(ser::Writer& w, Cycle now) const {
-  w.Section("sys");
-  w.U64(now);
-  w.U64(ticks_executed_);
-  w.U64(cycles_skipped_);
-  w.Bool(input_submitted_);
-  w.U64(ctrl_wake_);
-  w.U64Seq(hints_);
-  w.U8Seq(poll_);
-  w.U64Seq(wb_queue_);
-  hierarchy_.Snapshot(w);
-  w.U64(cores_.size());
-  for (const auto& c : cores_) c->Snapshot(w);
-  trace_->Snapshot(w);
-  controller_->Snapshot(w);
-  w.Bool(tenant_acct_ != nullptr);
-  if (tenant_acct_ != nullptr) tenant_acct_->Snapshot(w);
-}
-
-void System::Restore(ser::Reader& r) {
-  r.Section("sys");
-  resume_now_ = r.U64();
-  ticks_executed_ = r.U64();
-  cycles_skipped_ = r.U64();
-  input_submitted_ = r.Bool();
-  ctrl_wake_ = r.U64();
-  if (r.SeqLen(8) != hints_.size()) {
-    throw ser::SerializeError("checkpoint core count mismatch");
-  }
-  for (Cycle& h : hints_) h = r.U64();
-  if (r.SeqLen(1) != poll_.size()) {
-    throw ser::SerializeError("checkpoint core count mismatch");
-  }
-  for (char& p : poll_) p = static_cast<char>(r.U8());
-  core_walk_due_ = true;
-  wb_queue_.clear();
-  const std::size_t n_wb = r.SeqLen(8);
-  for (std::size_t i = 0; i < n_wb; ++i) wb_queue_.push_back(r.U64());
-  hierarchy_.Restore(r);
-  if (r.U64() != cores_.size()) {
-    throw ser::SerializeError("checkpoint core count mismatch");
-  }
-  for (auto& c : cores_) c->Restore(r);
-  trace_->Restore(r);
-  controller_->Restore(r);
-  const bool has_tenants = r.Bool();
-  if (has_tenants != (tenant_acct_ != nullptr)) {
+template <class Self, class Ar>
+void System::Io(Self& s, Ar& a, Cycle now) {
+  constexpr const char* kCoreCount = "checkpoint core count mismatch";
+  a.Section("sys");
+  a.U64(Ar::kReading ? s.resume_now_ : now);  // where the next Run resumes
+  a.U64(s.ticks_executed_);
+  a.U64(s.cycles_skipped_);
+  a.Bool(s.input_submitted_);
+  a.U64(s.ctrl_wake_);
+  a.U64Seq(s.hints_, kCoreCount);
+  a.U8Seq(s.poll_, kCoreCount);
+  a.U64Seq(s.wb_queue_);
+  a.Part(s.hierarchy_);
+  a.Records(s.cores_, 0, [&a](auto& c) { a.Part(*c); }, kCoreCount);
+  a.Part(*s.trace_);
+  a.Part(*s.controller_);
+  bool has_tenants = s.tenant_acct_ != nullptr;
+  a.Bool(has_tenants);
+  if (has_tenants != (s.tenant_acct_ != nullptr)) {
     throw ser::SerializeError(
         "checkpoint tenant-accounting presence mismatch");
   }
-  if (tenant_acct_ != nullptr) tenant_acct_->Restore(r);
-  resumed_ = true;
+  if (s.tenant_acct_ != nullptr) a.Part(*s.tenant_acct_);
+  if constexpr (Ar::kReading) {
+    s.core_walk_due_ = true;
+    s.resumed_ = true;
+  }
 }
+
+void System::Snapshot(ser::Writer& w, Cycle now) const { Io(*this, w, now); }
+void System::Restore(ser::Reader& r) { Io(*this, r); }
 
 StatSet System::TelemetrySnapshot(Cycle now) const {
   StatSet snap;

@@ -116,6 +116,9 @@ class System : private MemoryPort {
   bool TrySubmitRead(Addr addr, std::uint64_t tag, Cycle now) override;
   void SubmitWriteback(Addr addr, Cycle now) override;
 
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a, Cycle now = 0);
+
   void ExportCoreStats(StatSet& stats) const;
   /// One cumulative snapshot for the epoch sampler (stats + gauges).
   StatSet TelemetrySnapshot(Cycle now) const;

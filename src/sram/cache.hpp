@@ -49,45 +49,8 @@ class SramCache {
 
   /// Checkpointing: every line (tag/LRU stamp/valid/dirty), the LRU clock
   /// and the counters. Geometry comes from construction, not the blob.
-  void Snapshot(ser::Writer& w) const {
-    w.Section("sram");
-    w.U64(lines_.size());
-    // 18-byte records via a bulk span: the line array is most of a
-    // checkpoint blob and per-field writes dominated capture time.
-    std::uint8_t* p = w.Raw(18 * lines_.size());
-    for (const Line& line : lines_) {
-      ser::PutU64(p, line.tag);
-      ser::PutU64(p + 8, line.lru);
-      p[16] = line.valid ? 1 : 0;
-      p[17] = line.dirty ? 1 : 0;
-      p += 18;
-    }
-    w.U64(tick_);
-    w.U64(hits_);
-    w.U64(misses_);
-    w.U64(evictions_);
-    w.U64(dirty_evictions_);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("sram");
-    if (r.U64() != lines_.size()) {
-      throw ser::SerializeError("SRAM cache geometry mismatch (" + cfg_.name +
-                                ")");
-    }
-    const std::uint8_t* p = r.Raw(18 * lines_.size());
-    for (Line& line : lines_) {
-      line.tag = ser::GetU64(p);
-      line.lru = ser::GetU64(p + 8);
-      line.valid = p[16] != 0;
-      line.dirty = p[17] != 0;
-      p += 18;
-    }
-    tick_ = r.U64();
-    hits_ = r.U64();
-    misses_ = r.U64();
-    evictions_ = r.U64();
-    dirty_evictions_ = r.U64();
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
   const SramCacheConfig& config() const { return cfg_; }
   std::uint64_t hits() const { return hits_; }
@@ -112,6 +75,43 @@ class SramCache {
   Line* Find(Addr addr);
   const Line* Find(Addr addr) const;
   Line& Victim(Addr addr);
+
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("sram");
+    // 18-byte records (tag, lru, valid, dirty) via a bulk span: the line
+    // array is most of a checkpoint blob and per-field calls dominated
+    // capture time.
+    if constexpr (Ar::kReading) {
+      if (a.U64() != s.lines_.size()) {
+        throw ser::SerializeError("SRAM cache geometry mismatch (" +
+                                  s.cfg_.name + ")");
+      }
+      const std::uint8_t* p = a.Raw(18 * s.lines_.size());
+      for (Line& line : s.lines_) {
+        line.tag = ser::GetU64(p);
+        line.lru = ser::GetU64(p + 8);
+        line.valid = p[16] != 0;
+        line.dirty = p[17] != 0;
+        p += 18;
+      }
+    } else {
+      a.U64(s.lines_.size());
+      std::uint8_t* p = a.Raw(18 * s.lines_.size());
+      for (const Line& line : s.lines_) {
+        ser::PutU64(p, line.tag);
+        ser::PutU64(p + 8, line.lru);
+        p[16] = line.valid ? 1 : 0;
+        p[17] = line.dirty ? 1 : 0;
+        p += 18;
+      }
+    }
+    a.U64(s.tick_);
+    a.U64(s.hits_);
+    a.U64(s.misses_);
+    a.U64(s.evictions_);
+    a.U64(s.dirty_evictions_);
+  }
 
   SramCacheConfig cfg_;
   std::uint64_t sets_;

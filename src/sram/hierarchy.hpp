@@ -58,20 +58,18 @@ class CacheHierarchy {
   }
 
   /// Checkpointing: every level's lines and counters, per-core order.
-  void Snapshot(ser::Writer& w) const {
-    w.Section("hier");
-    for (const auto& c : l1_) c->Snapshot(w);
-    for (const auto& c : l2_) c->Snapshot(w);
-    l3_->Snapshot(w);
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("hier");
-    for (const auto& c : l1_) c->Restore(r);
-    for (const auto& c : l2_) c->Restore(r);
-    l3_->Restore(r);
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("hier");
+    for (const auto& c : s.l1_) a.Part(*c);
+    for (const auto& c : s.l2_) a.Part(*c);
+    a.Part(*s.l3_);
+  }
+
   HierarchyConfig cfg_;
   std::vector<std::unique_ptr<SramCache>> l1_;
   std::vector<std::unique_ptr<SramCache>> l2_;

@@ -78,38 +78,8 @@ class TenantAccounting {
 
   /// Checkpointing: the accumulated per-tenant rows. Solo baselines are
   /// configuration (re-attached by the builder) and not serialized.
-  void Snapshot(ser::Writer& w) const {
-    w.Section("tenants");
-    w.U64(rows_.size());
-    for (const Row& r : rows_) {
-      w.U64(r.refs);
-      w.U64(r.reads);
-      w.U64(r.writebacks);
-      w.U64(r.serve_hits);
-      w.U64(r.serve_misses);
-      w.U64(r.hbm_bytes);
-      w.U64(r.mm_bytes);
-      w.U64(r.rcu_drains);
-      w.U64(r.finish);
-    }
-  }
-  void Restore(ser::Reader& r) {
-    r.Section("tenants");
-    if (r.U64() != rows_.size()) {
-      throw ser::SerializeError("tenant-count mismatch");
-    }
-    for (Row& row : rows_) {
-      row.refs = r.U64();
-      row.reads = r.U64();
-      row.writebacks = r.U64();
-      row.serve_hits = r.U64();
-      row.serve_misses = r.U64();
-      row.hbm_bytes = r.U64();
-      row.mm_bytes = r.U64();
-      row.rcu_drains = r.U64();
-      row.finish = r.U64();
-    }
-  }
+  void Snapshot(ser::Writer& w) const { Io(*this, w); }
+  void Restore(ser::Reader& r) { Io(*this, r); }
 
  private:
   struct Row {
@@ -125,6 +95,22 @@ class TenantAccounting {
     std::uint64_t solo_exec_cycles = 0;
     std::uint64_t solo_refs = 0;
   };
+
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("tenants");
+    a.Records(
+        s.rows_, 0,
+        [&a](auto& row) {
+          for (auto* field : {&row.refs, &row.reads, &row.writebacks,
+                              &row.serve_hits, &row.serve_misses,
+                              &row.hbm_bytes, &row.mm_bytes, &row.rcu_drains,
+                              &row.finish}) {
+            a.U64(*field);
+          }
+        },
+        "tenant-count mismatch");
+  }
 
   TenantAddressMap map_;
   std::vector<Row> rows_;

@@ -55,31 +55,21 @@ class MixTraceSource : public TraceSource {
     return std::all_of(children_.begin(), children_.end(),
                        [](const auto& c) { return c->checkpointable(); });
   }
-  void Snapshot(ser::Writer& w) const override {
-    w.Section("mix");
-    for (const Lane& lane : lanes_) {
-      w.U32(lane.tenant);
-      w.U32(lane.served);
-    }
-    for (const auto& done : done_) w.U8Seq(done);
-    for (const auto& child : children_) child->Snapshot(w);
-  }
-  void Restore(ser::Reader& r) override {
-    r.Section("mix");
-    for (Lane& lane : lanes_) {
-      lane.tenant = r.U32();
-      lane.served = r.U32();
-    }
-    for (auto& done : done_) {
-      if (r.SeqLen(1) != done.size()) {
-        throw ser::SerializeError("mix tenant-count mismatch");
-      }
-      for (std::size_t t = 0; t < done.size(); ++t) done[t] = r.U8() != 0;
-    }
-    for (const auto& child : children_) child->Restore(r);
-  }
+  void Snapshot(ser::Writer& w) const override { Io(*this, w); }
+  void Restore(ser::Reader& r) override { Io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("mix");
+    for (auto& lane : s.lanes_) {
+      a.U32(lane.tenant);
+      a.U32(lane.served);
+    }
+    for (auto& done : s.done_) a.U8Seq(done, "mix tenant-count mismatch");
+    for (const auto& child : s.children_) a.Part(*child);
+  }
+
   struct Lane {
     std::uint32_t tenant = 0;  // whose turn it is
     std::uint32_t served = 0;  // refs served from `tenant` this turn

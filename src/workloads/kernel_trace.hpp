@@ -80,32 +80,8 @@ class KernelTrace : public TraceSource {
   /// Checkpointing: per-core cursors + RNG. The kernel programs themselves
   /// are configuration, rebuilt by constructing the same workload.
   bool checkpointable() const override { return true; }
-  void Snapshot(ser::Writer& w) const override {
-    w.Section("ktrace");
-    w.U64(cores_.size());
-    for (const CoreState& cs : cores_) {
-      w.U64(cs.kernel_idx);
-      w.U64(cs.emitted);
-      w.U64(cs.cursor);
-      w.U32(cs.pass);
-      w.U64(cs.tile);
-      cs.rng.Snapshot(w);
-    }
-  }
-  void Restore(ser::Reader& r) override {
-    r.Section("ktrace");
-    if (r.U64() != cores_.size()) {
-      throw ser::SerializeError("kernel trace core-count mismatch");
-    }
-    for (CoreState& cs : cores_) {
-      cs.kernel_idx = static_cast<std::size_t>(r.U64());
-      cs.emitted = r.U64();
-      cs.cursor = r.U64();
-      cs.pass = r.U32();
-      cs.tile = r.U64();
-      cs.rng.Restore(r);
-    }
-  }
+  void Snapshot(ser::Writer& w) const override { Io(*this, w); }
+  void Restore(ser::Reader& r) override { Io(*this, r); }
 
  private:
   struct CoreState {
@@ -119,6 +95,22 @@ class KernelTrace : public TraceSource {
   };
 
   bool EmitFromKernel(CoreState& cs, const Kernel& k, MemRef& out);
+
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a) {
+    a.Section("ktrace");
+    a.Records(
+        s.cores_, 0,
+        [&a](auto& cs) {
+          a.U64(cs.kernel_idx);
+          a.U64(cs.emitted);
+          a.U64(cs.cursor);
+          a.U32(cs.pass);
+          a.U64(cs.tile);
+          a.Part(cs.rng);
+        },
+        "kernel trace core-count mismatch");
+  }
 
   std::string name_;
   std::vector<CoreState> cores_;

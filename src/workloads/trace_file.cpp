@@ -195,65 +195,62 @@ void StreamTraceSource::SampleTelemetry(StatSet& out) const {
   out.Counter("gauge.serve.footprint_bytes") = footprint_;
 }
 
-void StreamTraceSource::Snapshot(ser::Writer& w) const {
-  if (!regular_) TraceSource::Snapshot(w);  // throws
-  w.Section("rctr");
-  w.U32(num_cores_);
-  w.U64(file_bytes_);
+template <class Self, class Ar>
+void StreamTraceSource::Io(Self& s, Ar& a) {
+  a.Section("rctr");
+  std::uint32_t cores = s.num_cores_;
+  std::uint64_t bytes = s.file_bytes_;
   // Every byte read is a parsed record or part of the carried tail, so
   // this is the offset of the first record not yet parsed. A tail only
   // exists just before EOF; re-reading it after Restore is equivalent.
-  w.U64(kHeaderBytes + total_records_ * sizeof(Record));
-  for (const auto& q : per_core_) {
-    w.U64(q.size());
-    for (const MemRef& ref : q) {
-      w.U64(ref.addr);
-      w.U32(ref.gap);
-      w.Bool(ref.is_write);
+  std::uint64_t offset = kHeaderBytes + s.total_records_ * sizeof(Record);
+  a.U32(cores);
+  a.U64(bytes);
+  a.U64(offset);
+  if constexpr (Ar::kReading) {
+    if (cores != s.num_cores_) {
+      throw ser::SerializeError("trace core-count mismatch in " + s.name_);
     }
+    if (bytes != s.file_bytes_) {
+      throw ser::SerializeError(
+          "trace " + s.name_ + " is " + std::to_string(s.file_bytes_) +
+          " bytes; the checkpoint was taken over " + std::to_string(bytes));
+    }
+    if (offset > s.file_bytes_) {
+      throw ser::SerializeError("checkpoint read offset " +
+                                std::to_string(offset) +
+                                " is past the end of " + s.name_);
+    }
+    if (::lseek(s.fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
+      throw ser::SerializeError("cannot seek " + s.name_ + ": " +
+                                std::strerror(errno));
+    }
+    s.tail_.clear();
   }
-  w.U64(total_records_);
-  w.U64(lo_);
-  w.U64(hi_);
-  w.Bool(eof_);
+  for (auto& q : s.per_core_) {
+    a.Records(q, 13, [&a](auto& ref) {
+      a.U64(ref.addr);
+      a.U32(ref.gap);
+      a.Bool(ref.is_write);
+    });
+  }
+  a.U64(s.total_records_);
+  a.U64(s.lo_);
+  a.U64(s.hi_);
+  if constexpr (Ar::kReading) {
+    s.footprint_ = s.total_records_ == 0 ? 0 : s.hi_ - s.lo_;
+  }
+  a.Bool(s.eof_);
+}
+
+void StreamTraceSource::Snapshot(ser::Writer& w) const {
+  if (!regular_) TraceSource::Snapshot(w);  // throws
+  Io(*this, w);
 }
 
 void StreamTraceSource::Restore(ser::Reader& r) {
   if (!regular_) TraceSource::Restore(r);  // throws
-  r.Section("rctr");
-  if (r.U32() != num_cores_) {
-    throw ser::SerializeError("trace core-count mismatch in " + name_);
-  }
-  const std::uint64_t bytes = r.U64();
-  if (bytes != file_bytes_) {
-    throw ser::SerializeError(
-        "trace " + name_ + " is " + std::to_string(file_bytes_) +
-        " bytes; the checkpoint was taken over " + std::to_string(bytes));
-  }
-  const std::uint64_t offset = r.U64();
-  if (offset > file_bytes_) {
-    throw ser::SerializeError("checkpoint read offset " +
-                              std::to_string(offset) +
-                              " is past the end of " + name_);
-  }
-  if (::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
-    throw ser::SerializeError("cannot seek " + name_ + ": " +
-                              std::strerror(errno));
-  }
-  tail_.clear();
-  for (auto& q : per_core_) {
-    q.resize(r.SeqLen(13));
-    for (MemRef& ref : q) {
-      ref.addr = r.U64();
-      ref.gap = r.U32();
-      ref.is_write = r.Bool();
-    }
-  }
-  total_records_ = r.U64();
-  lo_ = r.U64();
-  hi_ = r.U64();
-  footprint_ = total_records_ == 0 ? 0 : hi_ - lo_;
-  eof_ = r.Bool();
+  Io(*this, r);
 }
 
 }  // namespace redcache

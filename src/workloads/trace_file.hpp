@@ -105,6 +105,8 @@ class StreamTraceSource : public TraceSource {
   bool Ingest();
   bool StopRequested() const { return stop_ != nullptr && *stop_ != 0; }
   void Push(const char* record);
+  template <class Self, class Ar>
+  static void Io(Self& s, Ar& a);
 
   int fd_ = -1;
   bool owns_fd_ = false;

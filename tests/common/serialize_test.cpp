@@ -51,8 +51,11 @@ TEST(Serialize, SequencesRoundTrip) {
   w.U8Seq(flags);
 
   Reader r(w.buffer().data(), w.buffer().size());
-  EXPECT_EQ(r.U64Vec(), v);
-  EXPECT_EQ(r.U64Vec(), (std::vector<std::uint64_t>{9, 8}));
+  std::vector<std::uint64_t> got;
+  r.U64Seq(got);
+  EXPECT_EQ(got, v);
+  r.U64Seq(got);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{9, 8}));
   ASSERT_EQ(r.SeqLen(1), flags.size());
   for (const char f : flags) EXPECT_EQ(r.U8(), static_cast<std::uint8_t>(f));
   r.ExpectEnd();

@@ -12,14 +12,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "dramcache/policy_registry.hpp"
 #include "obs/json.hpp"
+#include "sim/batch.hpp"
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
+#include "workloads/benchmarks.hpp"
+#include "workloads/trace_file.hpp"
 
 namespace redcache {
 namespace {
@@ -120,6 +126,130 @@ TEST(CheckpointDifferential, TwoTenantMixRoundTrips) {
   const RunResult baseline = RunOne(spec);
   ASSERT_TRUE(baseline.completed);
   CheckRoundTrip(spec, baseline.exec_cycles / 3 + 1, baseline);
+}
+
+/// Fnv64 of the blob a one-shot hook captures at cycle `at`.
+std::uint64_t CaptureHash(const RunSpec& spec, Cycle at,
+                          const std::string& key) {
+  auto sys = BuildSystem(spec);
+  System* raw = sys.get();
+  std::string blob;
+  sys->SetCheckpointHook(at, /*every=*/0, [raw, &blob, &key](Cycle now) {
+    blob = ckpt::Capture(*raw, now, key);
+  });
+  const RunResult result = sys->Run(spec.max_cycles);
+  EXPECT_TRUE(result.completed);
+  EXPECT_FALSE(blob.empty())
+      << "checkpoint hook never fired (" << key << " ran "
+      << result.exec_cycles << " cycles)";
+  return Fnv64(reinterpret_cast<const std::uint8_t*>(blob.data()),
+               blob.size());
+}
+
+TEST(Checkpoint, BlobBytesArePinned) {
+  // The wire format is pinned byte for byte: a checkpoint blob per policy,
+  // a two-tenant mix and a replayed RCTR file, all captured at one fixed
+  // mid-run cycle, plus one disk-cache entry. A layout change
+  // must bump kCheckpointVersion / kCacheFormatVersion and then re-pin the
+  // hash this test prints.
+  constexpr Cycle kAt = 150000;
+  const std::map<std::string, std::uint64_t> kPinned = {
+      {"Alloy", 0x5c7928aa63ba8332ull},
+      {"Banshee", 0xdacab8e19171e37aull},
+      {"Bear", 0xee46313842e4dfe6ull},
+      {"Footprint-2KB", 0xe860f56fcc7a8ff6ull},
+      {"IDEAL", 0x9542e0e7531e2b42ull},
+      {"No-HBM", 0xeadd765805005a8ull},
+      {"Red-Alpha", 0x572fe78932bc6828ull},
+      {"Red-Basic", 0x348c460de1768628ull},
+      {"Red-Gamma", 0x1f9e41c42306f382ull},
+      {"Red-InSitu", 0x51c7548f3975ac52ull},
+      {"RedCache", 0x1755be602535b4aull},
+      {"RedCache[alpha=1]", 0x65e4fc8500a8b2d2ull},
+      {"RedCache-2way", 0xff1f7f7b03b77728ull},
+      {"RedCache-4way", 0xdb7f7f7b03b77728ull},
+      {"RedCache-4way[alpha=1]", 0x826406cc178bd452ull},
+      {"RedCache-8way", 0x47ff7f7b03b77728ull},
+      {"TicToc", 0x2e4a8e36c919718aull},
+      {"cache:Bear/LU", 0xb5dca5af7068716ull},
+      {"mix:LREG+RDX", 0x5d72d4261f8b3ee6ull},
+      {"replay:LU", 0xe4f93a4b54243786ull},
+  };
+  std::map<std::string, std::uint64_t> actual;
+  // Every policy (a superset of the differential set), on a cell large
+  // enough that the caches hold lines and the queues are busy at kAt. At
+  // this size alpha admits nothing yet, so two RedCache cells pin alpha at
+  // 1 to put lines (and 4-way LRU stamps) into the tag store.
+  for (const std::string& policy : PolicyNames()) {
+    RunSpec spec = TinySpec(policy, "LU");
+    spec.scale = 0.1;
+    actual[policy] = CaptureHash(spec, kAt, ckpt::SpecKeyOf(spec));
+    if (policy == "RedCache" || policy == "RedCache-4way") {
+      spec.alpha_pin = 1;
+      actual[policy + "[alpha=1]"] =
+          CaptureHash(spec, kAt, ckpt::SpecKeyOf(spec));
+    }
+  }
+
+  RunSpec mix = TinySpec("RedCache");
+  mix.scale = 0.1;
+  tenant::TenantSpec a, b;
+  a.workload = "LREG";
+  b.workload = "RDX";
+  mix.mix.tenants = {a, b};
+  actual["mix:LREG+RDX"] = CaptureHash(mix, kAt, ckpt::SpecKeyOf(mix));
+
+  // The spec key of a replay names its path, so this blob uses a fixed key.
+  RunSpec replay = TinySpec("Alloy", "LU");
+  replay.scale = 0.1;
+  replay.serve_path = testing::TempDir() + "/pinned_lu.rctr";
+  {
+    WorkloadBuildParams wp;
+    wp.num_cores = replay.preset.hierarchy.num_cores;
+    wp.scale = replay.scale;
+    auto source = MakeWorkload("LU", wp);
+    TraceFileWriter w(replay.serve_path, source->num_cores());
+    w.CaptureAll(*source);
+  }
+  actual["replay:LU"] = CaptureHash(replay, kAt, "replay:LU");
+  std::remove(replay.serve_path.c_str());
+
+  // A disk-cache entry, hashed without its build identity (which changes
+  // with every source edit).
+  char tmpl[] = "/tmp/redcache_ckpt_pinned_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
+  CellSpec cell{TinySpec("Bear", "LU"), "pinned"};
+  cell.spec.scale = 0.1;
+  RunCellCached(cell);
+  ::unsetenv("REDCACHE_CACHE_DIR");
+  const std::string path = dir + "/" + CellKey(cell) + ".stats";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "expected cache file at " << path;
+  std::string entry((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  const std::size_t id_at = entry.find(CacheIdentity());
+  ASSERT_NE(id_at, std::string::npos);
+  entry.erase(id_at, CacheIdentity().size());
+  actual["cache:Bear/LU"] = Fnv64(
+      reinterpret_cast<const std::uint8_t*>(entry.data()), entry.size());
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
+
+  for (const auto& [cell_name, hash] : actual) {
+    const auto it = kPinned.find(cell_name);
+    std::ostringstream got;
+    got << "0x" << std::hex << hash << "ull";
+    if (it == kPinned.end()) {
+      ADD_FAILURE() << "no pinned hash for " << cell_name << " (actual "
+                    << got.str() << ")";
+      continue;
+    }
+    EXPECT_EQ(hash, it->second)
+        << cell_name << " blob bytes changed: hash is now " << got.str();
+  }
+  EXPECT_EQ(actual.size(), kPinned.size());
 }
 
 TEST(Checkpoint, BlobHeaderRoundTrips) {

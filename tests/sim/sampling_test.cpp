@@ -183,6 +183,31 @@ TEST(Sampling, OneUnfinishedIntervalFallsBackToFullRun) {
   EXPECT_EQ(est.est_stats.counters(), expected.counters());
 }
 
+TEST(Sampling, OneIntervalRunIsExactForEverySeedPhase) {
+  // A run that fits one interval is measured by one detailed run from
+  // cycle 0, whichever candidate the seed's phase would have picked. An
+  // interval replayed from the second candidate may finish the workload
+  // too, but it covers only the run's tail: extrapolating from it gave a
+  // +/-0% "exact" estimate far from the true run length.
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RunSpec spec = TinySpec("RedCache", "LU");
+    spec.seed = seed;
+    const RunResult full = RunOne(spec);
+    ASSERT_TRUE(full.completed);
+    SamplingOptions opts;
+    auto ff = BuildSystem(spec);
+    ff->SetFunctionalTiming(opts.functional_latency);
+    opts.interval_cycles = (3 * ff->Run().exec_cycles) / 5;
+    const SamplingEstimate est = RunSampled(spec, opts);
+    EXPECT_EQ(est.intervals, 1u);
+    EXPECT_DOUBLE_EQ(est.est_exec_cycles,
+                     static_cast<double>(full.exec_cycles));
+    EXPECT_EQ(est.est_stats.GetCounter("core.refs"),
+              full.stats.GetCounter("core.refs"));
+  }
+}
+
 TEST(Sampling, ReplayedTraceMatchesSyntheticEstimate) {
   // Sampling a captured trace checkpoints the trace reader at every
   // candidate; the estimate must equal the synthetic generator's.

@@ -425,35 +425,33 @@ FILE* HumanOut(const CliOptions& opt) {
   return opt.telemetry_path && *opt.telemetry_path == "-" ? stderr : stdout;
 }
 
-/// Write the command trace: via the spill writer's Finish (windowed mode,
-/// file already holds the spilled prefix) or the whole-buffer writer.
+/// Write the command trace through the spill writer's Finish: in windowed
+/// mode the file already holds the spilled prefix; otherwise the ring is
+/// written whole.
 bool FinishTrace(const CliOptions& opt, obs::TraceBuffer& ring,
                  obs::TraceSpillWriter* spill, FILE* out) {
   const std::string& path = *opt.trace_out_path;
-  if (spill != nullptr) {
-    const std::uint64_t spilled = spill->spilled();
-    if (!spill->Finish(ring)) {
-      std::fprintf(stderr, "failed to write trace to %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(out,
-                 "trace: %llu events (%llu spilled, window %zu, 0 dropped) "
-                 "-> %s (load in Perfetto / chrome://tracing)\n",
-                 static_cast<unsigned long long>(ring.emitted()),
-                 static_cast<unsigned long long>(spilled), ring.capacity(),
-                 path.c_str());
-    return true;
-  }
-  if (!obs::WriteChromeTrace(path, ring)) {
+  std::optional<obs::TraceSpillWriter> whole;
+  obs::TraceSpillWriter& writer =
+      spill != nullptr ? *spill : whole.emplace(path);
+  const std::uint64_t spilled = writer.spilled();
+  if (!writer.Finish(ring)) {
     std::fprintf(stderr, "failed to write trace to %s\n", path.c_str());
     return false;
   }
-  std::fprintf(out,
-               "trace: %llu events (%llu dropped, ring %zu) -> %s "
-               "(load in Perfetto / chrome://tracing)\n",
-               static_cast<unsigned long long>(ring.emitted()),
-               static_cast<unsigned long long>(ring.dropped()),
-               ring.capacity(), path.c_str());
+  const auto emitted = static_cast<unsigned long long>(ring.emitted());
+  if (spill != nullptr) {
+    std::fprintf(out,
+                 "trace: %llu events (%llu spilled, window %zu, 0 dropped)",
+                 emitted, static_cast<unsigned long long>(spilled),
+                 ring.capacity());
+  } else {
+    std::fprintf(out, "trace: %llu events (%llu dropped, ring %zu)", emitted,
+                 static_cast<unsigned long long>(ring.dropped()),
+                 ring.capacity());
+  }
+  std::fprintf(out, " -> %s (load in Perfetto / chrome://tracing)\n",
+               path.c_str());
   return true;
 }
 
