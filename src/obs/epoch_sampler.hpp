@@ -53,8 +53,8 @@ struct EpochRecord {
 };
 
 /// Per-epoch derived metrics computed from delta+gauges. All rates are
-/// guarded against empty epochs (0/0 -> 0). Shared by the JSON / CSV /
-/// NDJSON writers and the adaptive epoch controller.
+/// guarded against empty epochs (0/0 -> 0). Shared by the NDJSON epoch
+/// line and the adaptive epoch controller.
 struct DerivedMetrics {
   double hit_rate = 0.0;
   double bypass_rate = 0.0;
@@ -73,8 +73,9 @@ struct EpochSpec {
 };
 
 /// Parse "--epoch" syntax: "250000" (fixed), "auto" (adaptive with derived
-/// clamps), "auto:MIN:MAX" (explicit clamp band). Returns false (out
-/// untouched) on anything else.
+/// clamps), "auto:MIN:MAX" (explicit clamp band). Every number is whole
+/// decimal digits within 64 bits. Returns false (out untouched) on
+/// anything else, a sign or a blank included.
 bool ParseEpochSpec(const std::string& text, EpochSpec& out);
 
 class EpochSampler {
@@ -106,9 +107,8 @@ class EpochSampler {
   /// Attach a streaming sink: every record is written as one NDJSON epoch
   /// line the moment it closes. With `retain_epochs` false only the most
   /// recent record is kept in memory (bounded for arbitrarily long serve
-  /// runs); the end-of-run JSON/CSV writers then see just that record, so
-  /// retention should stay on when both outputs are wanted. The sink is
-  /// borrowed and must outlive the sampler's last Sample/Finalize.
+  /// runs), so epochs() then holds just that record. The sink is borrowed
+  /// and must outlive the sampler's last Sample/Finalize.
   void SetSink(TelemetrySink* sink, bool retain_epochs);
 
   /// Cheap inline check for the run loop.
@@ -178,7 +178,7 @@ class EpochSampler {
   std::vector<EpochRecord> epochs_;
 };
 
-/// Run identification embedded in the serialized artifacts.
+/// Run identification carried by the NDJSON header and end records.
 struct TelemetryMeta {
   std::string workload;
   std::string preset;
@@ -189,25 +189,5 @@ struct TelemetryMeta {
   std::string mix;
   Cycle exec_cycles = 0;
 };
-
-/// Per-epoch derived metrics (computed by the writers from delta+gauges):
-/// hit_rate, bypass_rate, aggregate bytes/cycle, plus any gauges present.
-/// JSON layout:
-///   { "meta": {...}, "epochs": [ {"begin":..,"end":..,"derived":{..},
-///     "gauges":{..}, "delta":{..}}, ... ] }
-/// Counter keys are emitted in natural (numeric-aware) name order.
-bool WriteTelemetryJson(const std::string& path, const EpochSampler& sampler,
-                        const TelemetryMeta& meta);
-std::string TelemetryJson(const EpochSampler& sampler,
-                          const TelemetryMeta& meta);
-
-/// CSV: one row per epoch; columns are begin, end, the derived metrics,
-/// then the union of gauge and delta names in natural order (missing
-/// values are empty cells) — the exact key set the JSON writer emits.
-/// Meta values containing commas/quotes/spaces are double-quote escaped.
-bool WriteTelemetryCsv(const std::string& path, const EpochSampler& sampler,
-                       const TelemetryMeta& meta);
-std::string TelemetryCsv(const EpochSampler& sampler,
-                         const TelemetryMeta& meta);
 
 }  // namespace redcache::obs

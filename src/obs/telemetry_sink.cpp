@@ -17,7 +17,7 @@ namespace redcache::obs {
 
 namespace {
 
-/// Printed with enough digits to round-trip; matches the JSON/CSV writers.
+/// Six significant digits (%.6g), the precision of the derived rates.
 std::string FormatDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -86,18 +86,6 @@ bool FdTelemetrySink::WriteLine(const std::string& line) {
   }
   lines_written_++;
   return true;
-}
-
-std::unique_ptr<TelemetrySink> OpenTelemetrySink(const std::string& path) {
-  return FdTelemetrySink::OpenPath(path);
-}
-
-bool StreamingTelemetryPath(const std::string& path) {
-  if (path == "-") return true;
-  const std::string suffix = ".ndjson";
-  return path.size() > suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
 }
 
 std::string NdjsonHeaderLine(const TelemetryMeta& meta,
@@ -174,9 +162,9 @@ std::string NdjsonEndLine(const TelemetryMeta& meta,
   return os.str();
 }
 
-TelemetrySession::TelemetrySession(std::string path, const EpochSpec& epoch,
-                                   Cycle preset_epoch_cycles)
-    : path_(std::move(path)) {
+TelemetrySession::TelemetrySession(const std::string& path,
+                                   const EpochSpec& epoch,
+                                   Cycle preset_epoch_cycles) {
   const Cycle base = epoch.cycles > 0 ? epoch.cycles : preset_epoch_cycles;
   sampler_ = std::make_unique<EpochSampler>(base);
   if (epoch.adaptive) {
@@ -187,8 +175,8 @@ TelemetrySession::TelemetrySession(std::string path, const EpochSpec& epoch,
     if (cfg.max_cycles < cfg.min_cycles) cfg.max_cycles = cfg.min_cycles;
     sampler_->EnableAdaptive(cfg);
   }
-  if (!path_.empty() && StreamingTelemetryPath(path_)) {
-    sink_ = OpenTelemetrySink(path_);
+  if (!path.empty()) {
+    sink_ = FdTelemetrySink::OpenPath(path);
     // Streaming runs can be arbitrarily long (serve mode): do not retain
     // the per-epoch series in memory, the sink already has it.
     sampler_->SetSink(sink_.get(), /*retain_epochs=*/false);
@@ -203,30 +191,8 @@ bool TelemetrySession::Begin(const TelemetryMeta& meta) {
 }
 
 bool TelemetrySession::Close(const TelemetryMeta& meta) {
-  if (path_.empty()) return true;
-  if (sink_) return sink_->WriteLine(NdjsonEndLine(meta, *sampler_));
-  const std::string suffix = ".csv";
-  const bool csv = path_.size() > suffix.size() &&
-                   path_.compare(path_.size() - suffix.size(), suffix.size(),
-                                 suffix) == 0;
-  return csv ? WriteTelemetryCsv(path_, *sampler_, meta)
-             : WriteTelemetryJson(path_, *sampler_, meta);
-}
-
-std::string TelemetrySession::Summary() const {
-  std::ostringstream os;
-  os << sampler_->total_epochs() << " epochs";
-  if (sampler_->adaptive()) {
-    os << " (adaptive " << sampler_->min_width_used() << ".."
-       << sampler_->max_width_used() << " cycles)";
-  } else {
-    os << " (" << sampler_->epoch_cycles() << " cycles each)";
-  }
-  if (!path_.empty()) {
-    os << " -> " << (sink_ ? sink_->describe() : path_);
-    if (sink_) os << (sink_->ok() ? " (NDJSON stream)" : " (stream broken)");
-  }
-  return os.str();
+  if (!sink_) return true;
+  return sink_->WriteLine(NdjsonEndLine(meta, *sampler_));
 }
 
 }  // namespace redcache::obs

@@ -1,13 +1,12 @@
-// Streaming telemetry sinks: NDJSON epoch records emitted as each epoch
-// closes, instead of one write-at-exit artifact.
+// Telemetry sinks: the NDJSON epoch record stream every --telemetry
+// target receives, written as each epoch closes.
 //
-// The PR 3 telemetry writers buffer the whole series and serialize it after
-// the run — useless for serve mode, where the run has no natural end and
-// the operator wants to *watch* the cache tier. A TelemetrySink is a
-// line-oriented byte stream: the sampler writes one self-contained JSON
-// object per line (NDJSON) the moment an epoch closes, so `--telemetry -`
-// can be piped straight into `jq`, a dashboard, or scripts/
-// check_telemetry.py while the simulation is still running.
+// A TelemetrySink is a line-oriented byte stream: the sampler writes one
+// self-contained JSON object per line (NDJSON) the moment an epoch closes,
+// so `--telemetry -` can be piped straight into `jq`, a dashboard, or
+// scripts/check_telemetry.py while the simulation is still running, and a
+// long serve run streams its series in bounded memory. The target's name
+// selects nothing: a file, "-" (stdout) or a FIFO all get the same bytes.
 //
 // Record stream layout (schema 2):
 //   {"type":"header", run identity, epoch pacing}          -- first line
@@ -18,11 +17,12 @@
 // The end record's totals are the telescoping target: summing every epoch's
 // delta for a counter must reproduce them exactly.
 //
-// Robustness contract: writes retry on EINTR, and a dead reader (EPIPE /
-// any hard write error) silently disarms the sink instead of killing the
-// run — a serve-mode drain stays graceful even when the telemetry consumer
-// goes away first. Opening a sink ignores SIGPIPE process-wide (once) so
-// the failure surfaces as a write error, not a signal.
+// Robustness contract: a target that cannot be opened fails the run before
+// it starts; writes retry on EINTR, and a dead reader (EPIPE / any hard
+// write error) silently disarms the sink instead of killing the run — a
+// serve-mode drain stays graceful even when the telemetry consumer goes
+// away first. Opening a sink ignores SIGPIPE process-wide (once) so the
+// failure surfaces as a write error, not a signal.
 #pragma once
 
 #include <cstdint>
@@ -90,13 +90,6 @@ class BufferTelemetrySink : public TelemetrySink {
   std::vector<std::string> lines;
 };
 
-/// Factory: "-" = stdout, otherwise a file/FIFO path. Throws on failure.
-std::unique_ptr<TelemetrySink> OpenTelemetrySink(const std::string& path);
-
-/// True when `path` selects the streaming NDJSON format ("-" or *.ndjson)
-/// rather than a write-at-exit JSON/CSV artifact.
-bool StreamingTelemetryPath(const std::string& path);
-
 // --- NDJSON record builders (no trailing newline) --------------------------
 std::string NdjsonHeaderLine(const TelemetryMeta& meta,
                              const EpochSampler& sampler);
@@ -105,35 +98,29 @@ std::string NdjsonEndLine(const TelemetryMeta& meta,
                           const EpochSampler& sampler);
 
 /// Glue for one run's telemetry: resolves the epoch pacing, owns the
-/// sampler and (for streaming paths) the sink. Callers attach sampler() to
+/// sampler and, for a non-empty path, the sink. Callers attach sampler() to
 /// the System, call Begin before the run and Close after it.
 ///
 ///   TelemetrySession session(path, epoch_spec, preset_epoch_cycles);
 ///   system.SetTelemetry(&session.sampler());
-///   session.Begin(meta);            // NDJSON header (streaming only)
-///   ... run ...
+///   session.Begin(meta);            // NDJSON header
+///   ... run ...                     // one epoch line per closed epoch
 ///   meta.exec_cycles = result.exec_cycles;
-///   session.Close(meta);            // end record, or JSON/CSV file write
+///   session.Close(meta);            // NDJSON end record
 class TelemetrySession {
  public:
-  /// Throws std::runtime_error when a streaming path cannot be opened.
-  TelemetrySession(std::string path, const EpochSpec& epoch,
+  /// Throws std::runtime_error when `path` cannot be opened. An empty
+  /// path paces a sampler with no sink.
+  TelemetrySession(const std::string& path, const EpochSpec& epoch,
                    Cycle preset_epoch_cycles);
   ~TelemetrySession();
 
   EpochSampler& sampler() { return *sampler_; }
-  bool streaming() const { return sink_ != nullptr; }
-  const std::string& path() const { return path_; }
 
   bool Begin(const TelemetryMeta& meta);
   bool Close(const TelemetryMeta& meta);
 
-  /// One-line summary for CLI output ("12 epochs (adaptive 31250..1000000
-  /// cycles) -> t.ndjson (NDJSON stream)").
-  std::string Summary() const;
-
  private:
-  std::string path_;
   std::unique_ptr<EpochSampler> sampler_;
   std::unique_ptr<TelemetrySink> sink_;
 };

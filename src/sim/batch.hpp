@@ -158,7 +158,8 @@ void EnforceDiskCacheBound(const std::string& dir, std::uint64_t max_bytes);
 ///     text histogram format is retired and stats use StatSet::Snapshot.
 /// v4: the build identity replaces the behavioral fingerprint, and a
 ///     payload checksum covers exec_cycles and the stats.
-constexpr std::uint64_t kCacheFormatVersion = 4;
+/// v5: the payload checksum folds each word's high bits down (Fnv64).
+constexpr std::uint64_t kCacheFormatVersion = 5;
 
 /// RunBatch over cells with memo + disk cache; duplicate keys (shared
 /// baselines) simulate once. `results[i]` corresponds to `cells[i]`.

@@ -24,7 +24,8 @@ namespace redcache::ckpt {
 
 /// Bump when the blob layout (header or any component's Snapshot encoding)
 /// changes; a version mismatch on restore throws instead of misreading.
-constexpr std::uint32_t kCheckpointVersion = 2;
+/// v3: the payload checksum folds each word's high bits down (Fnv64).
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 struct CheckpointMeta {
   std::uint32_t version = 0;

@@ -51,10 +51,9 @@ struct RunSpec {
   std::string serve_path;
   /// Observability only — excluded from cache keys and golden
   /// comparisons (CellKey enumerates its fields explicitly, so these never
-  /// leak in). When non-empty, RunOne attaches an EpochSampler and writes
-  /// the telemetry series here: "-" or "*.ndjson" streams NDJSON records
-  /// live as epochs close; "*.csv" / anything else writes CSV / JSON at
-  /// end of run.
+  /// leak in). When non-empty, RunOne attaches an EpochSampler and streams
+  /// the NDJSON telemetry records here ("-" = stdout, or a file / FIFO
+  /// path) as epochs close; a path that cannot be opened fails the run.
   std::string telemetry_path;
   /// Epoch pacing for `telemetry_path` (fixed width or adaptive band);
   /// default uses the preset's telemetry_epoch_cycles.

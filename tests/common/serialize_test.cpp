@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <vector>
+
+#include "common/hash.hpp"
 
 namespace redcache::ser {
 namespace {
@@ -114,6 +117,25 @@ TEST(Serialize, NameTagIsStable) {
   static_assert(NameTag("") == 2166136261u);
   EXPECT_EQ(NameTag("sys"), NameTag("sys"));
   EXPECT_NE(NameTag("sys"), NameTag("chan"));
+}
+
+TEST(Serialize, ChecksumCatchesTopByteChangesAcrossWords) {
+  // Flip the top byte of word 0, then try every top byte of word 1. A
+  // word fold that only multiplies carries the first change upward alone,
+  // so exactly one of those second bytes cancels it and collides.
+  const std::uint8_t base[16] = {1, 2,  3,  4,  5,  6,  7,  8,
+                                 9, 10, 11, 12, 13, 14, 15, 16};
+  const std::uint64_t want = Fnv64(base, sizeof(base));
+  for (int flip = 1; flip < 256; flip += 17) {
+    std::uint8_t bytes[16];
+    std::copy(base, base + sizeof(base), bytes);
+    bytes[7] ^= static_cast<std::uint8_t>(flip);
+    for (int top = 0; top < 256; ++top) {
+      bytes[15] = static_cast<std::uint8_t>(top);
+      EXPECT_NE(Fnv64(bytes, sizeof(bytes)), want)
+          << "flip " << flip << " cancelled by word 1 top byte " << top;
+    }
+  }
 }
 
 }  // namespace

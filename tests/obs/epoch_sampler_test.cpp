@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "obs/adaptive_epoch.hpp"
@@ -29,6 +28,17 @@ TEST(EpochSampler, DueFollowsActualSampleTime) {
   sampler.Sample(250, Snap(1, 0, 0));
   EXPECT_FALSE(sampler.Due(300));
   EXPECT_TRUE(sampler.Due(350));
+}
+
+TEST(EpochSampler, HugeEpochAfterRestoreNeverWrapsDue) {
+  // restored_at + epoch saturates: it must not wrap to a cycle in the past
+  // and make every later cycle an epoch boundary.
+  EpochSampler sampler(~Cycle{0});
+  sampler.SeedBaseline(100000, Snap(1, 0, 0));
+  EXPECT_FALSE(sampler.Due(100001));
+  EXPECT_EQ(sampler.next_due(), ~Cycle{0});
+  sampler.Sample(200000, Snap(2, 0, 0));
+  EXPECT_FALSE(sampler.Due(200001));
 }
 
 TEST(EpochSampler, SplitsGaugesFromDeltas) {
@@ -102,8 +112,18 @@ TEST(EpochSampler, CounterAppearingMidRunDeltasFromZero) {
   EXPECT_EQ(sampler.epochs()[1].delta.at("late.counter"), 5);
 }
 
+/// Parse one NDJSON record; fails the test on malformed JSON.
+JsonValue ParseLine(const std::string& line) {
+  JsonValue doc;
+  std::string err;
+  EXPECT_TRUE(ParseJson(line, doc, &err)) << err << "\n" << line;
+  return doc;
+}
+
 TEST(TelemetryJson, ParsesAndCarriesDerivedMetrics) {
+  BufferTelemetrySink sink;
   EpochSampler sampler(100);
+  sampler.SetSink(&sink, /*retain_epochs=*/false);
   StatSet s;
   s.Counter("ctrl.cache_hits") = 30;
   s.Counter("ctrl.cache_misses") = 10;
@@ -117,21 +137,11 @@ TEST(TelemetryJson, ParsesAndCarriesDerivedMetrics) {
   meta.preset = "eval";
   meta.policy = "RedCache";
   meta.exec_cycles = 100;
-  const std::string json = TelemetryJson(sampler, meta);
-  JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(ParseJson(json, doc, &err)) << err << "\n" << json;
+  sink.WriteLine(NdjsonEndLine(meta, sampler));
+  ASSERT_EQ(sink.lines.size(), 2u);
 
-  const JsonValue* m = doc.Find("meta");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->Find("policy")->string, "RedCache");
-  EXPECT_EQ(m->Find("arch"), nullptr);
-  EXPECT_DOUBLE_EQ(m->Find("num_epochs")->number, 1.0);
-
-  const JsonValue* epochs = doc.Find("epochs");
-  ASSERT_NE(epochs, nullptr);
-  ASSERT_EQ(epochs->array.size(), 1u);
-  const JsonValue& e = epochs->array[0];
+  const JsonValue e = ParseLine(sink.lines[0]);
+  EXPECT_EQ(e.Find("type")->string, "epoch");
   const JsonValue* derived = e.Find("derived");
   ASSERT_NE(derived, nullptr);
   EXPECT_DOUBLE_EQ(derived->Find("hit_rate")->number, 0.3);
@@ -139,10 +149,18 @@ TEST(TelemetryJson, ParsesAndCarriesDerivedMetrics) {
   EXPECT_DOUBLE_EQ(derived->Find("bw_bytes_per_cycle")->number, 64.0);
   EXPECT_DOUBLE_EQ(e.Find("gauges")->Find("gamma")->number, 8.0);
   EXPECT_DOUBLE_EQ(e.Find("delta")->Find("ctrl.cache_hits")->number, 30.0);
+
+  const JsonValue end = ParseLine(sink.lines[1]);
+  EXPECT_DOUBLE_EQ(end.Find("num_epochs")->number, 1.0);
+  EXPECT_DOUBLE_EQ(end.Find("exec_cycles")->number, 100.0);
 }
 
 TEST(TelemetryCsv, HeaderUnionInNaturalOrderWithEmptyCells) {
+  // A counter or gauge that first appears in epoch 2 is absent from epoch
+  // 1's record, not a zero-filled column.
+  BufferTelemetrySink sink;
   EpochSampler sampler(10);
+  sampler.SetSink(&sink, /*retain_epochs=*/false);
   StatSet a;
   a.Counter("hbm.chan2.activates") = 1;
   sampler.Sample(10, a);
@@ -150,56 +168,48 @@ TEST(TelemetryCsv, HeaderUnionInNaturalOrderWithEmptyCells) {
   b.Counter("hbm.chan10.activates") = 4;  // appears only in epoch 2
   b.Counter("gauge.rcu_depth") = 2;
   sampler.Sample(20, b);
+  ASSERT_EQ(sink.lines.size(), 2u);
 
-  TelemetryMeta meta;
-  meta.workload = "LU";
-  const std::string csv = TelemetryCsv(sampler, meta);
-  std::istringstream is(csv);
-  std::string comment, header, row1, row2;
-  ASSERT_TRUE(std::getline(is, comment));
-  ASSERT_TRUE(std::getline(is, header));
-  ASSERT_TRUE(std::getline(is, row1));
-  ASSERT_TRUE(std::getline(is, row2));
-  EXPECT_EQ(comment.rfind("# workload=LU", 0), 0u);
-  EXPECT_EQ(header,
-            "begin,end,hit_rate,bypass_rate,bw_bytes_per_cycle,"
-            "gauge.rcu_depth,hbm.chan2.activates,hbm.chan10.activates");
-  // Epoch 1 has no gauge and no chan10 column value: empty cells.
-  EXPECT_EQ(row1, "0,10,0,0,0,,1,");
-  EXPECT_EQ(row2, "10,20,0,0,0,2,0,4");
+  EXPECT_EQ(sink.lines[0],
+            "{\"type\":\"epoch\",\"seq\":0,\"begin\":0,\"end\":10,"
+            "\"derived\":{\"hit_rate\":0,\"bypass_rate\":0,"
+            "\"bw_bytes_per_cycle\":0},\"gauges\":{},"
+            "\"delta\":{\"hbm.chan2.activates\":1}}");
+  const JsonValue e2 = ParseLine(sink.lines[1]);
+  EXPECT_DOUBLE_EQ(e2.Find("begin")->number, 10.0);
+  EXPECT_DOUBLE_EQ(e2.Find("gauges")->Find("rcu_depth")->number, 2.0);
+  EXPECT_DOUBLE_EQ(e2.Find("delta")->Find("hbm.chan2.activates")->number,
+                   0.0);
+  EXPECT_DOUBLE_EQ(e2.Find("delta")->Find("hbm.chan10.activates")->number,
+                   4.0);
 }
 
 TEST(TelemetryCsv, MetaLineCarriesPolicyAndEscapesMixDescriptor) {
   EpochSampler sampler(10);
-  StatSet a;
-  a.Counter("ctrl.cache_hits") = 1;
-  sampler.Sample(10, a);
   TelemetryMeta meta;
-  meta.workload = "LU";
+  meta.workload = "serve:a \"b\"\\c.rctr";  // a path may hold any byte
   meta.policy = "RedCache";
-  meta.mix = "LU:2,RDX:1@8/offset";  // commas would break key=value parsing
-  const std::string csv = TelemetryCsv(sampler, meta);
-  const std::string comment = csv.substr(0, csv.find('\n'));
-  EXPECT_NE(comment.find("policy=RedCache"), std::string::npos);
-  EXPECT_EQ(comment.find("arch="), std::string::npos);
-  EXPECT_NE(comment.find("mix=\"LU:2,RDX:1@8/offset\""), std::string::npos);
+  meta.mix = "LU:2,RDX:1@8/offset";
+  const std::string header = NdjsonHeaderLine(meta, sampler);
+  EXPECT_NE(header.find("\"workload\":\"serve:a \\\"b\\\"\\\\c.rctr\""),
+            std::string::npos)
+      << header;
+  const JsonValue doc = ParseLine(header);
+  EXPECT_EQ(doc.Find("workload")->string, meta.workload);
+  EXPECT_EQ(doc.Find("policy")->string, "RedCache");
+  EXPECT_EQ(doc.Find("arch"), nullptr);
+  EXPECT_EQ(doc.Find("mix")->string, "LU:2,RDX:1@8/offset");
 }
 
 TEST(TelemetryJson, MetaCarriesPolicyAndMix) {
   EpochSampler sampler(10);
-  StatSet a;
-  a.Counter("ctrl.cache_hits") = 1;
-  sampler.Sample(10, a);
   TelemetryMeta meta;
   meta.policy = "Banshee";
   meta.mix = "LU:1,FT:1/interleave";
-  JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(ParseJson(TelemetryJson(sampler, meta), doc, &err)) << err;
-  const JsonValue* m = doc.Find("meta");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->Find("policy")->string, "Banshee");
-  EXPECT_EQ(m->Find("mix")->string, "LU:1,FT:1/interleave");
+  const JsonValue doc = ParseLine(NdjsonHeaderLine(meta, sampler));
+  EXPECT_EQ(doc.Find("type")->string, "header");
+  EXPECT_EQ(doc.Find("policy")->string, "Banshee");
+  EXPECT_EQ(doc.Find("mix")->string, "LU:1,FT:1/interleave");
 }
 
 TEST(ParseEpochSpec, AcceptsFixedAutoAndBandedForms) {
@@ -226,7 +236,18 @@ TEST(ParseEpochSpec, AcceptsFixedAutoAndBandedForms) {
   EXPECT_FALSE(ParseEpochSpec("auto:10", untouched));
   EXPECT_FALSE(ParseEpochSpec("auto:8000:1000", untouched));  // inverted band
   EXPECT_FALSE(ParseEpochSpec("auto:10:20x", untouched));
+  // Whole decimal digits only: no sign, blank, or wrap past 2^64-1.
+  EXPECT_FALSE(ParseEpochSpec("-1", untouched));
+  EXPECT_FALSE(ParseEpochSpec("+5000", untouched));
+  EXPECT_FALSE(ParseEpochSpec(" 5000", untouched));
+  EXPECT_FALSE(ParseEpochSpec("18446744073709551616", untouched));
+  EXPECT_FALSE(ParseEpochSpec("auto:5:-1", untouched));
+  EXPECT_FALSE(ParseEpochSpec("auto: 5:10", untouched));
   EXPECT_FALSE(untouched.adaptive);
+  EXPECT_EQ(untouched.cycles, 0u);
+
+  ASSERT_TRUE(ParseEpochSpec("18446744073709551615", spec));
+  EXPECT_EQ(spec.cycles, ~Cycle{0});
 }
 
 // A StatSet whose derived rates the adaptive controller reads: hit_rate is

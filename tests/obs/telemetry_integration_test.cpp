@@ -10,6 +10,7 @@
 
 #include "obs/epoch_sampler.hpp"
 #include "obs/json.hpp"
+#include "obs/telemetry_sink.hpp"
 #include "obs/trace.hpp"
 #include "sim/runner.hpp"
 
@@ -48,7 +49,9 @@ TEST(TelemetryIntegration, AttachingObserversDoesNotPerturbResults) {
 }
 
 TEST(TelemetryIntegration, EpochDeltasSumToFinalCounters) {
+  obs::BufferTelemetrySink sink;
   obs::EpochSampler sampler(25000);
+  sampler.SetSink(&sink, /*retain_epochs=*/true);
   auto system = BuildSystem(SmallSpec());
   system->SetTelemetry(&sampler);
   const RunResult r = system->Run();
@@ -78,16 +81,19 @@ TEST(TelemetryIntegration, EpochDeltasSumToFinalCounters) {
   EXPECT_TRUE(last.gauges.count("alpha"));
   EXPECT_TRUE(last.gauges.count("rcu_depth"));
 
-  // And the serialized series parses.
-  obs::JsonValue doc;
-  std::string err;
-  obs::TelemetryMeta meta;
-  meta.workload = "LU";
-  meta.preset = "eval";
-  meta.exec_cycles = r.exec_cycles;
-  const std::string json = obs::TelemetryJson(sampler, meta);
-  ASSERT_TRUE(obs::ParseJson(json, doc, &err)) << err;
-  EXPECT_EQ(doc.Find("epochs")->array.size(), sampler.epochs().size());
+  // And the streamed series parses, one epoch line per record.
+  ASSERT_EQ(sink.lines.size(), sampler.epochs().size());
+  std::int64_t streamed_refs = 0;
+  for (const std::string& line : sink.lines) {
+    obs::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(obs::ParseJson(line, doc, &err)) << err << "\n" << line;
+    EXPECT_EQ(doc.Find("type")->string, "epoch");
+    const obs::JsonValue* refs = doc.Find("delta")->Find("core.refs");
+    ASSERT_NE(refs, nullptr) << line;
+    streamed_refs += static_cast<std::int64_t>(refs->number);
+  }
+  EXPECT_EQ(streamed_refs, totals.at("core.refs"));
 }
 
 TEST(TelemetryIntegration, ChromeTraceFromRealRunValidates) {

@@ -1,5 +1,5 @@
-// Streaming telemetry sinks: NDJSON record shape, incremental delivery,
-// broken-reader robustness, and TelemetrySession format dispatch.
+// Telemetry sinks: NDJSON record shape, incremental delivery, broken-reader
+// robustness, and TelemetrySession streaming to any target name.
 #include "obs/telemetry_sink.hpp"
 
 #include <fcntl.h>
@@ -141,12 +141,39 @@ TEST(FdTelemetrySink, DeadReaderDisarmsInsteadOfKillingTheRun) {
   (void)fifo;
 }
 
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+/// One short session (header, one epoch, end) streamed to `path`.
+void RunShortSession(const std::string& path) {
+  EpochSpec spec;
+  spec.cycles = 100;
+  TelemetrySession session(path, spec, 250000);
+  ASSERT_TRUE(session.Begin(Meta()));
+  session.sampler().Sample(100, Snap(4, 4));
+  TelemetryMeta meta = Meta();
+  meta.exec_cycles = 100;
+  ASSERT_TRUE(session.Close(meta));
+}
+
 TEST(StreamingTelemetryPathFn, SelectsNdjsonAndStdout) {
-  EXPECT_TRUE(StreamingTelemetryPath("-"));
-  EXPECT_TRUE(StreamingTelemetryPath("out/run.ndjson"));
-  EXPECT_FALSE(StreamingTelemetryPath("out/run.json"));
-  EXPECT_FALSE(StreamingTelemetryPath("out/run.csv"));
-  EXPECT_FALSE(StreamingTelemetryPath(""));
+  // The target's name selects nothing: every name gets the same stream.
+  const std::string dir = testing::TempDir();
+  RunShortSession(dir + "/any_name.ndjson");
+  const std::vector<std::string> want = ReadLines(dir + "/any_name.ndjson");
+  ASSERT_EQ(want.size(), 3u);
+  for (const std::string name : {"run.json", "run.csv", "run"}) {
+    RunShortSession(dir + "/" + name);
+    EXPECT_EQ(ReadLines(dir + "/" + name), want) << name;
+    std::remove((dir + "/" + name).c_str());
+  }
+  std::remove((dir + "/any_name.ndjson").c_str());
+  EXPECT_EQ(FdTelemetrySink::OpenPath("-")->describe(), "stdout");
 }
 
 TEST(TelemetrySession, StreamsNdjsonIncrementallyBeforeClose) {
@@ -154,17 +181,13 @@ TEST(TelemetrySession, StreamsNdjsonIncrementallyBeforeClose) {
   EpochSpec spec;
   spec.cycles = 50;
   TelemetrySession session(path, spec, /*preset_epoch_cycles=*/250000);
-  EXPECT_TRUE(session.streaming());
   EXPECT_EQ(session.sampler().epoch_cycles(), 50u);
   ASSERT_TRUE(session.Begin(Meta()));
   session.sampler().Sample(50, Snap(5, 1));
 
   // Liveness: header + first epoch are on disk before Close.
   {
-    std::ifstream in(path);
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line)) lines.push_back(line);
+    const std::vector<std::string> lines = ReadLines(path);
     ASSERT_EQ(lines.size(), 2u);
     std::vector<JsonValue> docs = ParseLines(lines);
     EXPECT_EQ(docs[0].Find("type")->string, "header");
@@ -183,7 +206,7 @@ TEST(TelemetrySession, StreamsNdjsonIncrementallyBeforeClose) {
   ASSERT_TRUE(ParseJson(last, end, &err)) << err;
   EXPECT_EQ(end.Find("type")->string, "end");
   EXPECT_EQ(end.Find("totals")->Find("ctrl.cache_hits")->number, 9.0);
-  EXPECT_NE(session.Summary().find("2 epochs"), std::string::npos);
+  EXPECT_EQ(session.sampler().total_epochs(), 2u);
   std::remove(path.c_str());
 }
 
@@ -192,7 +215,6 @@ TEST(TelemetrySession, AdaptiveClampsDeriveFromBaseWidth) {
   spec.cycles = 800;
   spec.adaptive = true;
   TelemetrySession session("", spec, /*preset_epoch_cycles=*/250000);
-  EXPECT_FALSE(session.streaming());
   ASSERT_TRUE(session.sampler().adaptive());
   const AdaptiveEpochConfig& cfg =
       session.sampler().adaptive_controller()->config();
@@ -213,38 +235,22 @@ TEST(TelemetrySession, AdaptiveClampsDeriveFromBaseWidth) {
 }
 
 TEST(TelemetrySession, CloseWritesCsvOrJsonForNonStreamingPaths) {
-  const std::string csv_path = testing::TempDir() + "/session_out.csv";
-  const std::string json_path = testing::TempDir() + "/session_out.json";
-  for (const std::string& path : {csv_path, json_path}) {
-    EpochSpec spec;
-    spec.cycles = 100;
-    TelemetrySession session(path, spec, 250000);
-    EXPECT_FALSE(session.streaming());
-    ASSERT_TRUE(session.Begin(Meta()));  // no-op for write-at-exit formats
-    session.sampler().Sample(100, Snap(4, 4));
-    TelemetryMeta meta = Meta();
-    meta.exec_cycles = 100;
-    ASSERT_TRUE(session.Close(meta));
+  // The target's name selects nothing: .csv and .json paths get the
+  // header, epoch and end records like any other target.
+  for (const std::string name : {"session_out.csv", "session_out.json"}) {
+    const std::string path = testing::TempDir() + "/" + name;
+    RunShortSession(path);
+    const std::vector<std::string> lines = ReadLines(path);
+    ASSERT_EQ(lines.size(), 3u) << name;
+    std::vector<JsonValue> docs = ParseLines(lines);
+    EXPECT_EQ(docs[0].Find("type")->string, "header");
+    EXPECT_EQ(docs[0].Find("policy")->string, "RedCache");
+    EXPECT_EQ(docs[0].Find("arch"), nullptr);
+    EXPECT_EQ(docs[1].Find("type")->string, "epoch");
+    EXPECT_EQ(docs[2].Find("type")->string, "end");
+    EXPECT_EQ(docs[2].Find("num_epochs")->number, 1.0);
+    std::remove(path.c_str());
   }
-  std::ifstream csv(csv_path);
-  std::string first;
-  ASSERT_TRUE(std::getline(csv, first));
-  EXPECT_EQ(first.rfind("# workload=LU", 0), 0u);
-  EXPECT_NE(first.find(" policy=RedCache"), std::string::npos);
-  EXPECT_EQ(first.find("arch="), std::string::npos);
-
-  std::ifstream json(json_path);
-  std::stringstream body;
-  body << json.rdbuf();
-  JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(ParseJson(body.str(), doc, &err)) << err;
-  EXPECT_EQ(doc.Find("meta")->Find("policy")->string, "RedCache");
-  EXPECT_EQ(doc.Find("meta")->Find("arch"), nullptr);
-  ASSERT_TRUE(doc.Find("epochs")->is_array());
-  EXPECT_EQ(doc.Find("epochs")->array.size(), 1u);
-  std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
 }
 
 }  // namespace

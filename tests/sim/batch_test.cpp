@@ -46,7 +46,7 @@ std::string Serialize(const RunResult& r) {
   return os.str();
 }
 
-/// A disk-cache entry in the v4 layout RunCellCached writes: header with
+/// A disk-cache entry in the layout RunCellCached writes: header with
 /// `identity`, then the checksummed payload (exec_cycles + stats).
 void WriteEntry(const std::string& path, const std::string& identity,
                 std::uint64_t exec_cycles, const StatSet& stats) {
@@ -328,7 +328,7 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   const RunResult first = RunCellCached(cell);
   const std::string path = dir + "/" + CellKey(cell) + ".stats";
   {
-    // The entry is a v4 binary blob framed by the common serializer:
+    // The entry is a binary blob framed by the common serializer:
     // section tag, format version, build identity, payload checksum.
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << "expected cache file at " << path;
@@ -351,7 +351,7 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
   const RunResult again = RunCellCached(cell);
   EXPECT_EQ(Serialize(first), Serialize(again));
 
-  // An entry from another build (structurally valid v4, checksum intact,
+  // An entry from another build (structurally valid, checksum intact,
   // foreign identity) must miss and re-simulate rather than serve stale
   // numbers. The in-process memo holds the first key, so use a fresh one.
   CellSpec cell2{s, "disk2"};
@@ -371,7 +371,7 @@ TEST(Batch, DiskCacheRoundTripsAndRejectsBadFingerprint) {
 
 TEST(Batch, DiskCacheRoundTripsHistograms) {
   // No current workload emits histograms, so exercise the load path with a
-  // hand-written entry in the v4 binary format: exec_cycles + a StatSet
+  // hand-written entry in the binary format: exec_cycles + a StatSet
   // holding counters and one histogram. RunCellCached must
   // serve it (memo-cold key) with the histogram restored exactly.
   char tmpl[] = "/tmp/redcache_batch_hist_XXXXXX";
@@ -429,7 +429,7 @@ TEST(Batch, DiskCacheRoundTripsHistograms) {
 }
 
 TEST(Batch, DiskCacheCorruptEntryIsMissAndRepaired) {
-  // Negative test for the v4 binary format: a truncated or bit-flipped
+  // Negative test for the binary format: a truncated or bit-flipped
   // entry must load as a miss (never fault, never serve garbage), the cell
   // re-simulates, and the bad file is overwritten with a valid entry that
   // then round-trips. Flips inside stored values parse cleanly, so only

@@ -154,26 +154,26 @@ TEST(Checkpoint, BlobBytesArePinned) {
   // hash this test prints.
   constexpr Cycle kAt = 150000;
   const std::map<std::string, std::uint64_t> kPinned = {
-      {"Alloy", 0x5c7928aa63ba8332ull},
-      {"Banshee", 0xdacab8e19171e37aull},
-      {"Bear", 0xee46313842e4dfe6ull},
-      {"Footprint-2KB", 0xe860f56fcc7a8ff6ull},
-      {"IDEAL", 0x9542e0e7531e2b42ull},
-      {"No-HBM", 0xeadd765805005a8ull},
-      {"Red-Alpha", 0x572fe78932bc6828ull},
-      {"Red-Basic", 0x348c460de1768628ull},
-      {"Red-Gamma", 0x1f9e41c42306f382ull},
-      {"Red-InSitu", 0x51c7548f3975ac52ull},
-      {"RedCache", 0x1755be602535b4aull},
-      {"RedCache[alpha=1]", 0x65e4fc8500a8b2d2ull},
-      {"RedCache-2way", 0xff1f7f7b03b77728ull},
-      {"RedCache-4way", 0xdb7f7f7b03b77728ull},
-      {"RedCache-4way[alpha=1]", 0x826406cc178bd452ull},
-      {"RedCache-8way", 0x47ff7f7b03b77728ull},
-      {"TicToc", 0x2e4a8e36c919718aull},
-      {"cache:Bear/LU", 0xb5dca5af7068716ull},
-      {"mix:LREG+RDX", 0x5d72d4261f8b3ee6ull},
-      {"replay:LU", 0xe4f93a4b54243786ull},
+      {"Alloy", 0x57291261eee27c68ull},
+      {"Banshee", 0xe3e7157591d42d1aull},
+      {"Bear", 0x3c3518459cc5eef7ull},
+      {"Footprint-2KB", 0x759efcae869b6c65ull},
+      {"IDEAL", 0xde486324b0c3bd3ull},
+      {"No-HBM", 0xd294b443ffd24535ull},
+      {"Red-Alpha", 0x298be633efbfafdcull},
+      {"Red-Basic", 0x296e3df7e6f14739ull},
+      {"Red-Gamma", 0xc40795652ec5b5aull},
+      {"Red-InSitu", 0x45c1e57e95cf67e6ull},
+      {"RedCache", 0x6edc281509920a0eull},
+      {"RedCache[alpha=1]", 0x9a0277c736e81ec4ull},
+      {"RedCache-2way", 0xc882f5060a04afc0ull},
+      {"RedCache-4way", 0x8d8ed57b3bcf20cfull},
+      {"RedCache-4way[alpha=1]", 0xdba12806c3152c20ull},
+      {"RedCache-8way", 0x3f970380a157f605ull},
+      {"TicToc", 0xa73cca980b85db37ull},
+      {"cache:Bear/LU", 0xec9aef0e2ca631d0ull},
+      {"mix:LREG+RDX", 0xa478d7d129374fdull},
+      {"replay:LU", 0x1815e7240dfe70feull},
   };
   std::map<std::string, std::uint64_t> actual;
   // Every policy (a superset of the differential set), on a cell large

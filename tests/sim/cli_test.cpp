@@ -159,6 +159,10 @@ const Case kCases[] = {
     {"--jobs -1", 2, "bad --jobs -1"},
     {"--alpha 256", 2, "bad --alpha 256"},
     {"--sample 1.5", 2, "bad --sample 1.5"},
+    // --epoch counts are whole digits: no sign, blank or wrap past 2^64-1.
+    {"--epoch -1", 2, "bad --epoch -1"},
+    {"--epoch \" 5000\"", 2, "bad --epoch  5000"},
+    {"--epoch auto:5:-1", 2, "bad --epoch auto:5:-1"},
     {"--sample 0.1:abc", 2, "bad --sample 0.1:abc"},
     // Threshold pins belong to the requested redcache-family policy.
     {"--policy Alloy --alpha 2", 2, "Alloy belongs to the alloy family"},
@@ -195,6 +199,10 @@ const Case kCases[] = {
     {"--serve - --restore c.ckpt", 2, "cannot be checkpointed"},
     // A replayed file can be sampled: this one fails only to open.
     {"--replay missing.rctr --sample 0.1", 1, "cannot open trace stream"},
+    // Every telemetry target streams NDJSON, so an unopenable one fails
+    // before the run, whatever its name.
+    {"--telemetry no_such_dir/t.json " TINY, 1,
+     "cannot open telemetry sink"},
 };
 #undef TINY
 

@@ -8,7 +8,7 @@
 //   redcache_cli --capture lu.rctr --workload LU        # snapshot a trace
 //   redcache_cli --policy Bear --replay lu.rctr         # replay it
 //   redcache_cli --policy RedCache --workload LU
-//       --telemetry t.json --trace t.perfetto.json      # observability
+//       --telemetry t.ndjson --trace t.perfetto.json    # observability
 //   redcache_cli --sweep --jobs 4                       # full eval matrix
 //   redcache_cli --sweep --policies Alloy,RedCache --workloads LU,RDX
 //   redcache_cli --list
@@ -60,9 +60,8 @@ struct CliOptions {
   std::optional<std::string> workload;  ///< default LU
   std::optional<std::string> replay_path;
   std::optional<std::string> capture_path;
-  std::optional<std::string> telemetry_path;  ///< epoch series ("-" = stdout
-                                              ///< NDJSON, .ndjson stream,
-                                              ///< .csv, else JSON)
+  std::optional<std::string> telemetry_path;  ///< NDJSON epoch stream
+                                              ///< ("-" = stdout)
   std::optional<std::string> trace_out_path;  ///< Chrome trace-event JSON
   std::optional<std::string> report_path;     ///< --sweep/--sample report
   obs::EpochSpec epoch;                       ///< --epoch N | auto[:MIN:MAX]
@@ -102,9 +101,9 @@ void PrintUsage() {
       "  --replay FILE      replay a captured trace file instead of a\n"
       "                     workload (composes with --checkpoint/--sample)\n"
       "  --capture FILE     write the workload's trace to FILE and exit\n"
-      "  --telemetry FILE   write per-epoch time series. \"-\" streams NDJSON\n"
-      "                     records to stdout as epochs close (live); .ndjson\n"
-      "                     streams to a file/FIFO; .csv => CSV; else JSON\n"
+      "  --telemetry FILE   stream the per-epoch time series as NDJSON\n"
+      "                     records to FILE (a file or FIFO; \"-\" = stdout)\n"
+      "                     as epochs close, whatever FILE is named\n"
       "  --trace FILE       write a Chrome trace-event JSON (Perfetto /\n"
       "                     chrome://tracing) of DRAM commands + decisions\n"
       "  --trace-window N   keep an N-event ring and spill older events to\n"
