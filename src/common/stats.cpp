@@ -144,6 +144,10 @@ void StatSet::Absorb(const StatSet& other, const std::string& prefix) {
   }
 }
 
+void StatSet::ZeroCounters() {
+  for (auto& [name, v] : counters_) v = 0;
+}
+
 void StatSet::Clear() {
   counters_.clear();
   hists_.clear();

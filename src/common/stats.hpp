@@ -90,6 +90,10 @@ class StatSet {
   /// Merge `other` into this, adding counters and prefixing names.
   void Absorb(const StatSet& other, const std::string& prefix);
 
+  /// Zero every counter, keeping the names (a reused snapshot zeroes its
+  /// values before its exporters write them again).
+  void ZeroCounters();
+
   void Clear();
 
   std::string ToString() const;

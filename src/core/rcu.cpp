@@ -55,6 +55,8 @@ void RcuManager::Remove(Addr block) {
 
 std::vector<RcuManager::Entry> RcuManager::MatchIndex(const DramAddress& loc) {
   std::vector<Entry> out;
+  // A match shares the channel: none is parked there on most writes.
+  if (loc.channel >= parked_.size() || parked_[loc.channel] == 0) return out;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->loc.SameRowAs(loc)) {
       out.push_back(*it);
@@ -72,6 +74,7 @@ std::vector<RcuManager::Entry> RcuManager::PopChannel(std::uint32_t channel) {
   std::vector<Entry> out;
   if (parked_[channel] == 0) return out;
   parked_[channel] = 0;
+  parked_mask_ &= ~(std::uint64_t{1} << channel);
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->loc.channel == channel) {
       out.push_back(*it);
@@ -88,6 +91,7 @@ std::vector<RcuManager::Entry> RcuManager::PopAll() {
   std::vector<Entry> out(entries_.begin(), entries_.end());
   entries_.clear();
   parked_.assign(parked_.size(), 0);
+  parked_mask_ = 0;
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "dram/address.hpp"
@@ -32,10 +33,12 @@ class RcuManager {
     DramAddress loc;
   };
 
-  /// `channels`: the HBM channel count; every entry's loc.channel is below
-  /// it.
+  /// `channels`: the HBM channel count (at most 64); every entry's
+  /// loc.channel is below it.
   explicit RcuManager(std::size_t capacity = 32, std::uint32_t channels = 1)
-      : capacity_(capacity), parked_(channels, 0) {}
+      : capacity_(capacity), parked_(channels, 0) {
+    REDCACHE_CHECK(channels <= 64, "RCU manager tracks at most 64 channels");
+  }
 
   /// Park an update for `block`. If the queue is full the oldest entry is
   /// evicted and returned (condition 3) — the caller must write it to HBM.
@@ -64,6 +67,9 @@ class RcuManager {
   std::uint32_t parked(std::uint32_t channel) const {
     return parked_[channel];
   }
+  /// Bit c set iff parked(c) != 0, so "which channels have parked updates"
+  /// is one load.
+  std::uint64_t parked_mask() const { return parked_mask_; }
   bool full() const { return entries_.size() >= capacity_; }
 
   std::uint64_t inserts() const { return inserts_; }
@@ -89,7 +95,10 @@ class RcuManager {
   template <class Self, class Ar>
   static void Io(Self& s, Ar& a) {
     a.Section("rcu");
-    if constexpr (Ar::kReading) s.parked_.assign(s.parked_.size(), 0);
+    if constexpr (Ar::kReading) {
+      s.parked_.assign(s.parked_.size(), 0);
+      s.parked_mask_ = 0;
+    }
     a.Records(s.entries_, 32, [&](auto& e) {
       IoEntry(e, a);
       if constexpr (Ar::kReading) {
@@ -110,14 +119,19 @@ class RcuManager {
 
   void Park(std::uint32_t channel) {
     assert(channel < parked_.size() && "RCU entry on an unknown channel");
-    parked_[channel]++;
+    if (parked_[channel]++ == 0) parked_mask_ |= std::uint64_t{1} << channel;
   }
-  void Unpark(std::uint32_t channel) { parked_[channel]--; }
+  void Unpark(std::uint32_t channel) {
+    if (--parked_[channel] == 0) {
+      parked_mask_ &= ~(std::uint64_t{1} << channel);
+    }
+  }
 
   std::size_t capacity_;
   std::deque<Entry> entries_;  ///< front = oldest
   /// Per-channel count of entries_, maintained by every insert and removal.
   std::vector<std::uint32_t> parked_;
+  std::uint64_t parked_mask_ = 0;
 
   std::uint64_t inserts_ = 0;
   std::uint64_t updates_in_place_ = 0;

@@ -1,8 +1,10 @@
 #include "dram/channel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
+#include "common/check.hpp"
 #include "obs/trace_macros.hpp"
 
 namespace redcache {
@@ -24,25 +26,28 @@ DramChannel::DramChannel(const DramConfig& cfg, std::uint32_t channel_index)
   for (std::uint32_t s = depth; s-- > 0;) {
     free_slots_.push_back(static_cast<std::int32_t>(s));
   }
-  q_bank_.reserve(depth);
-  q_rank_.reserve(depth);
-  q_row_.reserve(depth);
-  q_write_.reserve(depth);
-  q_arrival_.reserve(depth);
-  q_slot_.reserve(depth);
-  row_demand_.resize(lanes_.num_banks());
+  // A pick key holds the slot in its low kSlotBits.
+  REDCACHE_CHECK(depth <= (1u << kSlotBits),
+                 "a DRAM channel queue holds at most 256 transactions");
+  q_.resize(depth);
   demand_count_.assign(lanes_.num_banks(), 0);
   open_reads_.assign(lanes_.num_banks(), 0);
   open_writes_.assign(lanes_.num_banks(), 0);
-  bank_due_.assign(lanes_.num_banks(), 0);
-  bank_summary_.assign(lanes_.num_banks(), 0);  // selector 0: no demand
+  bank_head_.assign(lanes_.num_banks(), -1);
+  bank_tail_.assign(lanes_.num_banks(), -1);
+  oldest_read_.assign(lanes_.num_banks(), -1);
+  oldest_write_.assign(lanes_.num_banks(), -1);
   active_banks_.reserve(lanes_.num_banks());
   active_pos_.assign(lanes_.num_banks(), -1);
-  rank_lut_base_.resize(lanes_.num_banks());
-  for (std::uint32_t b = 0; b < lanes_.num_banks(); ++b) {
-    rank_lut_base_[b] = lanes_.rank_of(b) * 8;
-  }
-  summary_lut_.assign(std::size_t{lanes_.num_ranks()} * 8, 0);
+  // A summary word holds LUT indices rank * 8 + selector in 8 bits.
+  REDCACHE_CHECK(lanes_.num_ranks() <= 32,
+                 "a DRAM channel has at most 32 ranks");
+  // The refresh walk keeps a rank's banks in 64-bit masks.
+  REDCACHE_CHECK(cfg_.geometry.banks_per_rank <= 64,
+                 "a DRAM rank has at most 64 banks");
+  // Selector 0 (no candidate) and the pad entries stay kNever; each scan
+  // rewrites selectors 1-4.
+  summary_lut_.assign(std::size_t{lanes_.num_ranks()} * 8, kNever);
 }
 
 void DramChannel::Enqueue(const DramRequest& req, bool slot_ticked) {
@@ -51,7 +56,7 @@ void DramChannel::Enqueue(const DramRequest& req, bool slot_ticked) {
   // run yet, that pass must now see the request, so the sleep target the
   // pre-pass set ahead of time is taken back.
   if (prepass_slot_ != kNever) {
-    if (prepass_due_ == 0 &&
+    if (prepass_pick_ == kNoPick &&
         (req.arrival < prepass_slot_ ||
          (req.arrival == prepass_slot_ && !slot_ticked))) {
       sleep_until_ = prepass_saved_sleep_;
@@ -66,13 +71,14 @@ void DramChannel::Enqueue(const DramRequest& req, bool slot_ticked) {
   p.first_command_issued = false;
   const std::uint32_t bank_idx =
       req.loc.rank * cfg_.geometry.banks_per_rank + req.loc.bank;
-  q_bank_.push_back(bank_idx);
-  q_rank_.push_back(req.loc.rank);
-  q_row_.push_back(req.loc.row);
-  q_write_.push_back(req.is_write ? 1 : 0);
-  q_arrival_.push_back(req.arrival);
-  q_slot_.push_back(s);
-  AddRowDemand(bank_idx, req.loc.row, req.is_write);
+  Queued& q = q_[static_cast<std::size_t>(s)];
+  q.row = req.loc.row;
+  q.seq = next_seq_++;
+  q.arrival = req.arrival;
+  q.bank = bank_idx;
+  q.is_write = req.is_write;
+  Link(s);
+  AddRowDemand(bank_idx, req.loc.row, req.is_write, s);
   RefreshBankSummary(bank_idx);
   if (req.is_write) write_count_++;
   counters_.transactions++;
@@ -85,187 +91,235 @@ void DramChannel::Enqueue(const DramRequest& req, bool slot_ticked) {
   // the sleep at the head's starvation boundary; once a scan runs starved,
   // it folds the head's ready cycle into the sleep target itself.
   Cycle ready_new = kNever;
-  RequiredAction(q_slot_.size() - 1, ready_new);
+  RequiredAction(s, ready_new);
   const Cycle starved_at =
-      q_arrival_[0] + cfg_.controller.starvation_cycles + 1;
+      q_[static_cast<std::size_t>(q_head_)].arrival +
+      cfg_.controller.starvation_cycles + 1;
   sleep_until_ = std::min({sleep_until_, ready_new, starved_at});
 }
 
-void DramChannel::RemoveFromQueue(std::size_t i) {
-  SubRowDemand(q_bank_[i], q_row_[i], q_write_[i] != 0);
-  free_slots_.push_back(q_slot_[i]);
-  q_bank_.erase(q_bank_.begin() + static_cast<std::ptrdiff_t>(i));
-  q_rank_.erase(q_rank_.begin() + static_cast<std::ptrdiff_t>(i));
-  q_row_.erase(q_row_.begin() + static_cast<std::ptrdiff_t>(i));
-  q_write_.erase(q_write_.begin() + static_cast<std::ptrdiff_t>(i));
-  q_arrival_.erase(q_arrival_.begin() + static_cast<std::ptrdiff_t>(i));
-  q_slot_.erase(q_slot_.begin() + static_cast<std::ptrdiff_t>(i));
+void DramChannel::Link(std::int32_t s) {
+  Queued& q = q_[static_cast<std::size_t>(s)];
+  q.prev = q_tail_;
+  q.next = -1;
+  (q_tail_ < 0 ? q_head_ : q_[static_cast<std::size_t>(q_tail_)].next) = s;
+  q_tail_ = s;
+  std::int32_t& tail = bank_tail_[q.bank];
+  q.bank_prev = tail;
+  q.bank_next = -1;
+  (tail < 0 ? bank_head_[q.bank] : q_[static_cast<std::size_t>(tail)].bank_next) =
+      s;
+  tail = s;
+  q_size_++;
+}
+
+void DramChannel::Unlink(std::int32_t s) {
+  const Queued& q = q_[static_cast<std::size_t>(s)];
+  (q.prev < 0 ? q_head_ : q_[static_cast<std::size_t>(q.prev)].next) = q.next;
+  (q.next < 0 ? q_tail_ : q_[static_cast<std::size_t>(q.next)].prev) = q.prev;
+  (q.bank_prev < 0 ? bank_head_[q.bank]
+                   : q_[static_cast<std::size_t>(q.bank_prev)].bank_next) =
+      q.bank_next;
+  (q.bank_next < 0 ? bank_tail_[q.bank]
+                   : q_[static_cast<std::size_t>(q.bank_next)].bank_prev) =
+      q.bank_prev;
+  q_size_--;
+}
+
+void DramChannel::RemoveFromQueue(std::int32_t s) {
+  const Queued& q = q_[static_cast<std::size_t>(s)];
+  const std::uint32_t b = q.bank;
+  const bool is_write = q.is_write != 0;
+  SubRowDemand(b, q.row, is_write);
+  // If the entry was its bank's oldest open-row entry of its direction,
+  // the successor is the next match along the bank's list.
+  std::int32_t& oldest_dir = (is_write ? oldest_write_ : oldest_read_)[b];
+  if (oldest_dir == s && q.row == lanes_.OpenRow(b)) {
+    oldest_dir = -1;
+    for (std::int32_t j = q.bank_next; j >= 0;
+         j = q_[static_cast<std::size_t>(j)].bank_next) {
+      const Queued& n = q_[static_cast<std::size_t>(j)];
+      if (n.row == q.row && (n.is_write != 0) == is_write) {
+        oldest_dir = j;
+        break;
+      }
+    }
+  }
+  Unlink(s);
+  free_slots_.push_back(s);
+}
+
+void DramChannel::CountOpenRowDemand(std::uint32_t b) {
+  const std::uint64_t row = lanes_.OpenRow(b);
+  std::uint32_t reads = 0;
+  std::uint32_t writes = 0;
+  std::int32_t oldest_read = -1;
+  std::int32_t oldest_write = -1;
+  for (std::int32_t j = bank_head_[b]; j >= 0;
+       j = q_[static_cast<std::size_t>(j)].bank_next) {
+    const Queued& q = q_[static_cast<std::size_t>(j)];
+    if (q.row != row) continue;
+    if (q.is_write != 0) {
+      if (writes++ == 0) oldest_write = j;
+    } else {
+      if (reads++ == 0) oldest_read = j;
+    }
+  }
+  open_reads_[b] = reads;
+  open_writes_[b] = writes;
+  oldest_read_[b] = oldest_read;
+  oldest_write_[b] = oldest_write;
 }
 
 void DramChannel::AddRowDemand(std::uint32_t bank_idx, std::uint64_t row,
-                               bool is_write) {
+                               bool is_write, std::int32_t slot) {
   if (demand_count_[bank_idx]++ == 0) {
     active_pos_[bank_idx] = static_cast<std::int32_t>(active_banks_.size());
     active_banks_.push_back(bank_idx);
+    active_summary_.emplace_back();
   }
   if (row == lanes_.OpenRow(bank_idx)) {
-    (is_write ? open_writes_ : open_reads_)[bank_idx]++;
-  }
-  auto& rows = row_demand_[bank_idx];
-  for (RowDemand& d : rows) {
-    if (d.row == row) {
-      (is_write ? d.writes : d.reads)++;
-      return;
+    if ((is_write ? open_writes_ : open_reads_)[bank_idx]++ == 0) {
+      (is_write ? oldest_write_ : oldest_read_)[bank_idx] = slot;
     }
   }
-  rows.push_back({row, is_write ? 0u : 1u, is_write ? 1u : 0u});
 }
 
 void DramChannel::SubRowDemand(std::uint32_t bank_idx, std::uint64_t row,
                                bool is_write) {
   if (--demand_count_[bank_idx] == 0) {
-    const std::int32_t pos = active_pos_[bank_idx];
+    const auto pos = static_cast<std::size_t>(active_pos_[bank_idx]);
     const std::uint32_t moved = active_banks_.back();
-    active_banks_[static_cast<std::size_t>(pos)] = moved;
-    active_pos_[moved] = pos;
+    active_banks_[pos] = moved;
+    active_summary_[pos] = active_summary_.back();
+    active_pos_[moved] = active_pos_[bank_idx];
     active_banks_.pop_back();
+    active_summary_.pop_back();
     active_pos_[bank_idx] = -1;
   }
   if (row == lanes_.OpenRow(bank_idx)) {
     (is_write ? open_writes_ : open_reads_)[bank_idx]--;
   }
-  auto& rows = row_demand_[bank_idx];
-  for (RowDemand& d : rows) {
-    if (d.row == row) {
-      (is_write ? d.writes : d.reads)--;
-      if (d.reads + d.writes == 0) {
-        d = rows.back();
-        rows.pop_back();
-      }
-      return;
-    }
-  }
-  assert(false && "row demand underflow");
 }
 
-const DramChannel::RowDemand* DramChannel::FindDemand(
-    std::uint32_t bank_idx, std::uint64_t row) const {
-  for (const RowDemand& d : row_demand_[bank_idx]) {
-    if (d.row == row) return &d;
-  }
-  return nullptr;
-}
-
-DramChannel::Action DramChannel::RequiredAction(std::size_t i,
+DramChannel::Action DramChannel::RequiredAction(std::int32_t s,
                                                 Cycle& ready_at) const {
-  const std::uint32_t b = q_bank_[i];
+  const Queued& q = q_[static_cast<std::size_t>(s)];
+  const std::uint32_t b = q.bank;
   const std::uint64_t open = lanes_.OpenRow(b);
   if (open == TimingLanes::kNoRow) {
     ready_at = lanes_.ActivateReady(b);
     return Action::kActivate;
   }
-  if (open != q_row_[i]) {
+  if (open != q.row) {
     ready_at = lanes_.PrechargeReady(b);
     return Action::kPrecharge;
   }
-  const bool w = q_write_[i] != 0;
+  const bool w = q.is_write != 0;
   // Follow-up bursts of the same transaction stream back to back, gated by
   // the data bus only (not tCCD). At most one queued request can be the
   // continuation.
-  ready_at = q_slot_[i] == cont_slot_ ? lanes_.ContinuationReady(b, w)
-                                      : lanes_.ColumnReady(b, w);
+  ready_at = s == cont_slot_ ? lanes_.ContinuationReady(b, w)
+                             : lanes_.ColumnReady(b, w);
   return Action::kColumn;
 }
 
 void DramChannel::RefreshBankSummary(std::uint32_t b) {
-  // Selector / bank-local-gate pairs (see the lane map in channel.hpp):
-  //   no demand        -> 0, raw ready kNever (bank contributes nothing)
-  //   closed row       -> every transaction needs an activate
-  //   open, not wanted -> every transaction needs a precharge
-  //   open, row wanted -> column ready per represented direction
+  // Selector / bank-local-gate / key triples (see the lane map in
+  // channel.hpp):
+  //   no demand        -> no candidate (the bank is not active)
+  //   closed row       -> every transaction needs an activate: the oldest
+  //   open, not wanted -> every transaction needs a precharge: the oldest
+  //   open, row wanted -> the oldest open-row read and write columns
   //                       (precharge candidates are blocked and contribute
-  //                        nothing, matching the scan; the continuation
-  //                        transaction is lifted out of its direction count
-  //                        since it is gated by ContinuationReady, not
-  //                        ColumnReady, and folded back in per scan)
-  std::uint64_t sel;
+  //                        nothing, matching FR-FCFS)
+  const std::int32_t pos = active_pos_[b];
+  if (pos < 0) return;  // no demand: rebuilt when demand returns
+  BankSummary& s = active_summary_[static_cast<std::size_t>(pos)];
+  std::uint64_t sel_a = 0;
+  std::uint64_t sel_b = 0;
   Cycle local = 0;
-  if (demand_count_[b] == 0) {
-    sel = 0;
-  } else if (!lanes_.RowOpen(b)) {
-    sel = 1;
+  if (!lanes_.RowOpen(b)) {
+    sel_a = 1;
     local = lanes_.RawActivateGate(b);
+    s.key_a = kRowClass | EntryKey(bank_head_[b]);
   } else if (open_reads_[b] + open_writes_[b] == 0) {
-    sel = 2;
+    sel_a = 2;
     local = lanes_.RawPrechargeGate(b);
+    s.key_a = kRowClass | EntryKey(bank_head_[b]);
   } else {
-    std::uint32_t reads = open_reads_[b];
-    std::uint32_t writes = open_writes_[b];
-    if (cont_slot_ != -1 && cont_bank_ == b &&
-        cont_row_ == lanes_.OpenRow(b)) {
-      (cont_write_ ? writes : reads)--;
-    }
-    sel = 3 + (reads != 0 ? 1u : 0u) + (writes != 0 ? 2u : 0u);
+    // The continuation transaction counts here like any other, gated by
+    // ColumnReady, and SummarizeBanks folds it in again gated by
+    // ContinuationReady. ContinuationReady never exceeds ColumnReady, so
+    // whenever this candidate is due the continuation is due too, and when
+    // it is the oldest of its direction both name it: the extra term moves
+    // neither the pick nor the sleep target.
+    sel_a = open_reads_[b] != 0 ? 3 : 0;
+    sel_b = open_writes_[b] != 0 ? 4 : 0;
     local = lanes_.RawColumnGate(b);
+    s.key_a = sel_a != 0 ? EntryKey(oldest_read_[b]) : kNoPick;
+    s.key_b = sel_b != 0 ? kWriteClass | EntryKey(oldest_write_[b]) : kNoPick;
   }
-  bank_summary_[b] = (local << 3) | sel;
+  const std::uint64_t lut = std::uint64_t{lanes_.rank_of(b)} * 8;
+  s.word = (local << 16) | ((lut + sel_b) << 8) | (lut + sel_a);
 }
 
-std::uint32_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
+std::uint64_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
   // Per-scan LUT: the bank-invariant completion of each selector's
-  // max-chain, per rank. A bank's exact raw earliest-ready is then
-  // max(local gate, lut[rank][sel]) — max distributes over the min across
-  // direction terms because the bank-local and refresh terms are common:
-  //   min over dirs of max(col_gate, shared[dir], refresh)
-  //     == max(col_gate, refresh, min over dirs of shared[dir]).
+  // max-chain, per rank. A candidate's exact raw earliest-ready is then
+  // max(local gate, lut[rank][sel]).
   const std::uint32_t ranks = lanes_.num_ranks();
   for (std::uint32_t r = 0; r < ranks; ++r) {
     Cycle* lut = &summary_lut_[std::size_t{r} * 8];
     const Cycle refresh = lanes_.refresh_until(r);
-    const Cycle col_rd = std::max(refresh, lanes_.SharedColumnGate(false));
-    const Cycle col_wr = std::max(refresh, lanes_.SharedColumnGate(true));
-    lut[0] = kNever;  // no demand
     lut[1] = lanes_.RankActivateGate(r);
     lut[2] = refresh;  // precharge
-    lut[3] = kNever;   // column, both dirs continuation-only
-    lut[4] = col_rd;
-    lut[5] = col_wr;
-    lut[6] = std::min(col_rd, col_wr);
-    lut[7] = kNever;  // unused (pad)
+    lut[3] = std::max(refresh, lanes_.SharedColumnGate(false));
+    lut[4] = std::max(refresh, lanes_.SharedColumnGate(true));
   }
 
+  // Writes are posted: demand reads get priority until writes pile up past
+  // the watermark (standard write-drain policy; keeps read latency low
+  // without starving fills/writebacks/update traffic). While draining, a
+  // write column joins the read class.
+  const bool drain_writes = 2 * write_count_ > cfg_.controller.queue_depth;
+  const std::uint64_t write_mask = drain_writes ? ~kWriteClass : ~std::uint64_t{0};
+
   // Branchless per-bank loop over the banks that actually have queued
-  // demand: one packed load, one LUT load, max, compare. AlignUp commutes
-  // with min/<=-vs-even-now, so it is applied once at the end instead of
-  // per bank.
-  std::uint32_t due = 0;
+  // demand: per candidate one LUT load, max, compare, and a select of its
+  // key. A bank is due when either candidate is; a bank not due folds its
+  // earliest candidate into the sleep target (a due bank's would go unused:
+  // a command issues this scan). AlignUp commutes with min/<=-vs-even-now,
+  // so it is applied once at the end instead of per bank.
+  std::uint64_t pick = kNoPick;
   Cycle raw_min = kNever;
-  const std::uint32_t active = static_cast<std::uint32_t>(active_banks_.size());
-  const std::uint32_t* active_banks = active_banks_.data();
-  const std::uint64_t* summary = bank_summary_.data();
-  const std::uint32_t* lut_base = rank_lut_base_.data();
+  const std::size_t active = active_summary_.size();
+  const BankSummary* summary = active_summary_.data();
   const Cycle* lut = summary_lut_.data();
-  std::uint8_t* due_flags = bank_due_.data();
-  for (std::uint32_t k = 0; k < active; ++k) {
-    const std::uint32_t b = active_banks[k];
-    const std::uint64_t v = summary[b];
-    const Cycle raw =
-        std::max(static_cast<Cycle>(v >> 3), lut[lut_base[b] + (v & 7)]);
-    const bool is_due = raw <= now;
-    due_flags[b] = is_due;
-    due += is_due;
-    raw_min = std::min(raw_min, is_due ? kNever : raw);
+  for (std::size_t k = 0; k < active; ++k) {
+    const BankSummary& s = summary[k];
+    const Cycle local = s.word >> 16;
+    const Cycle ready_a = std::max(local, lut[s.word & 0xff]);
+    const Cycle ready_b = std::max(local, lut[(s.word >> 8) & 0xff]);
+    const Cycle raw = std::min(ready_a, ready_b);
+    raw_min = std::min(raw_min, raw <= now ? kNever : raw);
+    // A candidate not due yet becomes kNoPick by OR-ing in an all-ones
+    // mask: a select written this way cannot compile to a branch.
+    const std::uint64_t key_a = s.key_a | (0 - std::uint64_t{ready_a > now});
+    const std::uint64_t key_b =
+        (s.key_b & write_mask) | (0 - std::uint64_t{ready_b > now});
+    pick = std::min(pick, std::min(key_a, key_b));
   }
+  ledger_.pick_candidates += active;
 
   // Fold the continuation transaction back in: it contributes its bank's
   // ContinuationReady (col_shared without the tCCD term) instead of
-  // ColumnReady. Correct even when its bank was counted due already — once
-  // any bank is due a command issues this scan and min_ready goes unused.
+  // ColumnReady.
   if (cont_slot_ != -1 && cont_row_ == lanes_.OpenRow(cont_bank_)) {
     const Cycle cont_ready = lanes_.ContinuationReady(cont_bank_, cont_write_);
     if (cont_ready <= now) {
-      due += 1 - due_flags[cont_bank_];
-      due_flags[cont_bank_] = 1;
+      const std::uint64_t cls = cont_write_ && !drain_writes ? kWriteClass : 0;
+      pick = std::min(pick, cls | EntryKey(cont_slot_));
     } else {
       min_ready = std::min(min_ready, cont_ready);
     }
@@ -273,15 +327,28 @@ std::uint32_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
   if (raw_min != kNever) {
     min_ready = std::min(min_ready, TimingLanes::AlignUp(raw_min));
   }
-  return due;
+  return pick;
 }
 
-void DramChannel::IssueColumn(std::size_t i, Cycle now) {
+void DramChannel::IssuePick(std::uint64_t pick, Cycle now) {
+  const auto s = static_cast<std::int32_t>(pick & kSlotMask);
+  const std::uint32_t b = q_[static_cast<std::size_t>(s)].bank;
+  if (pick < kRowClass) {
+    IssueColumn(s, now);
+  } else if (lanes_.RowOpen(b)) {
+    IssuePrecharge(b, now);
+  } else {
+    IssueActivate(s, now);
+  }
+}
+
+void DramChannel::IssueColumn(std::int32_t s, Cycle now) {
   const auto& t = cfg_.timing;
   const auto& geo = cfg_.geometry;
-  const std::uint32_t bank_idx = q_bank_[i];
-  const bool is_write = q_write_[i] != 0;
-  Pending& p = slots_[static_cast<std::size_t>(q_slot_[i])];
+  const Queued& q = q_[static_cast<std::size_t>(s)];
+  const std::uint32_t bank_idx = q.bank;
+  const bool is_write = q.is_write != 0;
+  Pending& p = slots_[static_cast<std::size_t>(s)];
 
   const Cycle lat = is_write ? t.tCWD : t.tCAS;
   const Cycle data_end = now + lat + t.tBL;
@@ -322,8 +389,6 @@ void DramChannel::IssueColumn(std::size_t i, Cycle now) {
       .addr = p.req.addr,
       .arg = p.req.loc.row});
 
-  const std::int32_t old_cont_slot = cont_slot_;
-  const std::uint32_t old_cont_bank = cont_bank_;
   p.bursts_left--;
   if (p.bursts_left == 0) {
     pending_done_.push_back(
@@ -332,28 +397,22 @@ void DramChannel::IssueColumn(std::size_t i, Cycle now) {
     pending_done_min_ = std::min(pending_done_min_, data_end);
     if (is_write) write_count_--;
     cont_slot_ = -1;  // the streaming transaction retired
-    RemoveFromQueue(i);
+    RemoveFromQueue(s);
   } else {
-    cont_slot_ = q_slot_[i];
+    cont_slot_ = s;
     cont_bank_ = bank_idx;
-    cont_row_ = q_row_[i];
+    cont_row_ = q.row;
     cont_write_ = is_write;
   }
   RefreshBankSummary(bank_idx);
-  // Taking over (or retiring) the continuation restores the displaced
-  // holder's direction count to its bank's summary.
-  if (old_cont_slot != -1 && old_cont_bank != bank_idx) {
-    RefreshBankSummary(old_cont_bank);
-  }
 }
 
-void DramChannel::IssueActivate(std::size_t i, Cycle now) {
+void DramChannel::IssueActivate(std::int32_t s, Cycle now) {
   const auto& t = cfg_.timing;
-  Pending& p = slots_[static_cast<std::size_t>(q_slot_[i])];
-  lanes_.RecordActivate(q_bank_[i], q_row_[i], now);
-  const RowDemand* d = FindDemand(q_bank_[i], q_row_[i]);
-  open_reads_[q_bank_[i]] = d->reads;
-  open_writes_[q_bank_[i]] = d->writes;
+  Pending& p = slots_[static_cast<std::size_t>(s)];
+  const std::uint32_t bank_idx = q_[static_cast<std::size_t>(s)].bank;
+  lanes_.RecordActivate(bank_idx, q_[static_cast<std::size_t>(s)].row, now);
+  CountOpenRowDemand(bank_idx);
   next_cmd_slot_ = now + kCpuCyclesPerDramCycle;
   counters_.activates++;
   counters_.row_misses++;
@@ -371,7 +430,7 @@ void DramChannel::IssueActivate(std::size_t i, Cycle now) {
     p.first_command_issued = true;
     counters_.queue_wait_cycles += now - p.req.arrival;
   }
-  RefreshBankSummary(q_bank_[i]);
+  RefreshBankSummary(bank_idx);
 }
 
 void DramChannel::IssuePrecharge(std::uint32_t bank_idx, Cycle now) {
@@ -400,18 +459,15 @@ void DramChannel::PrepassNextSlot() {
   // starved-head branch and then this same pre-pass, on inputs that only an
   // Enqueue (which discards the result) can change before then.
   const Cycle slot = next_cmd_slot_;
-  if (q_slot_.empty() || slot >= refresh_wake_ ||
-      q_arrival_[0] + cfg_.controller.starvation_cycles < slot) {
+  if (q_size_ == 0 || slot >= refresh_wake_ ||
+      HeadArrival() + cfg_.controller.starvation_cycles < slot) {
     return;
   }
   Cycle min_ready = refresh_wake_;
-  prepass_due_ = SummarizeBanks(slot, min_ready);
+  prepass_pick_ = SummarizeBanks(slot, min_ready);
   prepass_slot_ = slot;
-  if (prepass_due_ != 0) {
-    // Some bank is due: the slot's pass reuses the flags and this minimum.
-    prepass_min_ = min_ready;
-    return;
-  }
+  // Some bank is due: the slot's pass issues this pick.
+  if (prepass_pick_ != kNoPick) return;
   // Nothing is due: sleep exactly as the slot's pass would, and skip it.
   prepass_saved_sleep_ = sleep_until_;
   sleep_until_ = min_ready == kNever
@@ -419,12 +475,8 @@ void DramChannel::PrepassNextSlot() {
                      : std::max(min_ready, slot + kCpuCyclesPerDramCycle);
 }
 
-bool DramChannel::MaybeRefresh(Cycle now, Cycle& min_ready) {
-  // Fast path: nothing refresh-related can happen before refresh_wake_.
-  if (now < refresh_wake_) {
-    min_ready = std::min(min_ready, refresh_wake_);
-    return false;
-  }
+bool DramChannel::RefreshWalk(Cycle now, Cycle& min_ready) {
+  ledger_.refresh_walks++;
   Cycle wake = kNever;
   const std::uint32_t banks_per_rank = cfg_.geometry.banks_per_rank;
   for (std::uint32_t r = 0; r < lanes_.num_ranks(); ++r) {
@@ -436,24 +488,31 @@ bool DramChannel::MaybeRefresh(Cycle now, Cycle& min_ready) {
       wake = std::min(wake, lanes_.next_refresh(r));
       continue;
     }
-    // Refresh is due: close all banks, then wait tRP, then refresh.
-    Cycle rank_ready = now;
-    bool all_closed = true;
+    // Refresh is due: close all banks (the lowest-indexed closable first),
+    // then wait tRP, then refresh. One branch-free pass over the rank's
+    // banks: an open bank contributes its precharge gate, a closed one its
+    // activate gate.
     const std::uint32_t bank_base = r * banks_per_rank;
+    Cycle rank_ready = now;
+    std::uint64_t open = 0;
+    std::uint64_t closable = 0;
     for (std::uint32_t b = 0; b < banks_per_rank; ++b) {
       const std::uint32_t bank = bank_base + b;
-      if (lanes_.RowOpen(bank)) {
-        all_closed = false;
-        if (now >= lanes_.RawPrechargeGate(bank)) {
-          IssuePrecharge(bank, now);
-          return true;  // refresh_wake_ stays hot (<= now)
-        }
-        rank_ready = std::max(rank_ready, lanes_.RawPrechargeGate(bank));
-      } else {
-        rank_ready = std::max(rank_ready, lanes_.RawActivateGate(bank));
-      }
+      // All ones for an open bank: a masked select, not a branch.
+      const std::uint64_t is_open = 0 - std::uint64_t{lanes_.RowOpen(bank)};
+      open |= (is_open & 1) << b;
+      const Cycle gate = (lanes_.RawPrechargeGate(bank) & is_open) |
+                         (lanes_.RawActivateGate(bank) & ~is_open);
+      rank_ready = std::max(rank_ready, gate);
+      closable |= (is_open & std::uint64_t{gate <= now}) << b;
     }
-    if (!all_closed || now < rank_ready) {
+    if (closable != 0) {
+      IssuePrecharge(bank_base + static_cast<std::uint32_t>(
+                                     std::countr_zero(closable)),
+                     now);
+      return true;  // refresh_wake_ stays hot (<= now)
+    }
+    if (open != 0 || now < rank_ready) {
       wake = std::min(wake, AlignUp(std::max(rank_ready, now + 1)));
       continue;
     }
@@ -482,7 +541,7 @@ bool DramChannel::MaybeRefresh(Cycle now, Cycle& min_ready) {
   return false;
 }
 
-void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
+Cycle DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
   // Deliver finished data movements: one stable compacting pass (delivery
   // order matches insertion order, no per-element erase).
   if (pending_done_min_ <= now) {
@@ -499,42 +558,41 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
     pending_done_.resize(keep);
     pending_done_min_ = next_min;
   }
+  if (now % kCpuCyclesPerDramCycle == 0 && now >= next_cmd_slot_ &&
+      now >= sleep_until_) {
+    SchedulePass(now);
+  }
+  return NextEventHint(now);
+}
 
-  if (now % kCpuCyclesPerDramCycle != 0) return;
-  if (now < next_cmd_slot_ || now < sleep_until_) return;
-
+void DramChannel::SchedulePass(Cycle now) {
   // A pre-pass kept from the previous issue is valid for its slot only.
-  const bool kept = now == prepass_slot_;
+  const bool kept = now == prepass_slot_ && prepass_pick_ != kNoPick;
   prepass_slot_ = kNever;
 
   Cycle min_ready = kNever;
   if (MaybeRefresh(now, min_ready)) return;
 
-  const std::size_t q_size = q_slot_.size();
-  if (q_size == 0) {
+  if (q_size_ == 0) {
+    ledger_.empty_passes++;
     sleep_until_ = min_ready == kNever ? now + cfg_.timing.tREFI : min_ready;
     return;
   }
-
-  const Cycle starve = cfg_.controller.starvation_cycles;
 
   // Anti-starvation: once the oldest request (queue position 0, arrival
   // order) has waited past the threshold, issue its next command ahead of
   // row hits — but only when it can actually issue; blocking the channel on
   // a not-yet-ready command would serialize the banks.
-  Action head_act = Action::kNone;
-  Cycle head_ready = kNever;
-  bool head_cached = false;
-  if (q_arrival_[0] + starve < now) {
-    head_act = RequiredAction(0, head_ready);
-    head_cached = true;
+  if (HeadArrival() + cfg_.controller.starvation_cycles < now) {
+    Cycle head_ready = kNever;
+    const Action head_act = RequiredAction(q_head_, head_ready);
     if (head_ready <= now) {
       if (head_act == Action::kColumn) {
-        IssueColumn(0, now);
+        IssueColumn(q_head_, now);
       } else if (head_act == Action::kActivate) {
-        IssueActivate(0, now);
+        IssueActivate(q_head_, now);
       } else {
-        IssuePrecharge(q_bank_[0], now);
+        IssuePrecharge(q_[static_cast<std::size_t>(q_head_)].bank, now);
       }
       PrepassNextSlot();
       return;
@@ -544,85 +602,21 @@ void DramChannel::Tick(Cycle now, std::vector<DramCompletion>& done) {
     // its bank timing.
   }
 
-  // Per-bank pre-pass over the flat lanes: if no bank can issue at `now`,
-  // the exact sleep target is already in min_ready and the queue is never
-  // touched. The previous issue may have run it for this slot already.
-  std::uint32_t due;
-  if (kept) {
-    due = prepass_due_;
-    min_ready = std::min(min_ready, prepass_min_);
-  } else {
-    due = SummarizeBanks(now, min_ready);
-  }
-  if (due == 0) {
+  // The fused FR-FCFS pick over the per-bank summaries: if no bank can
+  // issue at `now`, the exact sleep target is already in min_ready and the
+  // queue is never touched. The previous issue may have run it for this
+  // slot already.
+  const std::uint64_t pick =
+      kept ? prepass_pick_ : SummarizeBanks(now, min_ready);
+  if (pick == kNoPick) {
+    ledger_.idle_sleeps++;
     sleep_until_ = min_ready == kNever
                        ? now + kCpuCyclesPerDramCycle
                        : std::max(min_ready, now + kCpuCyclesPerDramCycle);
     return;
   }
-
-  // Writes are posted: demand reads get priority until writes pile up past
-  // the watermark (standard write-drain policy; keeps read latency low
-  // without starving fills/writebacks/update traffic).
-  const bool drain_writes =
-      2 * write_count_ > cfg_.controller.queue_depth;
-
-  std::size_t open_pick = q_size;
-  Action open_action = Action::kNone;
-  std::size_t write_pick = q_size;
-
-  for (std::size_t i = 0; i < q_size; ++i) {
-    // A bank the pre-pass left unflagged cannot issue at `now`, and its
-    // earliest-ready cycle is already folded into min_ready.
-    if (!bank_due_[q_bank_[i]]) continue;
-
-    Cycle ready = kNever;
-    // The starved-head branch already computed the head's action this slot.
-    const Action act = (i == 0 && head_cached)
-                           ? (ready = head_ready, head_act)
-                           : RequiredAction(i, ready);
-
-    if (act == Action::kColumn && ready <= now) {
-      if (q_write_[i] == 0 || drain_writes) {
-        // FR-FCFS: the oldest ready row-hit (read-first) wins.
-        IssueColumn(i, now);
-        PrepassNextSlot();
-        return;
-      }
-      if (write_pick == q_size) write_pick = i;
-      continue;
-    }
-    if (act == Action::kPrecharge) {
-      // Do not close a row another queued transaction still wants.
-      if (open_reads_[q_bank_[i]] + open_writes_[q_bank_[i]] != 0) continue;
-    }
-
-    min_ready = std::min(min_ready, ready);
-    if (ready > now) continue;
-    if (act != Action::kColumn && open_pick == q_size) {
-      open_pick = i;
-      open_action = act;
-    }
-  }
-
-  if (write_pick != q_size) {
-    IssueColumn(write_pick, now);
-    PrepassNextSlot();
-    return;
-  }
-  if (open_pick != q_size) {
-    if (open_action == Action::kActivate) {
-      IssueActivate(open_pick, now);
-    } else {
-      IssuePrecharge(q_bank_[open_pick], now);
-    }
-    PrepassNextSlot();
-    return;
-  }
-
-  sleep_until_ = min_ready == kNever
-                     ? now + kCpuCyclesPerDramCycle
-                     : std::max(min_ready, now + kCpuCyclesPerDramCycle);
+  IssuePick(pick, now);
+  PrepassNextSlot();
 }
 
 template <class Self, class Ar>
@@ -630,33 +624,59 @@ void DramChannel::Io(Self& s, Ar& a) {
   a.Section("chan");
   a.Part(s.lanes_);
 
-  std::size_t q_size = s.q_slot_.size();
+  std::size_t q_size = s.q_size_;
+  std::vector<bool> queued;  // reading: slots already restored
   if constexpr (Ar::kReading) {
     q_size = a.SeqLen(1);
     if (q_size > s.slots_.size()) {
       throw ser::SerializeError("channel queue exceeds queue_depth");
     }
-    s.q_bank_.resize(q_size);
-    s.q_rank_.resize(q_size);
-    s.q_row_.resize(q_size);
-    s.q_write_.resize(q_size);
-    s.q_arrival_.resize(q_size);
-    s.q_slot_.resize(q_size);
+    queued.assign(s.slots_.size(), false);
+    s.q_head_ = s.q_tail_ = -1;
+    s.q_size_ = 0;
+    std::fill(s.bank_head_.begin(), s.bank_head_.end(), -1);
+    std::fill(s.bank_tail_.begin(), s.bank_tail_.end(), -1);
   } else {
     a.U64(q_size);
   }
+  // The queue in arrival order, one record per transaction.
+  std::int32_t next = s.q_head_;
   for (std::size_t i = 0; i < q_size; ++i) {
-    a.U32(s.q_bank_[i]);
-    a.U32(s.q_rank_[i]);
-    a.U64(s.q_row_[i]);
-    a.U8(s.q_write_[i]);
-    a.U64(s.q_arrival_[i]);
-    a.U32(s.q_slot_[i]);
-    const auto slot = static_cast<std::uint32_t>(s.q_slot_[i]);
+    std::uint32_t bank = 0;
+    std::uint32_t rank = 0;  // stored for the layout; implied by the bank
+    std::uint64_t row = 0;
+    std::uint8_t is_write = 0;
+    Cycle arrival = 0;
+    std::uint32_t slot = 0;
+    if constexpr (!Ar::kReading) {
+      const Queued& q = s.q_[static_cast<std::size_t>(next)];
+      bank = q.bank;
+      rank = bank / s.cfg_.geometry.banks_per_rank;
+      row = q.row;
+      is_write = q.is_write;
+      arrival = q.arrival;
+      slot = static_cast<std::uint32_t>(next);
+      next = q.next;
+    }
+    a.U32(bank);
+    a.U32(rank);
+    a.U64(row);
+    a.U8(is_write);
+    a.U64(arrival);
+    a.U32(slot);
     if constexpr (Ar::kReading) {
-      if (slot >= s.slots_.size() || s.q_bank_[i] >= s.lanes_.num_banks()) {
+      if (slot >= s.slots_.size() || queued[slot] ||
+          bank >= s.lanes_.num_banks() || rank != s.lanes_.rank_of(bank)) {
         throw ser::SerializeError("channel queue entry out of range");
       }
+      queued[slot] = true;
+      Queued& q = s.q_[slot];
+      q.row = row;
+      q.seq = i;  // only the order of sequences is behaviour
+      q.arrival = arrival;
+      q.bank = bank;
+      q.is_write = is_write;
+      s.Link(static_cast<std::int32_t>(slot));
     }
     auto& p = s.slots_[slot];
     a.U64(p.req.id);
@@ -685,13 +705,22 @@ void DramChannel::Io(Self& s, Ar& a) {
   // a cache the slot's pass recomputes.
   if constexpr (Ar::kReading) {
     a.U64(s.prepass_slot_);
-    s.prepass_due_ = 0;
+    s.prepass_pick_ = kNoPick;
   } else {
-    a.U64(s.prepass_due_ == 0 ? s.prepass_slot_ : kNever);
+    a.U64(s.prepass_pick_ == kNoPick ? s.prepass_slot_ : kNever);
   }
   a.U64(s.prepass_saved_sleep_);
   a.U64(s.refresh_epoch_);
   a.I64(s.cont_slot_);
+  if constexpr (Ar::kReading) {
+    if (s.cont_slot_ != -1 &&
+        (s.cont_slot_ < 0 ||
+         static_cast<std::size_t>(s.cont_slot_) >= s.slots_.size() ||
+         !queued[static_cast<std::size_t>(s.cont_slot_)])) {
+      throw ser::SerializeError(
+          "channel continuation names no queued transaction");
+    }
+  }
   a.U32(s.cont_bank_);
   a.U64(s.cont_row_);
   a.Bool(s.cont_write_);
@@ -710,25 +739,28 @@ void DramChannel::Io(Self& s, Ar& a) {
     a.U64(*field);
   }
   if constexpr (Ar::kReading) {
-    // Rebuild the derived scan state from the restored queue. Replaying
-    // AddRowDemand reproduces row_demand_ / demand_count_ / the active-bank
-    // set and, because the lanes already hold the open rows, the open-row
-    // direction counts; the packed summaries then recompute from those.
+    // Rebuild the derived scan state from the restored queue (the lists
+    // were rebuilt above, with sequences restarting at the queue
+    // positions). Replaying AddRowDemand in arrival order reproduces
+    // demand_count_, the active-bank set and, because the lanes already
+    // hold the open rows, the open-row direction counts and oldest
+    // open-row entries; the pick summaries then recompute from those.
     // active_banks_ ordering may differ from the snapshotting run, which is
-    // behavior-neutral: the pre-pass only accumulates a min and per-bank
-    // due flags, and command selection walks the queue in arrival order.
-    for (auto& rows : s.row_demand_) rows.clear();
+    // behavior-neutral: the pick is a minimum over the banks.
     std::fill(s.demand_count_.begin(), s.demand_count_.end(), 0u);
     std::fill(s.open_reads_.begin(), s.open_reads_.end(), 0u);
     std::fill(s.open_writes_.begin(), s.open_writes_.end(), 0u);
-    std::fill(s.bank_due_.begin(), s.bank_due_.end(), std::uint8_t{0});
-    std::fill(s.bank_summary_.begin(), s.bank_summary_.end(),
-              std::uint64_t{0});
+    std::fill(s.oldest_read_.begin(), s.oldest_read_.end(), -1);
+    std::fill(s.oldest_write_.begin(), s.oldest_write_.end(), -1);
     s.active_banks_.clear();
+    s.active_summary_.clear();
     std::fill(s.active_pos_.begin(), s.active_pos_.end(), -1);
-    for (std::size_t i = 0; i < q_size; ++i) {
-      s.AddRowDemand(s.q_bank_[i], s.q_row_[i], s.q_write_[i] != 0);
+    for (std::int32_t j = s.q_head_; j >= 0;
+         j = s.q_[static_cast<std::size_t>(j)].next) {
+      const Queued& q = s.q_[static_cast<std::size_t>(j)];
+      s.AddRowDemand(q.bank, q.row, q.is_write != 0, j);
     }
+    s.next_seq_ = q_size;
     for (const std::uint32_t bank : s.active_banks_) {
       s.RefreshBankSummary(bank);
     }
@@ -739,33 +771,23 @@ void DramChannel::Io(Self& s, Ar& a) {
 void DramChannel::Snapshot(ser::Writer& w) const { Io(*this, w); }
 void DramChannel::Restore(ser::Reader& r) { Io(*this, r); }
 
-Cycle DramChannel::NextEventHint(Cycle now) const {
-  Cycle next = pending_done_min_;
-  if (!q_slot_.empty()) {
-    // Exact, not conservative: commands issue only on DRAM command-slot
-    // boundaries and Tick returns on misalignment, so the poll term rounds
-    // up to the next slot — the cycles in between are provable no-ops.
-    next = std::min(next,
-                    std::max({AlignUp(now + 1), next_cmd_slot_, sleep_until_}));
-  } else {
-    // Idle: the only future work is refresh bookkeeping. The rank walk is
-    // memoized: its result is constant until `now` reaches it (refresh
-    // starts/ends never fall inside the window — the minimum over the very
-    // terms that bound them) or until a refresh starts, which bumps
-    // refresh_epoch_. A hint at or before `now` (refresh due but blocked)
-    // recomputes per call, exactly like an unmemoized walk.
-    if (idle_hint_epoch_ != refresh_epoch_ || now >= idle_hint_) {
-      Cycle h = kNever;
-      for (std::uint32_t r = 0; r < lanes_.num_ranks(); ++r) {
-        h = std::min(h, lanes_.Refreshing(r, now) ? lanes_.refresh_until(r)
-                                                  : lanes_.next_refresh(r));
-      }
-      idle_hint_ = h;
-      idle_hint_epoch_ = refresh_epoch_;
+Cycle DramChannel::IdleHint(Cycle now) const {
+  // Idle: the only future work is refresh bookkeeping. The rank walk is
+  // memoized: its result is constant until `now` reaches it (refresh
+  // starts/ends never fall inside the window — the minimum over the very
+  // terms that bound them) or until a refresh starts, which bumps
+  // refresh_epoch_. A hint at or before `now` (refresh due but blocked)
+  // recomputes per call, exactly like an unmemoized walk.
+  if (idle_hint_epoch_ != refresh_epoch_ || now >= idle_hint_) {
+    Cycle h = kNever;
+    for (std::uint32_t r = 0; r < lanes_.num_ranks(); ++r) {
+      h = std::min(h, lanes_.Refreshing(r, now) ? lanes_.refresh_until(r)
+                                                : lanes_.next_refresh(r));
     }
-    next = std::min(next, idle_hint_);
+    idle_hint_ = h;
+    idle_hint_epoch_ = refresh_epoch_;
   }
-  return next;
+  return idle_hint_;
 }
 
 }  // namespace redcache

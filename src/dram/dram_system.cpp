@@ -8,11 +8,16 @@ namespace redcache {
 
 DramSystem::DramSystem(const DramConfig& cfg)
     : cfg_(cfg), mapper_(cfg.geometry) {
+  REDCACHE_CHECK(cfg_.geometry.channels <= 64,
+                 "a DRAM system has at most 64 channels");
   channels_.reserve(cfg_.geometry.channels);
   for (std::uint32_t c = 0; c < cfg_.geometry.channels; ++c) {
     channels_.push_back(std::make_unique<DramChannel>(cfg_, c));
   }
   wakes_.Reset(channels_.size());
+  const std::uint32_t n = cfg_.geometry.channels;
+  empty_queue_mask_ =
+      n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
 RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
@@ -39,6 +44,7 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
   assert(channels_[req.loc.channel]->CanAccept());
   channels_[req.loc.channel]->Enqueue(req,
                                       /*slot_ticked=*/ticked_through_ > now);
+  empty_queue_mask_ &= ~(std::uint64_t{1} << req.loc.channel);
   inflight_++;
   // New work re-arms the channel's wake. EnqueueWake (not NextEventHint):
   // when the enqueue lands before this visit's device tick the channel may
@@ -48,8 +54,7 @@ RequestId DramSystem::Enqueue(Addr addr, bool is_write, Cycle now,
   return req.id;
 }
 
-void DramSystem::Tick(Cycle now) {
-  ticked_through_ = now + 1;
+void DramSystem::TickDue(Cycle now) {
   // Fixed-latency completions (functional mode, or the tail of one after a
   // restore into detailed timing): the list is sorted by `done`, so the due
   // entries are a prefix.
@@ -70,11 +75,14 @@ void DramSystem::Tick(Cycle now) {
   }
   if (wakes_.NoneDue(now)) return;  // nothing can happen yet
   const std::size_t before = completions_.size();
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    if (!wakes_.Due(c, now)) continue;
-    channels_[c]->Tick(now, completions_);
-    wakes_.Set(c, channels_[c]->NextEventHint(now));
-  }
+  wakes_.TickDue(now, [&](std::size_t c) {
+    DramChannel& ch = *channels_[c];
+    const Cycle wake = ch.Tick(now, completions_);
+    const std::uint64_t bit = std::uint64_t{1} << c;
+    empty_queue_mask_ = ch.QueueSize() == 0 ? empty_queue_mask_ | bit
+                                            : empty_queue_mask_ & ~bit;
+    return wake;
+  });
   inflight_ -= completions_.size() - before;
 }
 
@@ -88,6 +96,10 @@ bool DramSystem::TransactionQueuesEmpty() const {
   return func_pending_.empty() &&
          std::all_of(channels_.begin(), channels_.end(),
                      [](const auto& ch) { return ch->QueueEmpty(); });
+}
+
+bool DramSystem::ChannelTransactionQueueEmpty(std::uint32_t channel) const {
+  return channels_[channel]->QueueSize() == 0;
 }
 
 void DramSystem::SetObserver(ColumnCommandObserver* obs) {
@@ -133,14 +145,10 @@ void DramSystem::ExportStats(StatSet& stats) const {
   stats.Counter(p + "queue_wait_cycles") = t.queue_wait_cycles;
 }
 
-Cycle DramSystem::NextEventHint(Cycle now) const {
-  // The stored per-channel wakes are exact hints: each was computed from the
-  // channel's current state (refreshed after every tick and on enqueue), and
-  // channel state cannot change between ticks. A stored wake at or before
-  // `now` means a not-yet-ticked channel; returning it (<= now) tells the
-  // caller to keep visiting, exactly like the old fresh recomputation.
-  (void)now;
-  return std::min(FuncMin(), wakes_.Min());
+SchedulerLedger DramSystem::Ledger() const {
+  SchedulerLedger total;
+  for (const auto& ch : channels_) total += ch->ledger();
+  return total;
 }
 
 template <class Self, class Ar>
@@ -168,6 +176,14 @@ void DramSystem::Io(Self& s, Ar& a) {
     a.U64(s.FuncMin());
   }
   for (const auto& ch : s.channels_) a.Part(*ch);
+  if constexpr (Ar::kReading) {
+    s.empty_queue_mask_ = 0;
+    for (std::size_t c = 0; c < s.channels_.size(); ++c) {
+      if (s.channels_[c]->QueueSize() == 0) {
+        s.empty_queue_mask_ |= std::uint64_t{1} << c;
+      }
+    }
+  }
 }
 
 void DramSystem::Snapshot(ser::Writer& w) const { Io(*this, w); }

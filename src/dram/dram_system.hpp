@@ -6,6 +6,7 @@
 // refresh live in DramChannel.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,7 +47,13 @@ class DramSystem {
                     std::uint64_t user_tag = 0, std::uint32_t bursts = 1,
                     std::uint16_t tenant = 0);
 
-  void Tick(Cycle now);
+  /// Advance every due channel to `now`; completions accumulate in
+  /// completions(). With nothing due this is two compares.
+  void Tick(Cycle now) {
+    ticked_through_ = now + 1;
+    if (func_pending_.empty() && wakes_.NoneDue(now)) return;
+    TickDue(now);
+  }
 
   /// Completions accumulated since the last Drain call.
   std::vector<DramCompletion>& completions() { return completions_; }
@@ -55,12 +62,13 @@ class DramSystem {
   bool Refreshing(Addr addr, Cycle now) const;
 
   bool TransactionQueuesEmpty() const;
-  /// True when the channel's transaction queue has no requests (in-flight
+  /// Bit c set iff channel c's transaction queue has no requests (in-flight
   /// data that already left the queue does not count) — the RCU manager's
-  /// "transaction queue becomes empty" drain condition.
-  bool ChannelTransactionQueueEmpty(std::uint32_t channel) const {
-    return channels_[channel]->QueueSize() == 0;
-  }
+  /// "transaction queue becomes empty" drain condition. Kept incrementally:
+  /// a queue fills only in Enqueue and empties only in its channel's tick.
+  std::uint64_t empty_queue_mask() const { return empty_queue_mask_; }
+  /// Channel `channel`'s queue read directly, independent of the mask.
+  bool ChannelTransactionQueueEmpty(std::uint32_t channel) const;
 
   /// Observe every column command on every channel (RCU manager hook).
   void SetObserver(ColumnCommandObserver* obs);
@@ -79,8 +87,18 @@ class DramSystem {
   /// Export counters into `stats` under "<name>." prefix.
   void ExportStats(StatSet& stats) const;
 
-  /// Fast-forward hint: earliest cycle any channel could act.
-  Cycle NextEventHint(Cycle now) const;
+  /// Fast-forward hint: earliest cycle any channel could act — the stored
+  /// per-channel wakes' cached minimum. Each was computed from its
+  /// channel's current state (returned by its last tick, or set on
+  /// enqueue), and channel state cannot change between ticks. A stored
+  /// wake at or before `now` means a not-yet-ticked channel; returning it
+  /// (<= now) tells the caller to keep visiting.
+  Cycle NextEventHint(Cycle /*now*/) const {
+    return std::min(FuncMin(), wakes_.Min());
+  }
+
+  /// Host-cost ledger summed over the channels.
+  SchedulerLedger Ledger() const;
 
   const AddressMapper& mapper() const { return mapper_; }
 
@@ -114,6 +132,8 @@ class DramSystem {
  private:
   template <class Self, class Ar>
   static void Io(Self& s, Ar& a);
+  /// Tick's body once a channel or a functional completion may be due.
+  void TickDue(Cycle now);
 
   DramConfig cfg_;
   AddressMapper mapper_;
@@ -147,6 +167,8 @@ class DramSystem {
   /// lands after this cycle's channel passes (a skipped channel included).
   /// Zero after a restore, which is always taken at a cycle boundary.
   Cycle ticked_through_ = 0;
+  /// See empty_queue_mask(); every bit set while no request is queued.
+  std::uint64_t empty_queue_mask_ = 0;
 };
 
 }  // namespace redcache

@@ -128,7 +128,8 @@ class ControllerBase : public MemController, protected ColumnCommandObserver {
   std::vector<ReadCompletion>& read_completions() override {
     return read_completions_;
   }
-  Cycle NextEventHint(Cycle now) const override;
+  /// Final, so Tick's own call to it is a direct one.
+  Cycle NextEventHint(Cycle now) const final;
   void ExportStats(StatSet& stats) const override;
   bool Idle() const override;
   void SetVerifySink(VerifySink* sink) override { verify_sink_ = sink; }
@@ -139,6 +140,12 @@ class ControllerBase : public MemController, protected ColumnCommandObserver {
 
   const DramSystem* hbm() const { return hbm_.get(); }
   const DramSystem* mainmem() const { return mm_.get(); }
+  /// Scheduler host-cost ledger over every channel of both devices.
+  SchedulerLedger DramLedger() const {
+    SchedulerLedger total = mm_->Ledger();
+    if (hbm_ != nullptr) total += hbm_->Ledger();
+    return total;
+  }
   const MemControllerConfig& config() const { return cfg_; }
 
   /// Base-layer checkpointing: input queue, transaction pool (slot indices

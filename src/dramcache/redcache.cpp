@@ -1,5 +1,6 @@
 #include "dramcache/redcache.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "obs/trace_macros.hpp"
@@ -403,13 +404,14 @@ void RedCacheController::PolicyTick(Cycle now) {
     FlushRcuEntries(pending_rcu_flushes_, now, obs::kRcuFlushMerged);
     pending_rcu_flushes_.clear();
   }
-  // Condition 2: drain parked updates into idle channels.
-  if (rcu_.size() != 0) {
-    for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (IdleWithParked(ch)) {
-        FlushRcuEntries(rcu_.PopChannel(ch), now, obs::kRcuFlushIdle);
-      }
-    }
+  // Condition 2: drain parked updates into idle channels, in channel
+  // order. The mask is re-read after each drain, which may fill a queue.
+  for (std::uint32_t ch = 0;;) {
+    const std::uint64_t idle = IdleWithParked() >> ch;
+    if (idle == 0) break;
+    ch += static_cast<std::uint32_t>(std::countr_zero(idle));
+    FlushRcuEntries(rcu_.PopChannel(ch), now, obs::kRcuFlushIdle);
+    if (++ch == 64) break;
   }
 }
 
@@ -426,12 +428,7 @@ Cycle RedCacheController::PolicyWake(Cycle now) const {
   // — the observer fills them during the device tick and PolicyTick drains
   // them — but guard them anyway so a future reordering cannot silently
   // strand one.
-  if (!pending_rcu_flushes_.empty()) return now + 1;
-  if (rcu_.size() != 0) {
-    for (std::uint32_t ch = 0; ch < hbm_->num_channels(); ++ch) {
-      if (IdleWithParked(ch)) return now + 1;
-    }
-  }
+  if (!pending_rcu_flushes_.empty() || IdleWithParked() != 0) return now + 1;
   return kNeverWake;
 }
 

@@ -134,10 +134,11 @@ class RedCacheController : public ControllerBase {
   void RouteToMainMemory(Txn& txn, Cycle now);
   /// Mean r-count of blocks that left the cache this epoch.
   void MaybeRetune(Cycle now);
-  /// RCU drain condition 2 holds for `ch`: updates are parked for it and
-  /// its transaction queue is empty.
-  bool IdleWithParked(std::uint32_t ch) const {
-    return rcu_.parked(ch) != 0 && hbm_->ChannelTransactionQueueEmpty(ch);
+  /// The channels for which RCU drain condition 2 holds (bit c set: updates
+  /// are parked for c and its transaction queue is empty), from two
+  /// incrementally kept masks.
+  std::uint64_t IdleWithParked() const {
+    return rcu_.parked_mask() & hbm_->empty_queue_mask();
   }
 
   RedCacheOptions opt_;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "obs/adaptive_epoch.hpp"
 #include "obs/telemetry_sink.hpp"
@@ -19,6 +20,25 @@ bool IsGauge(const std::string& name) {
 std::string StripGauge(const std::string& name) {
   return name.substr(std::strlen(kGaugePrefix));
 }
+
+/// Set `key` to `value` in the sorted map `m` and step the walk position
+/// `it` past it. Entries stepped over hold names the cumulative set no
+/// longer has and are dropped, so a reused record ends up with exactly the
+/// names a fresh one would.
+template <class Map>
+void Put(Map& m, typename Map::iterator& it, std::string_view key,
+         typename Map::mapped_type value) {
+  while (it != m.end() && it->first < key) it = m.erase(it);
+  if (it == m.end() || it->first != key) {
+    it = m.emplace_hint(it, key, value);
+  } else {
+    it->second = value;
+  }
+  ++it;
+}
+
+/// The gauge an adaptive sampler adds to every record.
+constexpr const char* kWidthGauge = "telemetry.epoch_cycles";
 
 std::int64_t DeltaOf(const EpochRecord& e, const char* name) {
   const auto it = e.delta.find(name);
@@ -124,34 +144,46 @@ void EpochSampler::SeedBaseline(Cycle at, const StatSet& cumulative) {
 }
 
 void EpochSampler::Record(Cycle now, const StatSet& cumulative) {
-  EpochRecord rec;
+  // A streamed run keeps one record and overwrites it in place, so an
+  // epoch allocates no map nodes once the names are known (bounded memory
+  // for arbitrarily long runs; Finalize's gauge-refresh path still needs
+  // the record). A retained run starts each record empty.
+  if (retain_ || epochs_.empty()) epochs_.emplace_back();
+  EpochRecord& rec = epochs_.back();
   rec.begin = last_sample_;
   rec.end = now;
+  // One merge walk over the sorted names writes the record and moves the
+  // baseline: delta names are the non-gauge counter names and gauge names
+  // the stripped gauge names, both in counter order.
+  auto d = rec.delta.begin();
+  auto g = rec.gauges.begin();
+  auto p = prev_.begin();
+  const std::size_t prefix = std::strlen(kGaugePrefix);
   for (const auto& [name, value] : cumulative.counters()) {
     if (IsGauge(name)) {
-      rec.gauges[StripGauge(name)] = value;
+      Put(rec.gauges, g, std::string_view(name).substr(prefix), value);
       continue;
     }
-    const auto prev_it = prev_.find(name);
-    const std::uint64_t before = prev_it == prev_.end() ? 0 : prev_it->second;
-    rec.delta[name] =
-        static_cast<std::int64_t>(value) - static_cast<std::int64_t>(before);
-    prev_[name] = value;
+    while (p != prev_.end() && p->first < name) ++p;
+    if (p == prev_.end() || p->first != name) {
+      p = prev_.emplace_hint(p, name, 0);
+    }
+    const auto before = static_cast<std::int64_t>(p->second);
+    Put(rec.delta, d, name, static_cast<std::int64_t>(value) - before);
+    (p++)->second = value;
   }
+  rec.delta.erase(d, rec.delta.end());
+  rec.gauges.erase(g, rec.gauges.end());
   if (adaptive_) {
     // Make the width that produced this record part of the record, so the
     // adaptive narrowing is visible in every exported series. Only when
     // adaptation is on: fixed-epoch output stays byte-identical.
-    rec.gauges["telemetry.epoch_cycles"] = epoch_cycles_;
+    rec.gauges[kWidthGauge] = epoch_cycles_;
   }
   min_width_used_ = std::min(min_width_used_, epoch_cycles_);
   max_width_used_ = std::max(max_width_used_, epoch_cycles_);
   total_epochs_++;
   if (sink_) sink_->WriteLine(NdjsonEpochLine(total_epochs_ - 1, rec));
-  epochs_.push_back(std::move(rec));
-  // Bounded memory for arbitrarily long streamed runs: keep only the most
-  // recent record (Finalize's gauge-refresh path still needs one).
-  if (!retain_ && epochs_.size() > 1) epochs_.erase(epochs_.begin());
   last_sample_ = now;
 }
 

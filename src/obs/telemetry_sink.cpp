@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +24,27 @@ std::string FormatDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
+}
+
+/// Append `,"name":value` (no comma for the first member of an object).
+template <class Int>
+void AppendMember(std::string& out, bool& first, const std::string& name,
+                  Int value) {
+  if (!first) out += ',';
+  first = false;
+  out += '"';
+  // Counter names are plain identifiers; escape only when one is not.
+  const bool plain = std::all_of(name.begin(), name.end(), [](char c) {
+    return static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\';
+  });
+  if (plain) {
+    out += name;
+  } else {
+    out += JsonEscape(name);
+  }
+  out += "\":";
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 /// A dead telemetry reader must surface as a write error (EPIPE), not a
@@ -121,28 +144,26 @@ std::string NdjsonHeaderLine(const TelemetryMeta& meta,
 
 std::string NdjsonEpochLine(std::uint64_t seq, const EpochRecord& e) {
   const DerivedMetrics d = DeriveMetrics(e);
-  std::ostringstream os;
-  os << "{\"type\":\"epoch\",\"seq\":" << seq << ",\"begin\":" << e.begin
-     << ",\"end\":" << e.end
-     << ",\"derived\":{\"hit_rate\":" << FormatDouble(d.hit_rate)
-     << ",\"bypass_rate\":" << FormatDouble(d.bypass_rate)
-     << ",\"bw_bytes_per_cycle\":" << FormatDouble(d.bw_bytes_per_cycle)
-     << "},\"gauges\":{";
+  std::string out = "{\"type\":\"epoch\",\"seq\":" + std::to_string(seq) +
+                    ",\"begin\":" + std::to_string(e.begin) +
+                    ",\"end\":" + std::to_string(e.end) +
+                    ",\"derived\":{\"hit_rate\":" + FormatDouble(d.hit_rate) +
+                    ",\"bypass_rate\":" + FormatDouble(d.bypass_rate) +
+                    ",\"bw_bytes_per_cycle\":" +
+                    FormatDouble(d.bw_bytes_per_cycle) + "},\"gauges\":{";
+  // About 40 bytes per member.
+  out.reserve(out.size() + 40 * (e.gauges.size() + e.delta.size()) + 16);
   bool first = true;
   for (const auto& [name, value] : e.gauges) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
+    AppendMember(out, first, name, value);
   }
-  os << "},\"delta\":{";
+  out += "},\"delta\":{";
   first = true;
   for (const auto& [name, value] : e.delta) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
+    AppendMember(out, first, name, value);
   }
-  os << "}}";
-  return os.str();
+  out += "}}";
+  return out;
 }
 
 std::string NdjsonEndLine(const TelemetryMeta& meta,

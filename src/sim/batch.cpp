@@ -500,6 +500,7 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
       profile->exec_cycles = result.exec_cycles;
       profile->ticks_executed = result.ticks_executed;
       profile->cycles_skipped = result.cycles_skipped;
+      profile->dram_ledger = result.dram_ledger;
       profile->tenants = tenant::QosFromStats(result.stats);
       profile->wall_seconds = SecondsSince(t_enter);
     }
@@ -516,11 +517,24 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
   }
 }
 
+namespace {
+
+/// The scheduler ledger as "dram_*" report fields.
+void AppendLedgerJson(std::string& out, const SchedulerLedger& l) {
+  out += ",\"dram_idle_sleeps\":" + std::to_string(l.idle_sleeps);
+  out += ",\"dram_empty_passes\":" + std::to_string(l.empty_passes);
+  out += ",\"dram_refresh_walks\":" + std::to_string(l.refresh_walks);
+  out += ",\"dram_pick_candidates\":" + std::to_string(l.pick_candidates);
+}
+
+}  // namespace
+
 std::string BatchReportJson(const BatchReport& report) {
   std::size_t memo_hits = 0, disk_hits = 0, simulated = 0;
   std::size_t telemetry_cells = 0;
   double fp_seconds = 0.0, sim_seconds = 0.0;
   std::uint64_t ticks = 0, skipped = 0, telemetry_epochs = 0;
+  SchedulerLedger ledger;
   for (const CellProfile& c : report.cells) {
     if (c.memo_hit) {
       memo_hits++;
@@ -533,6 +547,7 @@ std::string BatchReportJson(const BatchReport& report) {
     sim_seconds += c.sim_seconds;
     ticks += c.ticks_executed;
     skipped += c.cycles_skipped;
+    ledger += c.dram_ledger;
     if (!c.telemetry_path.empty()) telemetry_cells++;
     telemetry_epochs += c.telemetry_epochs;
   }
@@ -553,6 +568,7 @@ std::string BatchReportJson(const BatchReport& report) {
   out += buf;
   out += ",\"ticks_executed\":" + std::to_string(ticks);
   out += ",\"cycles_skipped\":" + std::to_string(skipped);
+  AppendLedgerJson(out, ledger);
   out += ",\"telemetry_cells\":" + std::to_string(telemetry_cells);
   out += ",\"telemetry_epochs\":" + std::to_string(telemetry_epochs) + "}";
   out += ",\"cells\":[";
@@ -577,6 +593,7 @@ std::string BatchReportJson(const BatchReport& report) {
     out += ",\"exec_cycles\":" + std::to_string(c.exec_cycles);
     out += ",\"ticks_executed\":" + std::to_string(c.ticks_executed);
     out += ",\"cycles_skipped\":" + std::to_string(c.cycles_skipped);
+    AppendLedgerJson(out, c.dram_ledger);
     // Telemetry pointers: present only for cells that simulated under
     // --telemetry-dir, so plain reports serialize byte-identically.
     if (!c.telemetry_path.empty()) {

@@ -48,6 +48,9 @@ struct CellProfile {
   /// which stores only the simulation results).
   std::uint64_t ticks_executed = 0;
   std::uint64_t cycles_skipped = 0;
+  /// DRAM scheduler host-cost ledger (RunResult::dram_ledger); zero when
+  /// served from a cache layer.
+  SchedulerLedger dram_ledger;
   /// Per-tenant QoS rows derived from the cell's exported tenant<N>.*
   /// counters. Empty for single-tenant cells, so reports stay unchanged
   /// unless a mix (or serve accounting) was actually active.

@@ -63,6 +63,20 @@ class WakeList {
     }
   }
 
+  /// Call `tick(i)` for every component due at `now` and store the wake it
+  /// returns, refreshing the minimum in the same pass (so the next Min()
+  /// is a load, not a re-scan).
+  template <class Tick>
+  void TickDue(Cycle now, Tick&& tick) {
+    Cycle m = kNever;
+    for (std::size_t i = 0; i < wakes_.size(); ++i) {
+      if (wakes_[i] <= now) wakes_[i] = tick(i);
+      m = wakes_[i] < m ? wakes_[i] : m;
+    }
+    min_ = m;
+    dirty_ = false;
+  }
+
   /// Earliest wake across all components (kNever when empty).
   Cycle Min() const {
     if (dirty_) {

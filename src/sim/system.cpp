@@ -200,6 +200,7 @@ RunResult System::Run(Cycle max_cycles) {
           dynamic_cast<const ControllerBase*>(controller_->underlying())) {
     if (const DramSystem* hbm = base->hbm()) hbm_channels = hbm->num_channels();
     ddr_channels = base->mainmem()->num_channels();
+    result.dram_ledger = base->DramLedger();
   }
   result.energy = energy_model.Compute(
       result.stats, finish, static_cast<std::uint32_t>(cores_.size()),
@@ -239,8 +240,14 @@ void System::Io(Self& s, Ar& a, Cycle now) {
 void System::Snapshot(ser::Writer& w, Cycle now) const { Io(*this, w, now); }
 void System::Restore(ser::Reader& r) { Io(*this, r); }
 
-StatSet System::TelemetrySnapshot(Cycle now) const {
-  StatSet snap;
+const StatSet& System::TelemetrySnapshot(Cycle now) const {
+  // Zero every value and let the exporters write them again, so an
+  // exporter that assigns and one that adds (the verify decorator) both
+  // see what a fresh set would show them. Exact because every exporter
+  // names the same counters on every call (its names depend only on the
+  // configuration); a new name is inserted in its sorted place.
+  StatSet& snap = telemetry_snap_;
+  snap.ZeroCounters();
   controller_->ExportStats(snap);
   controller_->SampleTelemetry(snap);
   ExportCoreStats(snap);

@@ -32,6 +32,10 @@ struct RunResult {
   /// skip/no-skip differential stay mode-independent.
   std::uint64_t ticks_executed = 0;
   std::uint64_t cycles_skipped = 0;
+  /// DRAM scheduler host-cost ledger, summed over every channel of both
+  /// devices; outside `stats` for the same reason. Counts since the
+  /// controller was built (after a restore: since the restore).
+  SchedulerLedger dram_ledger;
   /// Telemetry epochs closed when RunSpec::telemetry_path was set; 0
   /// otherwise (and on batch cache hits — observability is not cached).
   std::uint64_t telemetry_epochs = 0;
@@ -120,8 +124,10 @@ class System : private MemoryPort {
   static void Io(Self& s, Ar& a, Cycle now = 0);
 
   void ExportCoreStats(StatSet& stats) const;
-  /// One cumulative snapshot for the epoch sampler (stats + gauges).
-  StatSet TelemetrySnapshot(Cycle now) const;
+  /// One cumulative snapshot for the epoch sampler (stats + gauges). It is
+  /// overwritten in place on every call, so epochs do not rebuild a
+  /// string-keyed map; the reference is valid until the next call.
+  const StatSet& TelemetrySnapshot(Cycle now) const;
 
   CacheHierarchy hierarchy_;
   std::unique_ptr<MemController> controller_;
@@ -130,6 +136,7 @@ class System : private MemoryPort {
   std::deque<Addr> wb_queue_;
   RequestObserver observer_;
   obs::EpochSampler* telemetry_ = nullptr;
+  mutable StatSet telemetry_snap_;  ///< see TelemetrySnapshot
   std::unique_ptr<tenant::TenantAccounting> tenant_acct_;
   /// Set by TrySubmitRead / the writeback drain: the controller's stored
   /// wake predates the new input, so it must be ticked at the next visit

@@ -140,9 +140,10 @@ TEST(Rcu, FullFlag) {
 }
 
 TEST(Rcu, ParkedCountsMatchScanUnderRandomOps) {
-  // Every mutation path keeps the per-channel counts equal to a scan of the
-  // entries: inserts (with and without a capacity eviction), removals,
-  // merged and idle drains, PopAll and a checkpoint round trip.
+  // Every mutation path keeps the per-channel counts (and the mask of
+  // channels with a non-zero count) equal to a scan of the entries:
+  // inserts (with and without a capacity eviction), removals, merged and
+  // idle drains, PopAll and a checkpoint round trip.
   constexpr std::uint32_t kChannels = 4;
   std::mt19937_64 rng(20261017);
   RcuManager rcu(8, kChannels);
@@ -153,6 +154,8 @@ TEST(Rcu, ParkedCountsMatchScanUnderRandomOps) {
           [ch](const RcuManager::Entry& e) { return e.loc.channel == ch; });
       ASSERT_EQ(rcu.parked(ch), static_cast<std::uint32_t>(scanned))
           << "channel " << ch << " after step " << step;
+      ASSERT_EQ((rcu.parked_mask() >> ch & 1) != 0, scanned != 0)
+          << "parked-mask bit of channel " << ch << " after step " << step;
     }
   };
   const auto pick = [&rng](std::uint64_t n) { return rng() % n; };

@@ -250,6 +250,13 @@ TEST(WakeConservative, RedCacheDoesNotPollForUpdatesParkedOnBusyChannel) {
       [&](const MemController& c, Cycle now, Cycle wake) {
         const auto& red = dynamic_cast<const RedCacheController&>(c);
         const DramSystem& hbm = *red.hbm();
+        // The incremental mask PolicyTick/PolicyWake read must agree with
+        // the queues themselves at every visit.
+        for (std::uint32_t ch = 0; ch < hbm.num_channels(); ++ch) {
+          ASSERT_EQ((hbm.empty_queue_mask() >> ch & 1) != 0,
+                    hbm.ChannelTransactionQueueEmpty(ch))
+              << "channel " << ch << " at cycle " << now;
+        }
         if (red.rcu().size() == 0) return;
         bool parked_busy = true;
         for (const RcuManager::Entry& e : red.rcu().entries()) {

@@ -37,13 +37,17 @@ using Param = std::tuple<std::string, std::string>;
 class NoSkipDifferential : public ::testing::TestWithParam<Param> {};
 
 // Recorded skip-ahead economics per differential cell: a floor on
-// cycles_skipped, a ceiling on ticks_executed (loop visits) and a ceiling
-// on MemController::Tick calls. All three counters are deterministic, so
+// cycles_skipped, a ceiling on ticks_executed (loop visits), a ceiling on
+// MemController::Tick calls, and ceilings on the four DRAM scheduler
+// ledger counts (SchedulerLedger: passes that slept with nothing due,
+// passes that found an empty queue, refresh slow-path walks, bank
+// summaries the FR-FCFS pick read). All counters are deterministic, so
 // the gate is exact on any host; it is CI's perf gate. Skipping must never
 // get *worse* than these — fewer skipped cycles, more visits or more
-// controller ticks means a wake hint regressed towards polling somewhere.
-// Floors may only rise and ceilings only fall. Every differential cell
-// needs a row. Regenerate (intentional pacing changes only) with
+// controller ticks means a wake hint regressed towards polling somewhere,
+// and a higher ledger count means the scheduler does more work per
+// command. Floors may only rise and ceilings only fall. Every differential
+// cell needs a row. Regenerate (intentional pacing changes only) with
 //   REDCACHE_UPDATE_SKIP_BASELINE=1 ./build/tests/sim/sim_tests
 //     --gtest_filter='SkipBaseline.Regenerate'
 std::string SkipBaselinePath() { return REDCACHE_SKIP_BASELINE_FILE; }
@@ -58,6 +62,7 @@ struct SkipBaselineRow {
   std::uint64_t skipped_floor = 0;
   std::uint64_t visits_ceiling = 0;
   std::uint64_t ctrl_ticks_ceiling = 0;
+  SchedulerLedger ledger_ceiling;
 };
 
 /// Throws on an unreadable file or a malformed or duplicate row, so a
@@ -75,8 +80,10 @@ std::map<std::string, SkipBaselineRow> LoadSkipBaseline() {
     std::istringstream fields(line);
     std::string key, extra;
     SkipBaselineRow row;
+    SchedulerLedger& l = row.ledger_ceiling;
     if (!(fields >> key >> row.skipped_floor >> row.visits_ceiling >>
-          row.ctrl_ticks_ceiling) ||
+          row.ctrl_ticks_ceiling >> l.idle_sleeps >> l.empty_passes >>
+          l.refresh_walks >> l.pick_candidates) ||
         fields >> extra || !table.emplace(key, row).second) {
       throw std::runtime_error("malformed skip baseline row: \"" + line +
                                "\"");
@@ -162,6 +169,16 @@ TEST_P(NoSkipDifferential, IdenticalStats) {
   EXPECT_LE(skip_run.ctrl_ticks, it->second.ctrl_ticks_ceiling)
       << "wake hints got less exact: " << cell
       << " ticked the controller more often than the recorded baseline";
+  const SchedulerLedger& got = skip.dram_ledger;
+  const SchedulerLedger& cap = it->second.ledger_ceiling;
+  EXPECT_LE(got.idle_sleeps, cap.idle_sleeps)
+      << cell << ": more DRAM scheduler passes slept with nothing due";
+  EXPECT_LE(got.empty_passes, cap.empty_passes)
+      << cell << ": more DRAM scheduler passes found an empty queue";
+  EXPECT_LE(got.refresh_walks, cap.refresh_walks)
+      << cell << ": more DRAM refresh slow-path walks";
+  EXPECT_LE(got.pick_candidates, cap.pick_candidates)
+      << cell << ": the FR-FCFS pick read more bank summaries";
 }
 
 // A truncated run stops at max_cycles + 1 in both pacing modes: the last
@@ -199,9 +216,11 @@ TEST(SkipBaseline, Regenerate) {
   }
   std::ofstream out(SkipBaselinePath());
   ASSERT_TRUE(out.good());
-  out << "# cycles_skipped floor, ticks_executed (loop visit) ceiling and\n"
-      << "# MemController::Tick ceiling per skip/no-skip differential cell\n"
-      << "# (policy/workload  cycles_skipped  ticks_executed  ctrl_ticks),\n"
+  out << "# cycles_skipped floor, then ceilings on ticks_executed (loop\n"
+      << "# visits), MemController::Tick calls and the DRAM scheduler\n"
+      << "# ledger, per skip/no-skip differential cell (policy/workload\n"
+      << "# cycles_skipped ticks_executed ctrl_ticks idle_sleeps\n"
+      << "# empty_passes refresh_walks pick_candidates),\n"
       << "# spec: scale=0.02 eval preset, 4 cores. Regenerate:\n"
       << "#   REDCACHE_UPDATE_SKIP_BASELINE=1 sim_tests\n"
       << "#   --gtest_filter='SkipBaseline.Regenerate'\n";
@@ -209,8 +228,11 @@ TEST(SkipBaseline, Regenerate) {
     for (const std::string& wl : WorkloadLabels()) {
       const SkipRun run = RunSkipCountingTicks(Spec(policy, wl));
       ASSERT_TRUE(run.result.completed) << policy << "/" << wl;
+      const SchedulerLedger& l = run.result.dram_ledger;
       out << policy << "/" << wl << " " << run.result.cycles_skipped << " "
-          << run.result.ticks_executed << " " << run.ctrl_ticks << "\n";
+          << run.result.ticks_executed << " " << run.ctrl_ticks << " "
+          << l.idle_sleeps << " " << l.empty_passes << " " << l.refresh_walks
+          << " " << l.pick_candidates << "\n";
     }
   }
   std::printf("wrote %zu cells to %s\n",
