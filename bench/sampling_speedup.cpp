@@ -4,10 +4,10 @@
 // the detailed run), the run-length estimate's error against the detailed
 // truth, and the estimator's own 95% CI. Writes results/BENCH_sampling.json.
 // A diagnostic: perfbench's `sampled` workload is the tracked benchmark.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/parse.hpp"
 #include "sim/sampling.hpp"
 
 namespace {
@@ -35,13 +36,14 @@ struct SamplePass {
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned jobs = std::thread::hardware_concurrency();
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::string(argv[i]) == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(argv[i + 1]));
+  unsigned jobs = std::max(std::thread::hardware_concurrency(), 1u);
+  for (int i = 1; i < argc; i += 2) {
+    if (std::string(argv[i]) != "--jobs" || i + 1 == argc ||
+        !ParseNumber(argv[i + 1], 1u, 4096u, jobs)) {
+      std::fprintf(stderr, "usage: %s [--jobs N], N in [1, 4096]\n", argv[0]);
+      return 2;
     }
   }
-  if (jobs == 0) jobs = 1;
 
   // The largest single cell the figure benches run: RedCache on the radix
   // sort workload, whose irregular access mix exercises both cache levels.

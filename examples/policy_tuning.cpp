@@ -4,10 +4,10 @@
 //
 //   ./build/examples/policy_tuning [workload] [scale]
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sim/runner.hpp"
 
@@ -15,7 +15,12 @@ int main(int argc, char** argv) {
   using namespace redcache;
 
   const std::string workload = argc > 1 ? argv[1] : "LU";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+  double scale = 1.0;
+  if (argc > 2 && !ParseNumber(argv[2], 1e-6, 1e6, scale)) {
+    std::fprintf(stderr, "usage: %s [workload] [scale in [1e-6, 1e6]]\n",
+                 argv[0]);
+    return 2;
+  }
 
   std::printf("Policy tuning on %s (scale %.2f)\n\n", workload.c_str(),
               scale);

@@ -5,9 +5,9 @@
 // Demonstrates the three-line public API: pick an architecture, pick a
 // workload, run, read the metrics.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sim/runner.hpp"
 
@@ -17,7 +17,12 @@ int main(int argc, char** argv) {
   // Scale 1.0 is the calibrated evaluation regime (takes a minute or two);
   // pass a smaller scale for a fast smoke run.
   const std::string workload = argc > 1 ? argv[1] : "RDX";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+  double scale = 1.0;
+  if (argc > 2 && !ParseNumber(argv[2], 1e-6, 1e6, scale)) {
+    std::fprintf(stderr, "usage: %s [workload] [scale in [1e-6, 1e6]]\n",
+                 argv[0]);
+    return 2;
+  }
 
   std::printf("RedCache quickstart: workload %s (%s), scale %.2f\n\n",
               workload.c_str(), WorkloadDescription(workload).c_str(), scale);

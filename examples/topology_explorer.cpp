@@ -4,9 +4,9 @@
 //
 //   ./build/examples/topology_explorer [workload] [scale]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sim/runner.hpp"
 
@@ -14,7 +14,12 @@ int main(int argc, char** argv) {
   using namespace redcache;
 
   const std::string workload = argc > 1 ? argv[1] : "FT";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+  double scale = 1.0;
+  if (argc > 2 && !ParseNumber(argv[2], 1e-6, 1e6, scale)) {
+    std::fprintf(stderr, "usage: %s [workload] [scale in [1e-6, 1e6]]\n",
+                 argv[0]);
+    return 2;
+  }
 
   std::printf("Topology explorer: %s (scale %.2f)\n", workload.c_str(),
               scale);

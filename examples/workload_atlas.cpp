@@ -4,8 +4,8 @@
 //
 //   ./build/examples/workload_atlas [scale]
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sim/runner.hpp"
 #include "workloads/profiler.hpp"
@@ -13,7 +13,11 @@
 int main(int argc, char** argv) {
   using namespace redcache;
 
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  double scale = 1.0;
+  if (argc > 1 && !ParseNumber(argv[1], 1e-6, 1e6, scale)) {
+    std::fprintf(stderr, "usage: %s [scale in [1e-6, 1e6]]\n", argv[0]);
+    return 2;
+  }
   std::printf("Workload atlas (No-HBM profile, scale %.2f)\n\n", scale);
 
   TextTable table({"label", "mem requests (M)", "distinct blocks (K)",

@@ -314,7 +314,10 @@ std::uint64_t DramChannel::SummarizeBanks(Cycle now, Cycle& min_ready) {
 
   // Fold the continuation transaction back in: it contributes its bank's
   // ContinuationReady (col_shared without the tCCD term) instead of
-  // ColumnReady.
+  // ColumnReady. While writes drain, its class cannot change the pick as
+  // long as tCCD is one channel-wide lane: any other column due then means
+  // its own bank offers a class-0 candidate at least as old. The drain term
+  // keeps the fold right should tCCD become per bank group.
   if (cont_slot_ != -1 && cont_row_ == lanes_.OpenRow(cont_bank_)) {
     const Cycle cont_ready = lanes_.ContinuationReady(cont_bank_, cont_write_);
     if (cont_ready <= now) {

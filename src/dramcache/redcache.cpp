@@ -58,20 +58,20 @@ RedCacheController::RedCacheController(MemControllerConfig cfg,
       alpha_(opt_.alpha),
       gamma_(opt_.gamma),
       rcu_(opt_.rcu_entries, cfg.hbm.geometry.channels),
-      recent_invalidations_(16384, ~Addr{0}) {
+      recent_invalidations_(16384) {
   assert(cfg.line_blocks == 1 && "RedCache is a fine-grained (64 B) cache");
 }
 
 void RedCacheController::NoteGammaInvalidation(Addr block) {
   recent_invalidations_[BlockIndex(block) % recent_invalidations_.size()] =
-      block;
+      ~block;
 }
 
 void RedCacheController::CheckPrematureInvalidation(Addr block) {
   Addr& slot =
       recent_invalidations_[BlockIndex(block) % recent_invalidations_.size()];
-  if (slot == block) {
-    slot = ~Addr{0};
+  if (slot == ~block) {
+    slot = 0;
     gamma_.OnPrematureInvalidation();
   }
 }
@@ -511,7 +511,15 @@ void RedCacheController::Io(Self& s, Ar& a) {
   a.U64(s.epoch_request_count_);
   a.U64(s.epoch_departures_);
   a.U64(s.epoch_dead_departures_);
-  a.U64Seq(s.recent_invalidations_, "invalidation signature size mismatch");
+  // The blob holds the block addresses themselves, with 2^64-1 for empty.
+  a.Records(
+      s.recent_invalidations_, 8,
+      [&a](auto& slot) {
+        Addr block = ~slot;
+        a.U64(block);
+        if constexpr (Ar::kReading) slot = ~block;
+      },
+      "invalidation signature size mismatch");
   for (auto* counter :
        {&s.hits_, &s.misses_, &s.read_hits_, &s.write_hits_, &s.fills_,
         &s.victim_writebacks_, &s.departures_, &s.alpha_bypasses_,

@@ -159,8 +159,9 @@ class RedCacheController : public ControllerBase {
   std::uint64_t epoch_dead_departures_ = 0;  ///< left with r-count == 0
 
   /// Direct-mapped signature of blocks gamma recently invalidated; a miss
-  /// landing on one is evidence the invalidation was premature.
-  std::vector<Addr> recent_invalidations_;
+  /// landing on one is evidence the invalidation was premature. Slots hold
+  /// the complement of the block address, so a zeroed slot is empty.
+  std::vector<Addr, ZeroedAllocator<Addr>> recent_invalidations_;
 
   // Counters.
   std::uint64_t hits_ = 0;

@@ -1,11 +1,11 @@
 #include "obs/epoch_sampler.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <limits>
 #include <string_view>
 
+#include "common/parse.hpp"
 #include "obs/adaptive_epoch.hpp"
 #include "obs/telemetry_sink.hpp"
 
@@ -43,13 +43,6 @@ constexpr const char* kWidthGauge = "telemetry.epoch_cycles";
 std::int64_t DeltaOf(const EpochRecord& e, const char* name) {
   const auto it = e.delta.find(name);
   return it == e.delta.end() ? 0 : it->second;
-}
-
-/// A whole decimal cycle count: no sign, blank or suffix, within 64 bits.
-bool ParseCycles(const std::string& text, Cycle& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
 }
 
 /// `at + width`, pinned at the largest cycle instead of wrapping into the
@@ -90,6 +83,8 @@ DerivedMetrics DeriveMetrics(const EpochRecord& e) {
 }
 
 bool ParseEpochSpec(const std::string& text, EpochSpec& out) {
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  const std::string_view view = text;
   EpochSpec spec;
   if (text == "auto") {
     spec.adaptive = true;
@@ -98,12 +93,13 @@ bool ParseEpochSpec(const std::string& text, EpochSpec& out) {
     const std::size_t colon = text.find(':', 5);
     if (colon == std::string::npos) return false;
     spec.adaptive = true;
-    if (!ParseCycles(text.substr(5, colon - 5), spec.min_cycles) ||
-        !ParseCycles(text.substr(colon + 1), spec.max_cycles) ||
-        spec.min_cycles < 1 || spec.max_cycles < spec.min_cycles) {
+    if (!ParseNumber(view.substr(5, colon - 5), Cycle{1}, kMax,
+                     spec.min_cycles) ||
+        !ParseNumber(view.substr(colon + 1), spec.min_cycles, kMax,
+                     spec.max_cycles)) {
       return false;
     }
-  } else if (!ParseCycles(text, spec.cycles) || spec.cycles < 1) {
+  } else if (!ParseNumber(view, Cycle{1}, kMax, spec.cycles)) {
     return false;
   }
   out = spec;

@@ -9,7 +9,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/adaptive_epoch.hpp"
@@ -45,6 +44,15 @@ void AppendMember(std::string& out, bool& first, const std::string& name,
   out += "\":";
   char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/// Append `{"name":value,...}` for every entry of the counter map `m`.
+template <class Map>
+void AppendObject(std::string& out, const Map& m) {
+  out += '{';
+  bool first = true;
+  for (const auto& [name, value] : m) AppendMember(out, first, name, value);
+  out += '}';
 }
 
 /// A dead telemetry reader must surface as a write error (EPIPE), not a
@@ -113,33 +121,28 @@ bool FdTelemetrySink::WriteLine(const std::string& line) {
 
 std::string NdjsonHeaderLine(const TelemetryMeta& meta,
                              const EpochSampler& sampler) {
-  std::ostringstream os;
-  os << "{\"type\":\"header\",\"schema\":2,\"workload\":\""
-     << JsonEscape(meta.workload) << "\",\"preset\":\""
-     << JsonEscape(meta.preset) << "\",\"policy\":\""
-     << JsonEscape(meta.policy) << "\",\"mix\":\"" << JsonEscape(meta.mix)
-     << "\",\"epoch_cycles\":" << sampler.epoch_cycles()
-     << ",\"adaptive\":" << (sampler.adaptive() ? "true" : "false");
+  std::string out = "{\"type\":\"header\",\"schema\":2,\"workload\":\"" +
+                    JsonEscape(meta.workload) + "\",\"preset\":\"" +
+                    JsonEscape(meta.preset) + "\",\"policy\":\"" +
+                    JsonEscape(meta.policy) + "\",\"mix\":\"" +
+                    JsonEscape(meta.mix) + "\",\"epoch_cycles\":" +
+                    std::to_string(sampler.epoch_cycles()) +
+                    ",\"adaptive\":" + (sampler.adaptive() ? "true" : "false");
   if (sampler.adaptive()) {
     const AdaptiveEpochConfig& cfg = sampler.adaptive_controller()->config();
-    os << ",\"epoch_min\":" << cfg.min_cycles
-       << ",\"epoch_max\":" << cfg.max_cycles;
+    out += ",\"epoch_min\":" + std::to_string(cfg.min_cycles) +
+           ",\"epoch_max\":" + std::to_string(cfg.max_cycles);
   }
   // Present only for checkpoint-restored runs: where epoch accounting
   // resumes, and the pre-restore cumulative counters the deltas exclude.
   // Validators check sum(deltas) + baseline == the end record's totals.
   if (sampler.restored()) {
-    os << ",\"restored_at\":" << sampler.restored_at() << ",\"baseline\":{";
-    bool first = true;
-    for (const auto& [name, value] : sampler.baseline()) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << JsonEscape(name) << "\":" << value;
-    }
-    os << "}";
+    out += ",\"restored_at\":" + std::to_string(sampler.restored_at()) +
+           ",\"baseline\":";
+    AppendObject(out, sampler.baseline());
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 std::string NdjsonEpochLine(std::uint64_t seq, const EpochRecord& e) {
@@ -150,37 +153,27 @@ std::string NdjsonEpochLine(std::uint64_t seq, const EpochRecord& e) {
                     ",\"derived\":{\"hit_rate\":" + FormatDouble(d.hit_rate) +
                     ",\"bypass_rate\":" + FormatDouble(d.bypass_rate) +
                     ",\"bw_bytes_per_cycle\":" +
-                    FormatDouble(d.bw_bytes_per_cycle) + "},\"gauges\":{";
+                    FormatDouble(d.bw_bytes_per_cycle) + "},\"gauges\":";
   // About 40 bytes per member.
   out.reserve(out.size() + 40 * (e.gauges.size() + e.delta.size()) + 16);
-  bool first = true;
-  for (const auto& [name, value] : e.gauges) {
-    AppendMember(out, first, name, value);
-  }
-  out += "},\"delta\":{";
-  first = true;
-  for (const auto& [name, value] : e.delta) {
-    AppendMember(out, first, name, value);
-  }
-  out += "}}";
+  AppendObject(out, e.gauges);
+  out += ",\"delta\":";
+  AppendObject(out, e.delta);
+  out += '}';
   return out;
 }
 
 std::string NdjsonEndLine(const TelemetryMeta& meta,
                           const EpochSampler& sampler) {
-  std::ostringstream os;
-  os << "{\"type\":\"end\",\"exec_cycles\":" << meta.exec_cycles
-     << ",\"num_epochs\":" << sampler.total_epochs()
-     << ",\"epoch_min_used\":" << sampler.min_width_used()
-     << ",\"epoch_max_used\":" << sampler.max_width_used() << ",\"totals\":{";
-  bool first = true;
-  for (const auto& [name, value] : sampler.cumulative()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
-  }
-  os << "}}";
-  return os.str();
+  std::string out =
+      "{\"type\":\"end\",\"exec_cycles\":" + std::to_string(meta.exec_cycles) +
+      ",\"num_epochs\":" + std::to_string(sampler.total_epochs()) +
+      ",\"epoch_min_used\":" + std::to_string(sampler.min_width_used()) +
+      ",\"epoch_max_used\":" + std::to_string(sampler.max_width_used()) +
+      ",\"totals\":";
+  AppendObject(out, sampler.cumulative());
+  out += '}';
+  return out;
 }
 
 TelemetrySession::TelemetrySession(const std::string& path,

@@ -2,17 +2,11 @@
 //
 // Every probe site costs one predictable branch on a thread-local pointer
 // while tracing is disabled; the event struct is only constructed when a
-// trace buffer is installed (TraceScope). Define REDCACHE_NO_TRACE to
-// compile all probes out entirely.
+// trace buffer is installed (TraceScope).
 #pragma once
 
 #include "obs/trace.hpp"
 
-#ifdef REDCACHE_NO_TRACE
-#define REDCACHE_TRACE_EVENT(...) \
-  do {                            \
-  } while (0)
-#else
 /// Usage: REDCACHE_TRACE_EVENT(obs::TraceEvent{.cycle = now, ...});
 #define REDCACHE_TRACE_EVENT(...)                                       \
   do {                                                                  \
@@ -21,4 +15,3 @@
       trace_buffer_->Emit(__VA_ARGS__);                                 \
     }                                                                   \
   } while (0)
-#endif

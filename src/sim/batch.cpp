@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -20,6 +18,7 @@
 #include <utility>
 
 #include "common/hash.hpp"
+#include "common/parse.hpp"
 #include "common/serialize.hpp"
 #include "energy/model.hpp"
 #include "obs/json.hpp"
@@ -240,10 +239,8 @@ std::vector<RunResult> RunIndexed(
 std::uint64_t EnvCount(const char* name, std::uint64_t max) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return 0;
-  const char* end = env + std::strlen(env);
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc() || ptr != end || v > max) {
+  if (!ParseNumber(env, std::uint64_t{0}, max, v)) {
     throw std::invalid_argument(std::string(name) + "=\"" + env +
                                 "\" is not a whole number in [0, " +
                                 std::to_string(max) + "]");

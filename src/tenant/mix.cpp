@@ -1,7 +1,10 @@
 #include "tenant/mix.hpp"
 
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace redcache::tenant {
 
@@ -37,17 +40,18 @@ MixSpec MixSpec::Parse(const std::string& text) {
       throw std::invalid_argument("mix tenant without a workload: " + s);
     }
     if (colon != std::string::npos) {
-      const std::string tail = s.substr(colon + 1);
+      constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+      const std::string_view tail = std::string_view(s).substr(colon + 1);
       const std::size_t at = tail.find('@');
-      const std::string weight = tail.substr(0, at);
-      t.weight = static_cast<std::uint32_t>(std::strtoul(weight.c_str(),
-                                                         nullptr, 10));
-      if (t.weight == 0) {
-        throw std::invalid_argument("mix tenant weight must be >= 1: " + s);
+      if (!ParseNumber(tail.substr(0, at), std::uint32_t{1}, kMax, t.weight)) {
+        throw std::invalid_argument(
+            "mix tenant weight must be a whole number >= 1: " + s);
       }
-      if (at != std::string::npos) {
-        t.min_gap = static_cast<std::uint32_t>(
-            std::strtoul(tail.substr(at + 1).c_str(), nullptr, 10));
+      if (at != std::string_view::npos &&
+          !ParseNumber(tail.substr(at + 1), std::uint32_t{0}, kMax,
+                       t.min_gap)) {
+        throw std::invalid_argument(
+            "mix tenant gap must be a whole number of cycles: " + s);
       }
     }
     spec.tenants.push_back(std::move(t));

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+
+#include "common/parse.hpp"
 
 namespace redcache {
 
@@ -88,25 +92,31 @@ bool ParseCorpusCase(const std::string& text, CorpusCase& out,
     const std::string key = Trim(t.substr(0, eq));
     const std::string value = Trim(t.substr(eq + 1));
     FuzzTraceParams& tr = out.params.trace;
-    const auto u64 = [&value]() { return std::stoull(value); };
-    const auto u32 = [&value]() {
-      return static_cast<std::uint32_t>(std::stoul(value));
+    // A whole decimal number that fits the field's own type.
+    const auto number = [&value](auto& field) {
+      using T = std::remove_reference_t<decltype(field)>;
+      constexpr T kMax = std::numeric_limits<T>::max();
+      if (!ParseNumber(value, T{0}, kMax, field)) {
+        throw std::invalid_argument("'" + value +
+                                    "' is not a whole number in [0, " +
+                                    std::to_string(kMax) + "]");
+      }
     };
     try {
-      if (key == "seed") tr.seed = u64();
-      else if (key == "cores") tr.cores = u32();
-      else if (key == "refs_per_core") tr.refs_per_core = u32();
-      else if (key == "region_pages") tr.region_pages = u32();
-      else if (key == "hot_pages") tr.hot_pages = u32();
-      else if (key == "conflict_stride_bytes") tr.conflict_stride_bytes = u64();
-      else if (key == "hot_weight") tr.hot_weight = u32();
-      else if (key == "burst_weight") tr.burst_weight = u32();
-      else if (key == "conflict_weight") tr.conflict_weight = u32();
-      else if (key == "row_storm_weight") tr.row_storm_weight = u32();
-      else if (key == "write_weight") tr.write_weight = u32();
-      else if (key == "idle_every") tr.idle_every = u32();
-      else if (key == "idle_gap_cycles") tr.idle_gap_cycles = u32();
-      else if (key == "max_cycles") out.params.max_cycles = u64();
+      if (key == "seed") number(tr.seed);
+      else if (key == "cores") number(tr.cores);
+      else if (key == "refs_per_core") number(tr.refs_per_core);
+      else if (key == "region_pages") number(tr.region_pages);
+      else if (key == "hot_pages") number(tr.hot_pages);
+      else if (key == "conflict_stride_bytes") number(tr.conflict_stride_bytes);
+      else if (key == "hot_weight") number(tr.hot_weight);
+      else if (key == "burst_weight") number(tr.burst_weight);
+      else if (key == "conflict_weight") number(tr.conflict_weight);
+      else if (key == "row_storm_weight") number(tr.row_storm_weight);
+      else if (key == "write_weight") number(tr.write_weight);
+      else if (key == "idle_every") number(tr.idle_every);
+      else if (key == "idle_gap_cycles") number(tr.idle_gap_cycles);
+      else if (key == "max_cycles") number(out.params.max_cycles);
       else if (key == "preset") {
         if (value != out.params.preset.name) {
           out.params.preset = PresetByName(value);

@@ -1,9 +1,11 @@
 #include "verify/golden.hpp"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace redcache {
 
@@ -73,104 +75,35 @@ std::string SerializeGolden(const GoldenTable& table) {
   return out.str();
 }
 
-namespace {
-
-/// Minimal parser for the two-level {string: {string: uint}} JSON that
-/// SerializeGolden emits. No escapes, no floats, no arrays.
-class GoldenParser {
- public:
-  GoldenParser(const std::string& text, std::string& error)
-      : text_(text), error_(error) {}
-
-  bool Parse(GoldenTable& out) {
-    if (!Expect('{')) return false;
-    SkipWs();
-    if (Peek() == '}') { pos_++; return true; }
-    while (true) {
-      std::string key;
-      if (!ParseString(key) || !Expect(':')) return false;
-      if (!ParseRecord(out[key])) return false;
-      SkipWs();
-      if (Peek() == ',') { pos_++; continue; }
-      break;
-    }
-    return Expect('}');
-  }
-
- private:
-  bool ParseRecord(GoldenRecord& rec) {
-    if (!Expect('{')) return false;
-    SkipWs();
-    if (Peek() == '}') { pos_++; return true; }
-    while (true) {
-      std::string name;
-      std::uint64_t value = 0;
-      if (!ParseString(name) || !Expect(':') || !ParseUint(value)) {
-        return false;
-      }
-      rec[name] = value;
-      SkipWs();
-      if (Peek() == ',') { pos_++; continue; }
-      break;
-    }
-    return Expect('}');
-  }
-
-  bool ParseString(std::string& out) {
-    if (!Expect('"')) return false;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') pos_++;
-    if (pos_ >= text_.size()) return Fail("unterminated string");
-    out = text_.substr(start, pos_ - start);
-    pos_++;
-    return true;
-  }
-
-  bool ParseUint(std::uint64_t& out) {
-    SkipWs();
-    if (pos_ >= text_.size() || !std::isdigit(Byte())) {
-      return Fail("expected a number");
-    }
-    out = 0;
-    while (pos_ < text_.size() && std::isdigit(Byte())) {
-      out = out * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      pos_++;
-    }
-    return true;
-  }
-
-  bool Expect(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    pos_++;
-    return true;
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() && std::isspace(Byte())) pos_++;
-  }
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  unsigned char Byte() const {
-    return static_cast<unsigned char>(text_[pos_]);
-  }
-  bool Fail(const std::string& why) {
-    error_ = why + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  const std::string& text_;
-  std::string& error_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 bool ParseGolden(const std::string& text, GoldenTable& out,
                  std::string& error) {
   out.clear();
-  return GoldenParser(text, error).Parse(out);
+  obs::JsonValue doc;
+  if (!obs::ParseJson(text, doc, &error)) return false;
+  if (!doc.is_object()) {
+    error = "expected an object of records";
+    return false;
+  }
+  // A JSON number is a double: integers above 2^53 no longer read back
+  // exactly, so a count past it is rejected rather than rounded.
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  for (const auto& [key, rec] : doc.object) {
+    if (!rec.is_object()) {
+      error = key + ": expected an object of counters";
+      return false;
+    }
+    GoldenRecord& counters = out[key];
+    for (const auto& [name, value] : rec.object) {
+      const double v = value.number;  // 0 unless is_number()
+      if (!value.is_number() || v < 0 || v > kMaxExact ||
+          v != std::floor(v)) {
+        error = key + ": " + name + " is not a whole number in [0, 2^53]";
+        return false;
+      }
+      counters[name] = static_cast<std::uint64_t>(v);
+    }
+  }
+  return true;
 }
 
 bool ReadGoldenFile(const std::string& path, GoldenTable& out,

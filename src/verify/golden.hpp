@@ -37,8 +37,9 @@ std::string GoldenKey(const RunSpec& spec);
 GoldenRecord CollectGolden(const RunSpec& spec);
 
 std::string SerializeGolden(const GoldenTable& table);
-/// Parse SerializeGolden output (whitespace-tolerant). Returns false and
-/// sets `error` on malformed input.
+/// Parse SerializeGolden output with obs::ParseJson: an object of objects
+/// whose values are whole numbers in [0, 2^53]. Returns false and sets
+/// `error` on anything else.
 bool ParseGolden(const std::string& text, GoldenTable& out,
                  std::string& error);
 

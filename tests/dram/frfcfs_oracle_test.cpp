@@ -9,7 +9,8 @@
 // activate/precharge the open-row guard does not block. It keeps no
 // per-bank state at all.
 //
-// Two channels receive the same seeded random requests, cycle by cycle:
+// Two channels receive the same requests, cycle by cycle (seeded random
+// traffic, and a scripted case for continuations while writes drain):
 // one runs its own Tick, the other the reference pass (sharing only the
 // command-issue, refresh and delivery code, which the pick does not
 // touch). Their issued commands, sleep targets, wakes, completions and
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,6 +46,17 @@ class ChannelOraclePeer {
     std::uint64_t refresh_in_flight = 0;
     std::uint64_t voided_prepass = 0;
     std::uint64_t row_commands = 0;
+    /// Write continuation bursts issued while writes drain and tCCD still
+    /// holds the bank's other columns: due only through the fold.
+    std::uint64_t drain_fold_continuations = 0;
+    /// ...of which the stream was interrupted since its previous burst by
+    /// a refresh command or a starved head's command.
+    std::uint64_t held_by_refresh = 0;
+    std::uint64_t held_by_starved_head = 0;
+    // Reference-side bookkeeping for the two counters above.
+    Cycle continuation_burst = 0;  ///< last burst of the continuation
+    Cycle refresh_command = 0;     ///< last refresh precharge or refresh
+    Cycle starved_command = 0;     ///< last starved command of another head
   };
 
   static Cycle SleepUntil(const DramChannel& c) { return c.sleep_until_; }
@@ -129,8 +142,20 @@ class ChannelOraclePeer {
   static void Issue(DramChannel& c, const Decision& d, Cycle now,
                     Coverage& cov) {
     if (d.act == Action::kColumn) {
-      if (d.slot == c.cont_slot_) cov.continuation_issues++;
+      if (d.slot == c.cont_slot_) {
+        cov.continuation_issues++;
+        const bool drain_writes =
+            2 * c.write_count_ > c.cfg_.controller.queue_depth;
+        if (c.cont_write_ && drain_writes &&
+            c.lanes_.ColumnReady(c.cont_bank_, true) > now) {
+          cov.drain_fold_continuations++;
+          const Cycle last = cov.continuation_burst;
+          if (cov.refresh_command > last) cov.held_by_refresh++;
+          if (cov.starved_command > last) cov.held_by_starved_head++;
+        }
+      }
       c.IssueColumn(d.slot, now);
+      if (c.cont_slot_ == d.slot) cov.continuation_burst = now;
     } else if (d.act == Action::kActivate) {
       cov.row_commands++;
       c.IssueActivate(d.slot, now);
@@ -143,7 +168,10 @@ class ChannelOraclePeer {
   static void ReferencePass(DramChannel& c, Cycle now, Coverage& cov) {
     c.prepass_slot_ = DramChannel::kNever;
     Cycle min_ready = DramChannel::kNever;
-    if (c.MaybeRefresh(now, min_ready)) return;
+    if (c.MaybeRefresh(now, min_ready)) {
+      cov.refresh_command = now;
+      return;
+    }
     if (c.q_size_ == 0) {
       c.sleep_until_ = min_ready == DramChannel::kNever
                            ? now + c.cfg_.timing.tREFI
@@ -155,6 +183,7 @@ class ChannelOraclePeer {
       const Action head_act = c.RequiredAction(c.q_head_, head_ready);
       if (head_ready <= now) {
         cov.starved_issues++;
+        if (c.q_head_ != c.cont_slot_) cov.starved_command = now;
         Issue(c, {head_act, c.q_head_}, now, cov);
         ReferencePrepass(c);
         return;
@@ -223,35 +252,30 @@ std::vector<OracleCase> Cases() {
   return out;
 }
 
-/// Drives `slots` command slots of seeded random traffic into both
-/// channels and checks them against each other at every cycle.
-void RunOracle(const DramConfig& cfg, std::uint64_t seed, Cycle slots,
-               ChannelOraclePeer::Coverage& cov) {
+/// Fills `r` (rank, bank, row, column, direction, bursts) with the request
+/// to enqueue at `now`, before (`after_pass` false) or after that cycle's
+/// scheduler pass, or returns false to enqueue none. Called only while the
+/// queue has room.
+using Traffic = std::function<bool(Cycle now, bool after_pass,
+                                   DramRequest& r)>;
+
+/// Drives `slots` command slots of `traffic` into both channels and checks
+/// them against each other at every cycle.
+void RunLockstep(const DramConfig& cfg, Cycle slots, const Traffic& traffic,
+                 ChannelOraclePeer::Coverage& cov) {
   using Peer = ChannelOraclePeer;
   auto test = std::make_unique<DramChannel>(cfg, 0);
   DramChannel ref(cfg, 0);
-  Rng rng(seed);
-  const std::uint32_t ranks = cfg.geometry.ranks_per_channel;
-  const std::uint32_t banks = cfg.geometry.banks_per_rank;
   std::vector<DramCompletion> done_test;
   std::vector<DramCompletion> done_ref;
   RequestId next_id = 1;
 
   const auto enqueue = [&](Cycle now, bool slot_ticked) {
     DramRequest r;
+    if (!test->CanAccept() || !traffic(now, slot_ticked, r)) return;
     r.id = next_id++;
     r.loc.channel = 0;
-    r.loc.rank = static_cast<std::uint32_t>(rng.Below(ranks));
-    // A few hot banks and rows, so hits, conflicts and shared rows are all
-    // common.
-    r.loc.bank = static_cast<std::uint32_t>(rng.Below(std::min(banks, 6u)));
-    r.loc.row = rng.Below(4);
-    r.loc.column = static_cast<std::uint32_t>(rng.Below(32));
     r.addr = r.id * kBlockBytes;
-    r.is_write = rng.Below(100) < 45;
-    r.bursts = rng.Below(100) < 40 ? 1 + static_cast<std::uint32_t>(
-                                             rng.Below(4))
-                                   : 1;
     r.arrival = now;
     if (test->RankRefreshing(r.loc.rank, now)) cov.refresh_in_flight++;
     if (Peer::PrepassSlot(*test) != ~Cycle{0} &&
@@ -264,14 +288,7 @@ void RunOracle(const DramConfig& cfg, std::uint64_t seed, Cycle slots,
 
   const Cycle horizon = slots * kCpuCyclesPerDramCycle;
   for (Cycle now = 0; now < horizon; ++now) {
-    // Load phases (percent chance of a request per cycle): bursts that
-    // fill the queue past the write-drain watermark, and a silent phase
-    // that lets it empty, so blocked refreshes complete and idle passes
-    // sleep.
-    constexpr std::uint64_t kRate[] = {0, 30, 60, 5};
-    const std::uint64_t rate = kRate[(now / 4000) % 4];
-    if (test->CanAccept() && rng.Below(100) < rate) enqueue(now, false);
-
+    enqueue(now, false);
     const ChannelCounters before = test->counters();
     const Cycle wake_test = test->Tick(now, done_test);
     const Cycle wake_ref = Peer::ReferenceTick(ref, now, done_ref, cov);
@@ -302,7 +319,7 @@ void RunOracle(const DramConfig& cfg, std::uint64_t seed, Cycle slots,
 
     // An enqueue after the cycle's pass, possibly between an issue and
     // the slot its pre-pass already decided.
-    if (test->CanAccept() && rng.Below(100) < rate / 2) enqueue(now, true);
+    enqueue(now, true);
 
     // Replace the channel under test by a restored copy of itself: its
     // arrival sequences and per-bank oldest entries are rebuilt from the
@@ -324,6 +341,35 @@ void RunOracle(const DramConfig& cfg, std::uint64_t seed, Cycle slots,
   EXPECT_GT(test->counters().refreshes, 0u);
 }
 
+/// Seeded random traffic over a few hot banks and rows, in load phases.
+void RunOracle(const DramConfig& cfg, std::uint64_t seed, Cycle slots,
+               ChannelOraclePeer::Coverage& cov) {
+  Rng rng(seed);
+  const std::uint32_t ranks = cfg.geometry.ranks_per_channel;
+  const std::uint32_t banks = cfg.geometry.banks_per_rank;
+  const Traffic random = [&](Cycle now, bool after_pass, DramRequest& r) {
+    // Load phases (percent chance of a request per cycle, half that after
+    // the pass): bursts that fill the queue past the write-drain
+    // watermark, and a silent phase that lets it empty, so blocked
+    // refreshes complete and idle passes sleep.
+    constexpr std::uint64_t kRate[] = {0, 30, 60, 5};
+    const std::uint64_t rate = kRate[(now / 4000) % 4];
+    if (rng.Below(100) >= (after_pass ? rate / 2 : rate)) return false;
+    r.loc.rank = static_cast<std::uint32_t>(rng.Below(ranks));
+    // A few hot banks and rows, so hits, conflicts and shared rows are all
+    // common.
+    r.loc.bank = static_cast<std::uint32_t>(rng.Below(std::min(banks, 6u)));
+    r.loc.row = rng.Below(4);
+    r.loc.column = static_cast<std::uint32_t>(rng.Below(32));
+    r.is_write = rng.Below(100) < 45;
+    r.bursts = rng.Below(100) < 40 ? 1 + static_cast<std::uint32_t>(
+                                             rng.Below(4))
+                                   : 1;
+    return true;
+  };
+  RunLockstep(cfg, slots, random, cov);
+}
+
 TEST(FrFcfsOracle, FusedPickMatchesArrivalOrderWalk) {
   for (const OracleCase& c : Cases()) {
     SCOPED_TRACE(c.name);
@@ -341,6 +387,38 @@ TEST(FrFcfsOracle, FusedPickMatchesArrivalOrderWalk) {
     EXPECT_GT(cov.voided_prepass, 0u);
     EXPECT_GT(cov.row_commands, 0u);
   }
+}
+
+/// A write continuation held back while writes drain, on DDR4 timing:
+/// tCCD (61 cycles) outlasts a burst (10), so every follow-up burst is due
+/// only through the pick's continuation fold. A request arrives whenever
+/// the queue has room, so it stays full of writes (7 in 8) and writes
+/// drain; rank 0's bank 0 takes four-burst writes. Refresh precharges
+/// (every 3000 cycles) and starved heads (after 400) interrupt the streams.
+/// The last 1000 of every 6000 cycles bring no requests: the queue empties
+/// and the refreshes whose precharges began can run.
+TEST(FrFcfsOracle, HeldBackContinuationWhileDrainingMatchesWalk) {
+  DramConfig cfg = MainMemoryConfig(64_MiB);
+  cfg.geometry.channels = 1;
+  cfg.timing.tREFI = 3000;
+  cfg.controller.starvation_cycles = 400;
+  std::uint32_t n = 0;
+  const Traffic full = [&n](Cycle now, bool after_pass, DramRequest& r) {
+    if (after_pass || now % 6000 >= 5000) return false;
+    const std::uint32_t k = n++;
+    r.is_write = k % 8 != 7;
+    r.loc.rank = (k / 2) % 2;
+    r.loc.bank = k % 4 == 0 ? 0 : 1 + k % 3;
+    r.loc.row = (k / 16) % 2;
+    r.loc.column = k % 32;
+    r.bursts = r.loc.rank == 0 && r.loc.bank == 0 && r.is_write ? 4 : 1;
+    return true;
+  };
+  ChannelOraclePeer::Coverage cov;
+  RunLockstep(cfg, 30000, full, cov);
+  EXPECT_GT(cov.drain_fold_continuations, 0u);
+  EXPECT_GT(cov.held_by_refresh, 0u);
+  EXPECT_GT(cov.held_by_starved_head, 0u);
 }
 
 }  // namespace

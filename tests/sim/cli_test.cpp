@@ -164,6 +164,13 @@ const Case kCases[] = {
     {"--epoch \" 5000\"", 2, "bad --epoch  5000"},
     {"--epoch auto:5:-1", 2, "bad --epoch auto:5:-1"},
     {"--sample 0.1:abc", 2, "bad --sample 0.1:abc"},
+    // Mix weights and gaps parse the same way: no sign (which would wrap
+    // to 2^32-1) and no suffix.
+    {"--mix LU:-1,RDX:1 --scale 0.01", 1, "mix tenant weight"},
+    {"--mix LU:2x,RDX:1 --scale 0.01", 1, "mix tenant weight"},
+    {"--mix LU:0,RDX:1 --scale 0.01", 1, "mix tenant weight"},
+    {"--mix LU:1@-5,RDX:1 --scale 0.01", 1, "mix tenant gap"},
+    {"--mix LU:1@5x,RDX:1 --scale 0.01", 1, "mix tenant gap"},
     // Threshold pins belong to the requested redcache-family policy.
     {"--policy Alloy --alpha 2", 2, "Alloy belongs to the alloy family"},
     {"--policy Bear --gamma 4", 2, "Bear belongs to the alloy family"},

@@ -1,7 +1,8 @@
 // Mix cells in the batch engine: the cache key must incorporate the whole
 // mix descriptor, results must be deterministic across worker counts, the
 // build-stamped disk cache must round-trip tenant counters, and the batch
-// report JSON must carry the per-tenant QoS rows.
+// report JSON must carry the per-tenant QoS rows. Descriptor numbers
+// (weights, gaps) parse whole or are rejected.
 #include "sim/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,20 @@ RunSpec TwoTenantSpec() {
   b.workload = "RDX";
   s.mix.tenants = {a, b};
   return s;
+}
+
+TEST(MixBatch, DescriptorNumbersParseWholeAndInRange) {
+  const tenant::MixSpec ok = tenant::MixSpec::Parse("LU:3@40,RDX");
+  ASSERT_EQ(ok.tenants.size(), 2u);
+  EXPECT_EQ(ok.tenants[0].weight, 3u);
+  EXPECT_EQ(ok.tenants[0].min_gap, 40u);
+  EXPECT_EQ(ok.tenants[1].weight, 1u);
+  EXPECT_EQ(tenant::MixSpec::Parse("LU:4294967295").tenants[0].weight,
+            4294967295u);
+  for (const char* bad : {"LU:-1", "LU:2x", "LU:0", "LU:", "LU: 2", "LU:+2",
+                          "LU:4294967296", "LU:1@-5", "LU:1@5x", "LU:1@"}) {
+    EXPECT_THROW(tenant::MixSpec::Parse(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(MixBatch, CellKeyIncorporatesTheWholeMixDescriptor) {

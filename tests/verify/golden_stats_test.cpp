@@ -96,6 +96,29 @@ TEST(GoldenStats, ParserRejectsMalformedInput) {
   EXPECT_TRUE(ParseGolden("{}", out, error)) << error;
 }
 
+TEST(GoldenStats, ParserTakesOnlyExactWholeCounts) {
+  GoldenTable out;
+  std::string error;
+  const auto parse = [&](const std::string& value) {
+    return ParseGolden("{\"k\": {\"c\": " + value + "}}", out, error);
+  };
+  // Past 2^64 (the old digit loop wrapped it), past 2^53 (a double no
+  // longer holds it exactly), fractions, signs and non-numbers.
+  for (const char* bad : {"99999999999999999999", "9007199254740994", "1.5",
+                          "-1", "\"7\"", "true", "null", "[1]", "{}"}) {
+    EXPECT_FALSE(parse(bad)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  EXPECT_FALSE(ParseGolden("{\"k\": 5}", out, error));
+  EXPECT_FALSE(ParseGolden("[{\"c\": 5}]", out, error));
+  ASSERT_TRUE(parse("6151464")) << error;
+  EXPECT_EQ(out.at("k").at("c"), 6151464u);
+  ASSERT_TRUE(parse("9007199254740992")) << error;
+  EXPECT_EQ(out.at("k").at("c"), std::uint64_t{1} << 53);
+  ASSERT_TRUE(parse("0")) << error;
+  EXPECT_EQ(out.at("k").at("c"), 0u);
+}
+
 TEST(GoldenStats, CollectionIsDeterministic) {
   NeutralizeScaleEnv();
   const RunSpec spec = SpecFor("Alloy", "IS");

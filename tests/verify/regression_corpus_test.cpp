@@ -119,5 +119,28 @@ TEST(RegressionCorpus, MalformedInputIsRejected) {
   EXPECT_NE(error.find("mystery_knob"), std::string::npos);
 }
 
+TEST(RegressionCorpus, MalformedNumbersAreRejected) {
+  // Each value must be whole digits that fit the field: no sign (which
+  // would wrap to 2^64-1), no suffix, no truncation of a 32-bit field.
+  for (const char* bad :
+       {"seed = -1", "cores = -1", "cores = 4x", "cores = 0x4", "cores = ",
+        "hot_weight = 5000000000", "refs_per_core = 1e3",
+        "max_cycles = 18446744073709551616", "idle_every = +3"}) {
+    CorpusCase out;
+    std::string error;
+    EXPECT_FALSE(ParseCorpusCase(std::string(bad) + "\n", out, error)) << bad;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << bad << ": " << error;
+  }
+  CorpusCase out;
+  std::string error;
+  ASSERT_TRUE(ParseCorpusCase("cores = 4\nhot_weight = 4294967295\n"
+                              "seed = 18446744073709551615\n",
+                              out, error))
+      << error;
+  EXPECT_EQ(out.params.trace.cores, 4u);
+  EXPECT_EQ(out.params.trace.hot_weight, 4294967295u);
+  EXPECT_EQ(out.params.trace.seed, 18446744073709551615u);
+}
+
 }  // namespace
 }  // namespace redcache

@@ -23,9 +23,6 @@
 #include <signal.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -36,9 +33,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "dramcache/policy_registry.hpp"
 #include "obs/epoch_sampler.hpp"
@@ -160,43 +158,14 @@ void PrintUsage() {
       "  --list             list registered policies and workloads\n");
 }
 
-/// Strict numeric flag parsing: the whole of `text` must be a number (no
-/// sign, blanks or trailing characters) within [lo, hi].
-template <typename T>
-bool ParseNumber(const char* text, T lo, T hi, T& out) {
-  if (text[0] == '\0' || text[0] == '-' || text[0] == '+' ||
-      std::isspace(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  T v;
-  if constexpr (std::is_floating_point_v<T>) {
-    v = std::strtod(text, &end);
-    if (!std::isfinite(v)) return false;
-  } else {
-    const unsigned long long raw = std::strtoull(text, &end, 10);
-    if (raw > std::numeric_limits<T>::max()) return false;
-    v = static_cast<T>(raw);
-  }
-  if (errno != 0 || end == text || *end != '\0' || v < lo || v > hi) {
-    return false;
-  }
-  out = v;
-  return true;
-}
-
 /// "P[:INTERVAL]" for --sample: P in (0, 1], INTERVAL >= 1 cycles.
-bool ParseSample(const std::string& text, SamplingOptions& out) {
+bool ParseSample(std::string_view text, SamplingOptions& out) {
   const std::size_t colon = text.find(':');
-  const std::string fraction = text.substr(0, colon);
-  if (!ParseNumber(fraction.c_str(), std::numeric_limits<double>::min(), 1.0,
-                   out.fraction)) {
-    return false;
-  }
-  return colon == std::string::npos ||
-         ParseNumber(text.c_str() + colon + 1, Cycle{1},
-                     std::numeric_limits<Cycle>::max(), out.interval_cycles);
+  return ParseNumber(text.substr(0, colon), std::numeric_limits<double>::min(),
+                     1.0, out.fraction) &&
+         (colon == std::string_view::npos ||
+          ParseNumber(text.substr(colon + 1), Cycle{1},
+                      std::numeric_limits<Cycle>::max(), out.interval_cycles));
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions& opt) {
