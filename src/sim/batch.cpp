@@ -1,7 +1,12 @@
 #include "sim/batch.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -9,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -22,6 +26,7 @@
 #include "common/serialize.hpp"
 #include "energy/model.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace redcache {
 
@@ -149,7 +154,7 @@ std::string HexU64(std::uint64_t v) {
 }
 
 // ---------------------------------------------------------------------------
-// Disk cache (binary, format v4, one ".stats" file per cell). Shares the
+// Disk cache (binary, format v5, one ".stats" file per cell). Shares the
 // checkpoint serializer and its checksummed frame:
 //   Section | version | build identity | checksum | exec_cycles | StatSet
 // The checksum (common/hash.hpp) covers everything after itself, so a
@@ -159,12 +164,24 @@ std::string HexU64(std::uint64_t v) {
 // overwritten after re-simulation. Energy is not stored: it is derived from
 // counters and recomputed on load.
 
-bool LoadCached(const std::string& path, const std::string& identity,
-                RunResult& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+/// The whole file behind `fd`, sized by fstat. A failed or short read
+/// returns false.
+bool ReadWhole(int fd, std::string& bytes) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || st.st_size < 0) return false;
+  bytes.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool DecodeCached(const std::string& bytes, const std::string& identity,
+                  RunResult& out) {
   try {
     ser::Reader r(bytes);
     r.Section("rcache");
@@ -178,6 +195,33 @@ bool LoadCached(const std::string& path, const std::string& identity,
     return false;  // corrupt or truncated entry == miss
   }
   out.completed = true;
+  return true;
+}
+
+/// One open/fstat/read/close per entry. Only a hit refreshes the entry's
+/// mtime (not its atime), through the open descriptor, so LRU eviction sees
+/// it as recently used; the touch is best effort, and a failed one only
+/// makes the entry evictable sooner.
+bool LoadCached(const std::string& path, const std::string& identity,
+                RunResult& out) {
+  /// Closes the descriptor on every path out, a throwing decode included.
+  struct Fd {
+    int fd;
+    explicit Fd(int f) : fd(f) {}
+    Fd(const Fd&) = delete;
+    Fd& operator=(const Fd&) = delete;
+    ~Fd() {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+  const Fd f(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (f.fd < 0) return false;
+  std::string bytes;
+  if (!ReadWhole(f.fd, bytes) || !DecodeCached(bytes, identity, out)) {
+    return false;
+  }
+  const timespec times[2] = {{0, UTIME_OMIT}, {0, UTIME_NOW}};
+  ::futimens(f.fd, times);
   return true;
 }
 
@@ -219,6 +263,9 @@ std::vector<RunResult> RunIndexed(
   const auto start = std::chrono::steady_clock::now();
   std::mutex io_mu;
   ParallelFor(n, opts.jobs, [&](std::size_t i) {
+    // A cell traces the same on every thread, the caller's included: never
+    // into a trace buffer the caller has installed.
+    const obs::TraceScope untraced(nullptr);
     results[i] = task(i);
     if (!progress) return;
     const std::size_t d = done.fetch_add(1) + 1;
@@ -253,14 +300,6 @@ constexpr std::uint64_t kMiB = 1024ull * 1024ull;
 /// REDCACHE_CACHE_MAX_MB as bytes; 0 = unbounded (default).
 std::uint64_t DiskCacheMaxBytes() {
   return EnvCount("REDCACHE_CACHE_MAX_MB", UINT64_MAX / kMiB) * kMiB;
-}
-
-/// Refresh mtime so LRU eviction sees this entry as recently used. Best
-/// effort: a failed touch only makes the entry evictable sooner.
-void TouchCacheEntry(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::last_write_time(
-      path, std::filesystem::file_time_type::clock::now(), ec);
 }
 
 }  // namespace
@@ -309,9 +348,11 @@ void ParallelFor(std::size_t n, unsigned jobs,
       }
     }
   };
+  // The calling thread is one of the workers.
   std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
+  pool.reserve(workers - 1);
+  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }
@@ -471,7 +512,6 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
         profile->fingerprint_seconds = SecondsSince(t_id);
       }
       loaded = LoadCached(path, identity, result);
-      if (loaded) TouchCacheEntry(path);
     }
     if (!loaded) {
       const auto t_sim = std::chrono::steady_clock::now();
@@ -501,8 +541,8 @@ RunResult RunCellCached(const CellSpec& cell, CellProfile* profile) {
       profile->tenants = tenant::QosFromStats(result.stats);
       profile->wall_seconds = SecondsSince(t_enter);
     }
-    promise.set_value(result);
-    return future.get();
+    promise.set_value(result);  // the one copy, for memo hits
+    return result;
   } catch (...) {
     promise.set_exception(std::current_exception());
     {

@@ -32,7 +32,8 @@ KernelTrace::KernelTrace(std::string name,
   for (std::size_t c = 0; c < programs.size(); ++c) {
     cores_[c].program = std::move(programs[c]);
     cores_[c].rng.Reseed(seed * 0x9e3779b97f4a7c15ULL + c + 1);
-    for (const Kernel& k : cores_[c].program) {
+    for (Kernel& k : cores_[c].program) {
+      k.refs = KernelRefCount(k);
       min_base = std::min(min_base, k.base);
       max_end = std::max(max_end, k.base + k.size);
       if (k.kind == Kernel::Kind::kScatterHot ||
@@ -80,7 +81,7 @@ bool KernelTrace::Next(std::uint32_t core, MemRef& out) {
   CoreState& cs = cores_[core];
   while (cs.kernel_idx < cs.program.size()) {
     const Kernel& k = cs.program[cs.kernel_idx];
-    if (cs.emitted < KernelRefCount(k) && EmitFromKernel(cs, k, out)) {
+    if (cs.emitted < k.refs && EmitFromKernel(cs, k, out)) {
       cs.emitted++;
       return true;
     }

@@ -40,7 +40,10 @@ struct Kernel {
   std::uint32_t passes = 1;       ///< kSweep: number of full passes
   std::uint64_t tile_bytes = 64_KiB;  ///< kTiled
   std::uint32_t tile_passes = 8;      ///< kTiled: sweeps per tile
-  std::uint64_t refs = 0;    ///< kHot/kScatter/kScatterHot: reference count
+  /// kHot/kScatter/kScatterHot: reference count. KernelTrace sets it to
+  /// KernelRefCount for every kind in its own copy of the program, so the
+  /// per-reference path reads the count instead of recomputing it.
+  std::uint64_t refs = 0;
   double write_frac = 0.3;
   double zipf_s = 0.8;       ///< kHot skew
   Addr hot_base = 0;         ///< hot region (kScatterHot/kSweepHot/kDualSweep)

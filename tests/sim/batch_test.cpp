@@ -6,21 +6,25 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "sim/runner.hpp"
 
 namespace redcache {
@@ -624,6 +628,129 @@ TEST(Batch, DiskCacheHitRefreshesRecencyAndProfilesAsDiskHit) {
 
   ::unsetenv("REDCACHE_CACHE_DIR");
   fs::remove_all(fs::path(dir));
+}
+
+TEST(Batch, DiskCacheMissKeepsEntryMtime) {
+  // Only an entry that parsed and matched its checksum is touched: a
+  // corrupt or truncated entry is a miss and keeps its stale mtime. The
+  // cell is capped short of completion, so the miss is not re-saved and
+  // the file stays exactly as it was written.
+  namespace fs = std::filesystem;
+  char tmpl[] = "/tmp/redcache_batch_nottouch_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ASSERT_EQ(::setenv("REDCACHE_CACHE_DIR", dir.c_str(), 1), 0);
+
+  RunSpec s;
+  s.policy = "Alloy";
+  s.workload = "RDX";
+  s.scale = 0.02;
+  s.ignore_env_scale = true;
+  s.seed = 29;
+  s.max_cycles = 2000;
+
+  const auto check = [&](const std::string& variant,
+                         const std::function<std::string(std::string)>& damage) {
+    SCOPED_TRACE(variant);
+    CellSpec cell{s, "nottouch-" + variant};
+    const std::string path = dir + "/" + CellKey(cell) + ".stats";
+    {
+      StatSet stats;
+      stats.Counter("hbm.reads") = 5;
+      WriteEntry(path, CacheIdentity(), 777, stats);
+    }
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+    }
+    bytes = damage(bytes);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto stale = fs::file_time_type::clock::now() - std::chrono::hours(1);
+    fs::last_write_time(path, stale);
+
+    CellProfile prof;
+    const RunResult r = RunCellCached(cell, &prof);
+    EXPECT_FALSE(prof.disk_hit);
+    EXPECT_FALSE(r.completed) << "the capped re-simulation must not finish";
+    EXPECT_NE(r.exec_cycles, 777u);
+    EXPECT_EQ(fs::last_write_time(path), stale) << "a miss must not touch";
+    std::ifstream in(path, std::ios::binary);
+    const std::string after((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(after, bytes);
+  };
+  check("corrupt", [](std::string b) {
+    b.back() = static_cast<char>(b.back() ^ 0x01);  // the counter's value
+    return b;
+  });
+  check("truncated", [](std::string b) { return b.substr(0, b.size() / 2); });
+
+  ::unsetenv("REDCACHE_CACHE_DIR");
+  fs::remove_all(fs::path(dir));
+}
+
+TEST(Batch, ParallelForRunsOnCallerAndAtMostJobsThreads) {
+  // `jobs` workers in all, the calling thread among them. Each task waits
+  // (bounded) until `jobs` threads have taken one, so every worker runs a
+  // task however the indices fall.
+  constexpr unsigned kJobs = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> seen;
+  ParallelFor(64, kJobs, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    seen.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10),
+                [&] { return seen.size() >= kJobs; });
+  });
+  EXPECT_LE(seen.size(), kJobs);
+  EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u)
+      << "the calling thread must be one of the workers";
+
+  seen.clear();
+  ParallelFor(8, 1, [&](std::size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(seen, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(Batch, RunCellsNeverTracesIntoCallersBuffer) {
+  RunSpec s;
+  s.policy = "RedCache";
+  s.workload = "LU";
+  s.scale = 0.01;
+  s.ignore_env_scale = true;
+  s.seed = 31;
+  {
+    // The cell emits events when traced directly, so an empty buffer
+    // below means the guard held.
+    obs::TraceBuffer direct(1024);
+    const obs::TraceScope scope(&direct);
+    ASSERT_TRUE(RunOne(s).completed);
+    ASSERT_GT(direct.emitted(), 0u);
+  }
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::vector<CellSpec> cells;
+    for (int i = 0; i < 4; ++i) {
+      // Fresh keys, so every cell simulates instead of hitting the memo.
+      cells.push_back(
+          {s, "untraced-" + std::to_string(jobs) + "-" + std::to_string(i)});
+    }
+    obs::TraceBuffer caller(1024);
+    const obs::TraceScope scope(&caller);
+    const std::vector<RunResult> results = RunCells(cells, Quiet(jobs));
+    for (const RunResult& r : results) EXPECT_TRUE(r.completed);
+    EXPECT_EQ(caller.emitted(), 0u);
+    EXPECT_EQ(obs::ActiveTrace(), &caller);
+  }
 }
 
 TEST(Batch, RunCellsFillsBatchReport) {
